@@ -11,17 +11,18 @@ test:
 
 # The tier-1 gate plus a multicore engine smoke: exhaustively verify
 # G(8,2) (137 fault sets) through Engine.Parallel on two domains (splice
-# on and off — reports must agree), then cross-check orbit-reduced
-# verification against full enumeration (verdict, counts and
-# orbit-expanded failure sets must agree) and splice-first prefix-tree
-# enumeration against from-scratch solving (reports must be identical),
-# then a traced run whose JSONL output must end with the metrics
-# snapshot.  The fault-model lines exercise the generalized universe:
-# --crosscheck on the node path also runs the generalized node model and
-# exits 3 on any divergence from the legacy enumeration; the mixed-model
-# run exits 1 (the constructions are not link-GD — that is the honest
-# verdict) but must not exit 3 (crosscheck divergence); --faults checks
-# one explicit mixed node+link set end to end.
+# on and off — reports must agree).  --crosscheck then re-enumerates the
+# same fault space other ways and exits 3 on any disagreement: splice-first
+# against from-scratch solving and the work-stealing shards (reports must
+# be identical), the word-parallel kernel against the reference
+# backtracker (reports and expansion counts), and with --symmetry the
+# orbit-reduced run against full enumeration (verdict, counts and
+# orbit-expanded failure sets).  A traced run's JSONL output must end with
+# the metrics snapshot.  The fault-model lines run the same crosschecks
+# over the mixed node+link universe: it exits 1 (the constructions are
+# not link-GD — that is the honest verdict) but must not exit 3
+# (crosscheck divergence); --faults checks one explicit mixed node+link
+# set end to end.
 check: build test
 	GDPN_DOMAINS=2 dune exec bin/gdp.exe -- verify -n 8 -k 2
 	GDPN_DOMAINS=2 dune exec bin/gdp.exe -- verify -n 8 -k 2 --no-splice

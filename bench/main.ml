@@ -619,27 +619,16 @@ let b14_splice =
     ]
 
 let b15_fault_model =
-  (* Generalized fault models (PR 6).  The G(3,5) pair measures the cost
-     of routing the legacy node-only verifier through the Fault_model
-     abstraction — reports are byte-identical by contract
-     (test_fault_model, gdp verify --crosscheck), so the delta is pure
-     closure indirection.  The mixed rows enumerate the node+link
-     universe of G(1,3) (26 elements, 2952 fault sets) with and without
-     the induced-symmetry orbit reduction; the adversary row runs
+  (* Generalized fault models (PR 6).  The mixed rows enumerate the
+     node+link universe of G(1,3) (26 elements, 2952 fault sets) with and
+     without the induced-symmetry orbit reduction; the adversary row runs
      best-response search over the colored universe. *)
-  let g35 = Small_n.g3 ~k:5 in
-  let g35_node = Fault_model.node g35 in
   let g13 = Family.build ~n:1 ~k:3 in
   let g13_mixed = Fault_model.mixed g13 in
   let g13_sym = Instance.symmetry g13 in
   let cap = 1_000_000 in
   Test.make_grouped ~name:"B15-fault-model"
     [
-      Test.make ~name:"G(3,5) exhaustive, legacy node path"
-        (Staged.stage (fun () -> Sys.opaque_identity (Verify.exhaustive g35)));
-      Test.make ~name:"G(3,5) exhaustive, generalized node model"
-        (Staged.stage (fun () ->
-             Sys.opaque_identity (Verify.exhaustive_model g35_node)));
       Test.make ~name:"G(1,3) mixed exhaustive, full"
         (Staged.stage (fun () ->
              Sys.opaque_identity

@@ -139,105 +139,174 @@ let solve_cmd =
 
 (* -------------------- verify -------------------- *)
 
-(* Verification over a generalized fault universe
-   (--model mixed|colored|neighbor); the node model keeps the legacy
-   path in [verify_cmd] untouched. *)
-let verify_model inst model ~sample ~domains ~seed ~symmetry ~crosscheck
-    ~no_splice ~merged =
-  let module Auto = Gdpn_graph.Auto in
-  pf "%a@." Instance.pp inst;
-  if merged then
-    pf "note: --merged fault restriction applies to the node model only@.";
-  let d =
-    match domains with Some d -> d | None -> Engine.Parallel.default_domains ()
-  in
+(* Shared by both verification paths below: the header lines, the
+   symmetry group (with its line) and the report lines, fault sets
+   rendered in the model's element syntax. *)
+let print_model model =
   pf "fault model: %s (universe %d elements, sets of size <= %d)@."
     (Fault_model.name model) (Fault_model.size model)
-    (Fault_model.max_faults model);
-  let group =
-    if symmetry then begin
-      let g = Instance.symmetry inst in
-      let induced = Fault_model.induced_symmetry model g in
-      pf "symmetry: node group order %d; induced action on the universe \
-          %s@."
-        (Auto.order g)
-        (if Auto.is_trivial induced then "trivial — plain enumeration"
-         else "nontrivial — orbit reduction");
-      Some g
-    end
-    else None
-  in
-  let report =
-    match sample with
-    | Some trials ->
-      if symmetry then pf "note: --symmetry applies to exhaustive mode only@.";
-      pf "sampled verification: seed=%d domains=%d@." seed d;
-      Engine.Parallel.verify_sampled_model ~seed ~trials ~domains:d model
-    | None ->
-      pf "exhaustive verification: domains=%d@." d;
-      Engine.Parallel.verify_exhaustive_model ~domains:d ?symmetry:group
-        ~splice:(not no_splice) model
-  in
-  (* Verify.pp_report renders fault sets as raw node ids; under a model the
-     indices are universe elements, so render them in element syntax. *)
-  pf "checked %d fault sets%s: %s@." report.Verify.fault_sets_checked
-    (if report.Verify.solver_calls < report.Verify.fault_sets_checked then
-       Printf.sprintf " (%d orbit representatives solved)"
-         report.Verify.solver_calls
-     else "")
-    (if Verify.is_k_gd report then "all tolerated"
-     else
-       Printf.sprintf "%d failures%s%s"
-         (List.length report.Verify.failures)
-         (match report.Verify.failures with
-         | f :: _ ->
-           Printf.sprintf " (first: %s%s — %s)"
-             (Fault_model.describe model f.Verify.faults)
-             (if f.Verify.orbit > 1 then
-                Printf.sprintf " ×%d orbit" f.Verify.orbit
-              else "")
-             f.Verify.reason
-         | [] -> "")
-         (if report.Verify.gave_up > 0 then
-            Printf.sprintf " (%d gave up)" report.Verify.gave_up
-          else ""));
+    (Fault_model.max_faults model)
+
+let verify_group model symmetry =
+  let module Auto = Gdpn_graph.Auto in
+  if not symmetry then None
+  else begin
+    let g = Instance.symmetry (Fault_model.instance model) in
+    pf "symmetry: group order %d, %d generators%s@." (Auto.order g)
+      (List.length (Auto.generators g))
+      (if Auto.is_trivial (Fault_model.induced_symmetry model g) then
+         " — trivial group, using plain enumeration"
+       else "");
+    Some g
+  end
+
+let print_report model report =
+  pf "%a@." (Verify.pp_report_model model) report;
   if report.Verify.solver_calls < report.Verify.fault_sets_checked then
     pf "orbit reduction: %d solver calls covered %d fault sets (%.1fx \
         fewer)@."
       report.Verify.solver_calls report.Verify.fault_sets_checked
       (float_of_int report.Verify.fault_sets_checked
       /. float_of_int (max 1 report.Verify.solver_calls));
-  List.iteri
-    (fun i f ->
-      if i < 5 then
-        pf "counterexample: %s — %s@."
-          (Fault_model.describe model f.Verify.faults)
-          f.Verify.reason)
-    report.Verify.failures;
-  (* All generalized enumeration paths must agree with each other: splice
-     vs from-scratch sequentially, and the work-stealing shards vs both. *)
-  let crosscheck_failed =
-    if crosscheck && sample = None then begin
-      let cap = 1_000_000 in
-      let spliced =
-        Verify.exhaustive_model ~max_failures:cap ?symmetry:group
-          ~splice:true model
+  List.iter
+    (fun f ->
+      pf "counterexample: %s — %s@."
+        (Fault_model.describe model f.Verify.faults)
+        f.Verify.reason)
+    report.Verify.failures
+
+(* Enumerate the model's fault space once more in other ways and compare,
+   printing one line per check; true when all agree.  With symmetry: the
+   orbit-reduced report against full enumeration (verdict, counts and
+   orbit-expanded failure sets).  Splice-first against from-scratch
+   solving and, over the whole universe, the work-stealing shards.  The
+   word-parallel kernel against the reference backtracker, with splicing
+   off so every set reaches the solvers: reports and expansion counts
+   must match.  It runs over the run's own enumeration, orbit-reduced
+   under symmetry, because the unreduced space of a link universe is
+   large (mixed G(3,5): 4.2M sets against 166k representatives). *)
+let crosschecks model ~universe ~group ~domains ~no_splice =
+  let module Metrics = Gdpn_obs.Metrics in
+  let cap = 1_000_000 in
+  let exhaustive ?symmetry ?splice ?solve () =
+    Verify.exhaustive_model ~max_failures:cap ?universe ?symmetry ?splice
+      ?solve model
+  in
+  let delta name f =
+    let c = Metrics.counter name in
+    let before = Metrics.value c in
+    let r = f () in
+    (r, Metrics.value c - before)
+  in
+  let report name agree detail =
+    pf "crosscheck %s: %s (%s)@." name (if agree then "PASS" else "FAIL")
+      detail;
+    agree
+  in
+  let orbit_ok =
+    match group with
+    | None -> true
+    | Some g ->
+      let full = exhaustive () in
+      let orb = exhaustive ~symmetry:g () in
+      let full_sets =
+        List.sort compare
+          (List.map
+             (fun f -> List.sort compare f.Verify.faults)
+             full.Verify.failures)
       in
-      let scratch =
-        Verify.exhaustive_model ~max_failures:cap ?symmetry:group
-          ~splice:false model
+      let orb_sets =
+        Verify.expanded_failure_sets
+          ~symmetry:(Fault_model.induced_symmetry model g)
+          orb
       in
-      let par =
-        Engine.Parallel.verify_exhaustive_model ~max_failures:cap ~domains:d
-          ?symmetry:group ~splice:(not no_splice) model
-      in
-      let agree = spliced = scratch && spliced = par in
-      pf "crosscheck model splice vs from-scratch vs parallel: %s (%d \
-          sets)@."
-        (if agree then "PASS" else "FAIL")
-        spliced.Verify.fault_sets_checked;
-      not agree
+      report "vs full enumeration"
+        (Verify.is_k_gd full = Verify.is_k_gd orb
+        && full.Verify.fault_sets_checked = orb.Verify.fault_sets_checked
+        && full_sets = orb_sets)
+        (Printf.sprintf "full %d sets / orbit %d solver calls"
+           full.Verify.solver_calls orb.Verify.solver_calls)
+  in
+  let splice_ok =
+    let spliced, n_splices =
+      delta "verify.splices" (fun () -> exhaustive ?symmetry:group ())
+    in
+    let scratch = exhaustive ?symmetry:group ~splice:false () in
+    let parallel =
+      match universe with
+      | Some _ -> [] (* the shards cover the whole universe *)
+      | None ->
+        [
+          Engine.Parallel.verify_exhaustive_model ~max_failures:cap ~domains
+            ?symmetry:group ~splice:(not no_splice) model;
+        ]
+    in
+    report
+      ("splice vs from-scratch" ^ if parallel = [] then "" else " vs parallel")
+      (spliced = scratch && List.for_all (( = ) spliced) parallel)
+      (Printf.sprintf "%d sets, %d spliced" spliced.Verify.fault_sets_checked
+         n_splices)
+  in
+  let kernel_ok =
+    let kernel, ek =
+      delta "hamilton.expansions" (fun () ->
+          exhaustive ?symmetry:group ~splice:false ())
+    in
+    let reference, er =
+      delta "hamilton.ref_expansions" (fun () ->
+          exhaustive ?symmetry:group ~splice:false
+            ~solve:(fun ~faults ->
+              let inst, nodes = Fault_model.effective model faults in
+              Reconfig.solve ~reference:true inst ~faults:nodes)
+            ())
+    in
+    report "kernel vs reference"
+      (kernel = reference && ek = er)
+      (Printf.sprintf "%d solver calls, expansions %d vs %d"
+         kernel.Verify.solver_calls ek er)
+  in
+  orbit_ok && splice_ok && kernel_ok
+
+(* In-process verification for every fault model: sampled or exhaustive,
+   sharded over domains unless --merged restricts the universe. *)
+let verify_run inst model ~merged ~sample ~domains ~seed ~symmetry
+    ~crosscheck ~no_splice =
+  pf "%a@." Instance.pp inst;
+  print_model model;
+  (* The merged transform restricts node faults to processors; terminals
+     are fault-free in that model. *)
+  let universe =
+    if not merged then None
+    else if Fault_model.is_node model then Some (Instance.processors inst)
+    else begin
+      pf "note: --merged fault restriction applies to the node model only@.";
+      None
     end
+  in
+  let d =
+    match domains with Some d -> d | None -> Engine.Parallel.default_domains ()
+  in
+  let group = verify_group model symmetry in
+  let report =
+    match sample with
+    | Some trials ->
+      if symmetry then pf "note: --symmetry applies to exhaustive mode only@.";
+      pf "sampled verification: seed=%d domains=%d@." seed d;
+      Engine.Parallel.verify_sampled_model ~seed ~trials ~domains:d model
+    | None when universe <> None ->
+      (* The sharded enumerator covers the whole universe, so a restricted
+         one keeps the sequential path. *)
+      Verify.exhaustive_model ?universe ?symmetry:group ~splice:(not no_splice)
+        model
+    | None ->
+      pf "exhaustive verification: domains=%d@." d;
+      Engine.Parallel.verify_exhaustive_model ~domains:d ?symmetry:group
+        ~splice:(not no_splice) model
+  in
+  print_report model report;
+  let crosscheck_failed =
+    if crosscheck && sample = None then
+      not (crosschecks model ~universe ~group ~domains:d ~no_splice)
     else begin
       if crosscheck then pf "note: --crosscheck requires exhaustive mode@.";
       false
@@ -255,7 +324,6 @@ let verify_model inst model ~sample ~domains ~seed ~symmetry ~crosscheck
    directly (exit 3 on divergence). *)
 let verify_oocore inst model ~model_name ~n ~k ~domains ~procs ~ckpt_path
     ~resume_path ~symmetry ~crosscheck ~no_splice ~sample ~merged =
-  let module Auto = Gdpn_graph.Auto in
   let module Task = Engine.Parallel.Task in
   let module Checkpoint = Gdpn_engine.Checkpoint in
   let module Mp = Gdpn_engine.Mp in
@@ -275,26 +343,11 @@ let verify_oocore inst model ~model_name ~n ~k ~domains ~procs ~ckpt_path
   end
   else begin
     let max_failures = 5 in
-    let is_node = Fault_model.is_node model in
     pf "%a@." Instance.pp inst;
-    if not is_node then
-      pf "fault model: %s (universe %d elements, sets of size <= %d)@."
-        (Fault_model.name model) (Fault_model.size model)
-        (Fault_model.max_faults model);
-    let group =
-      if symmetry then begin
-        let g = Instance.symmetry inst in
-        pf "symmetry: group order %d — orbit-reduced units in DFS preorder \
-            (orbit x splice fusion)@."
-          (Auto.order g);
-        Some g
-      end
-      else None
-    in
+    print_model model;
+    let group = verify_group model symmetry in
     let task =
-      if is_node then
-        Task.exhaustive ?symmetry:group ~splice:(not no_splice) inst
-      else Task.exhaustive_model ?symmetry:group ~splice:(not no_splice) model
+      Task.exhaustive_model ?symmetry:group ~splice:(not no_splice) model
     in
     let header = Task.header task ~max_failures in
     let nunits = Task.nunits task in
@@ -374,34 +427,12 @@ let verify_oocore inst model ~model_name ~n ~k ~domains ~procs ~ckpt_path
         (match ckpt_path with
         | Some p -> pf "checkpoint: %s@." p
         | None -> ());
-        (if is_node then pf "%a@." Verify.pp_report report
-         else
-           pf "checked %d fault sets: %s@." report.Verify.fault_sets_checked
-             (if Verify.is_k_gd report then "all tolerated"
-              else
-                Printf.sprintf "%d failures (first: %s — %s)"
-                  (List.length report.Verify.failures)
-                  (match report.Verify.failures with
-                  | f :: _ -> Fault_model.describe model f.Verify.faults
-                  | [] -> "?")
-                  (match report.Verify.failures with
-                  | f :: _ -> f.Verify.reason
-                  | [] -> "")));
-        if report.Verify.solver_calls < report.Verify.fault_sets_checked then
-          pf "orbit reduction: %d solver calls covered %d fault sets \
-              (%.1fx fewer)@."
-            report.Verify.solver_calls report.Verify.fault_sets_checked
-            (float_of_int report.Verify.fault_sets_checked
-            /. float_of_int (max 1 report.Verify.solver_calls));
+        print_report model report;
         let crosscheck_failed =
           if crosscheck then begin
             let seq =
-              if is_node then
-                Verify.exhaustive ~max_failures ?symmetry:group
-                  ~splice:(not no_splice) inst
-              else
-                Verify.exhaustive_model ~max_failures ?symmetry:group
-                  ~splice:(not no_splice) model
+              Verify.exhaustive_model ~max_failures ?symmetry:group
+                ~splice:(not no_splice) model
             in
             let agree = report = seq in
             pf "crosscheck out-of-core vs sequential: %s (%d sets, %d \
@@ -436,14 +467,15 @@ let verify_cmd =
   in
   let crosscheck_arg =
     Arg.(value & flag & info [ "crosscheck" ]
-           ~doc:"Exhaustive mode: re-run the enumeration with splice-first \
-                 prefix-tree solving disabled and compare the reports, \
-                 then re-run through the reference (pre-bitset-row) \
-                 backtracker and compare reports and expansion counts \
-                 against the word-parallel kernel.  With --symmetry, \
-                 additionally run the full enumeration and compare \
-                 verdicts, counts and (orbit-expanded) failure sets.  \
-                 Exits 3 on any disagreement.")
+           ~doc:"Exhaustive mode, any fault model: re-run the enumeration \
+                 with splice-first prefix-tree solving disabled and on the \
+                 work-stealing shards and compare the reports, then re-run \
+                 it through the reference (pre-bitset-row) backtracker and \
+                 compare reports and expansion counts against the \
+                 word-parallel kernel.  With --symmetry, additionally run \
+                 the full enumeration and compare verdicts, counts and \
+                 (orbit-expanded) failure sets.  Exits 3 on any \
+                 disagreement.")
   in
   let no_splice_arg =
     Arg.(value & flag & info [ "no-splice" ]
@@ -544,7 +576,6 @@ let verify_cmd =
   let run n k merged model_name fault_spec sample domains seed symmetry
       crosscheck no_splice procs ckpt_path resume_path trace_out =
     with_trace trace_out @@ fun () ->
-    let module Auto = Gdpn_graph.Auto in
     let inst = build_instance n k merged in
     match model_of_name inst model_name with
     | Error e ->
@@ -555,181 +586,9 @@ let verify_cmd =
     | Ok model when procs > 1 || ckpt_path <> None || resume_path <> None ->
       verify_oocore inst model ~model_name ~n ~k ~domains ~procs ~ckpt_path
         ~resume_path ~symmetry ~crosscheck ~no_splice ~sample ~merged
-    | Ok model when not (Fault_model.is_node model) ->
-      verify_model inst model ~sample ~domains ~seed ~symmetry ~crosscheck
-        ~no_splice ~merged
     | Ok model ->
-    pf "%a@." Instance.pp inst;
-    let d =
-      match domains with Some d -> d | None -> Engine.Parallel.default_domains ()
-    in
-    (* The merged transform restricts faults to processors; terminals are
-       fault-free in that model. *)
-    let universe = if merged then Some (Instance.processors inst) else None in
-    let group =
-      if symmetry then begin
-        let g = Instance.symmetry inst in
-        pf "symmetry: group order %d, %d generators%s@." (Auto.order g)
-          (List.length (Auto.generators g))
-          (if Auto.is_trivial g then
-             " — trivial group, using plain enumeration"
-           else "");
-        Some g
-      end
-      else None
-    in
-    let report =
-      match sample with
-      | Some trials ->
-        if symmetry then
-          pf "note: --symmetry applies to exhaustive mode only@.";
-        pf "sampled verification: seed=%d domains=%d@." seed d;
-        Engine.Parallel.verify_sampled ~seed ~trials ~domains:d inst
-      | None when merged ->
-        (* The sharded enumerator covers all nodes, so the restricted
-           universe keeps the sequential path here. *)
-        Verify.exhaustive ?universe ?symmetry:group ~splice:(not no_splice)
-          inst
-      | None ->
-        pf "exhaustive verification: domains=%d@." d;
-        Engine.Parallel.verify_exhaustive ~domains:d ?symmetry:group
-          ~splice:(not no_splice) inst
-    in
-    pf "%a@." Verify.pp_report report;
-    if report.Verify.solver_calls < report.Verify.fault_sets_checked then
-      pf "orbit reduction: %d solver calls covered %d fault sets (%.1fx \
-          fewer)@."
-        report.Verify.solver_calls report.Verify.fault_sets_checked
-        (float_of_int report.Verify.fault_sets_checked
-        /. float_of_int (max 1 report.Verify.solver_calls));
-    let crosscheck_failed =
-      match group with
-      | Some g when crosscheck && sample = None ->
-        let cap = 1_000_000 in
-        let full = Verify.exhaustive ~max_failures:cap ?universe inst in
-        let orb =
-          Verify.exhaustive ~max_failures:cap ?universe ~symmetry:g inst
-        in
-        let full_sets =
-          List.sort compare
-            (List.map
-               (fun f -> List.sort compare f.Verify.faults)
-               full.Verify.failures)
-        in
-        let orb_sets = Verify.expanded_failure_sets ~symmetry:g orb in
-        let agree =
-          Verify.is_k_gd full = Verify.is_k_gd orb
-          && full.Verify.fault_sets_checked = orb.Verify.fault_sets_checked
-          && full_sets = orb_sets
-        in
-        pf "crosscheck vs full enumeration: %s (full %d sets / orbit %d \
-            solver calls)@."
-          (if agree then "PASS" else "FAIL")
-          full.Verify.solver_calls orb.Verify.solver_calls;
-        not agree
-      | _ -> false
-    in
-    (* Splice crosscheck: the prefix-tree splice-first enumeration must
-       report exactly what from-scratch solving reports — positives are
-       revalidated splices, negatives always come from a full solve. *)
-    let splice_crosscheck_failed =
-      if crosscheck && sample = None then begin
-        let module Metrics = Gdpn_obs.Metrics in
-        let splices = Metrics.counter "verify.splices" in
-        let before = Metrics.value splices in
-        let cap = 1_000_000 in
-        let spliced =
-          Verify.exhaustive ~max_failures:cap ?universe ?symmetry:group
-            ~splice:true inst
-        in
-        let n_splices = Metrics.value splices - before in
-        let scratch =
-          Verify.exhaustive ~max_failures:cap ?universe ?symmetry:group
-            ~splice:false inst
-        in
-        let agree = spliced = scratch in
-        pf "crosscheck splice vs from-scratch: %s (%d sets, %d spliced)@."
-          (if agree then "PASS" else "FAIL")
-          spliced.Verify.fault_sets_checked n_splices;
-        not agree
-      end
-      else false
-    in
-    (* Kernel-equivalence crosscheck: independent of --symmetry, the
-       word-parallel kernel and the retained reference backtracker must
-       produce identical reports from identical expansion counts.  Splice
-       is off on both sides so every set exercises the solvers. *)
-    let kernel_crosscheck_failed =
-      if crosscheck && sample = None then begin
-        let module Metrics = Gdpn_obs.Metrics in
-        let delta name f =
-          let c = Metrics.counter name in
-          let before = Metrics.value c in
-          let r = f () in
-          (r, Metrics.value c - before)
-        in
-        let cap = 1_000_000 in
-        let kernel, ek =
-          delta "hamilton.expansions" (fun () ->
-              Verify.exhaustive ~max_failures:cap ?universe ~splice:false
-                inst)
-        in
-        let reference, er =
-          delta "hamilton.ref_expansions" (fun () ->
-              Verify.exhaustive ~max_failures:cap ?universe ~splice:false
-                ~solve:(fun ~faults ->
-                  Reconfig.solve ~reference:true inst ~faults)
-                inst)
-        in
-        let agree = kernel = reference && ek = er in
-        pf "crosscheck kernel vs reference: %s (%d solver calls, \
-            expansions %d vs %d)@."
-          (if agree then "PASS" else "FAIL")
-          kernel.Verify.solver_calls ek er;
-        not agree
-      end
-      else begin
-        if crosscheck then pf "note: --crosscheck requires exhaustive mode@.";
-        false
-      end
-    in
-    (* Generalized-model crosscheck: the node instantiation of the
-       Fault_model machinery must reproduce the legacy node-only verifier
-       byte for byte, sequentially and under the work-stealing shards. *)
-    let model_crosscheck_failed =
-      if crosscheck && sample = None then begin
-        let cap = 1_000_000 in
-        let legacy =
-          Verify.exhaustive ~max_failures:cap ?universe ?symmetry:group
-            ~splice:(not no_splice) inst
-        in
-        let gen =
-          Verify.exhaustive_model ~max_failures:cap ?universe ?symmetry:group
-            ~splice:(not no_splice) model
-        in
-        let gen_par =
-          (* The restricted (merged) universe keeps the sequential path,
-             as in the main enumeration above. *)
-          if merged then gen
-          else
-            Engine.Parallel.verify_exhaustive_model ~max_failures:cap
-              ~domains:d ?symmetry:group ~splice:(not no_splice) model
-        in
-        let agree = legacy = gen && legacy = gen_par in
-        pf "crosscheck generalized-node vs legacy: %s (%d sets, %d solver \
-            calls)@."
-          (if agree then "PASS" else "FAIL")
-          legacy.Verify.fault_sets_checked legacy.Verify.solver_calls;
-        not agree
-      end
-      else false
-    in
-    if
-      crosscheck_failed || splice_crosscheck_failed
-      || kernel_crosscheck_failed || model_crosscheck_failed
-    then 3
-    else if Verify.is_k_gd report then 0
-    else 1
+      verify_run inst model ~merged ~sample ~domains ~seed ~symmetry
+        ~crosscheck ~no_splice
   in
   Cmd.v
     (Cmd.info "verify" ~doc:"Verify k-graceful-degradability.")
@@ -767,12 +626,8 @@ let verify_worker_cmd =
     | Ok model ->
       let group = if symmetry then Some (Instance.symmetry inst) else None in
       let task =
-        if Fault_model.is_node model then
-          Engine.Parallel.Task.exhaustive ?symmetry:group
-            ~splice:(not no_splice) inst
-        else
-          Engine.Parallel.Task.exhaustive_model ?symmetry:group
-            ~splice:(not no_splice) model
+        Engine.Parallel.Task.exhaustive_model ?symmetry:group
+          ~splice:(not no_splice) model
       in
       Gdpn_engine.Mp.worker_main ~max_failures task;
       0
@@ -851,22 +706,15 @@ let simulate_cmd =
         | Ok chain -> chain
         | Error e -> failwith e
       in
-      (* The node model keeps the legacy machine (node-indexed faults);
-         other models run the machine over the generalized universe. *)
       let generalized = not (Fault_model.is_node model) in
-      let machine =
-        if generalized then Faultsim.Machine.create ~model inst
-        else Faultsim.Machine.create inst
-      in
+      let machine = Faultsim.Machine.create ~model inst in
       if generalized then
         pf "fault model: %s (universe %d elements)@." (Fault_model.name model)
           (Fault_model.size model);
       let rng = Faultsim.Stream.Prng.create seed in
       let schedule =
         if inject = 0 then []
-        else if generalized then
-          Faultsim.Injector.random_model ~rng model ~count:inject ~rounds
-        else Faultsim.Injector.random ~rng inst ~count:inject ~rounds
+        else Faultsim.Injector.random_model ~rng model ~count:inject ~rounds
       in
       let metrics =
         Faultsim.Runner.run ~machine ~stages:stage_chain

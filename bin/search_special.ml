@@ -19,12 +19,13 @@ module Combinat = Gdpn_graph.Combinat
 let is_k_gd inst =
   let order = Instance.order inst in
   let k = inst.Instance.k in
+  let model = Fault_model.node inst in
   let ok = ref true in
   (try
      for size = k downto 0 do
        Combinat.iter_choose order size (fun buf ->
-           match Verify.check_fault_set inst (Array.to_list buf) with
-           | Ok () -> ()
+           match Verify.check_model_set model (Array.to_list buf) with
+           | Ok _ -> ()
            | Error _ ->
              ok := false;
              raise Exit)

@@ -9,31 +9,19 @@ type finding = {
   evaluations : int;
 }
 
-let probe ?ctx ~budget inst mask =
-  let expansions = ref 0 in
-  let outcome =
-    match Reconfig.solve_generic ~budget ~expansions ?ctx inst ~faults:mask with
-    | Reconfig.Pipeline _ -> `Found
-    | Reconfig.No_pipeline -> `None
-    | Reconfig.Gave_up -> `Gave_up
-  in
-  (!expansions, outcome)
-
 let worst_case ~rng ?(restarts = 5) ?(budget = 500_000) ?model inst =
-  (match model with
-  | Some m when not (Fault_model.instance m == inst) ->
-    invalid_arg "Attack.worst_case: model built over a different instance"
-  | Some _ | None -> ());
   (* Best-response search over the model's universe: candidate sets are
      drawn from (and swapped within) all of it, so the climb can trade a
      node for a link or a colour class whenever that costs the solver
-     more.  Without a model this is the original node-only search,
-     drawing the same RNG sequence. *)
-  let order =
+     more.  The node model's universe is the node set. *)
+  let model =
     match model with
-    | Some m -> Fault_model.size m
-    | None -> Instance.order inst
+    | Some m when not (Fault_model.instance m == inst) ->
+      invalid_arg "Attack.worst_case: model built over a different instance"
+    | Some m -> m
+    | None -> Fault_model.node inst
   in
+  let order = Fault_model.size model in
   let k = inst.Instance.k in
   let evaluations = ref 0 in
   (* Hill climbing evaluates thousands of candidate sets: one reusable
@@ -43,10 +31,7 @@ let worst_case ~rng ?(restarts = 5) ?(budget = 500_000) ?model inst =
   let ctx = Reconfig.make_ctx inst in
   let eval faults =
     incr evaluations;
-    let mask = Bitset.of_list order faults in
-    match model with
-    | Some m -> Fault_model.probe ~ctx ~budget m mask
-    | None -> probe ~ctx ~budget inst mask
+    Fault_model.probe ~ctx ~budget model (Bitset.of_list order faults)
   in
   let best = ref { faults = []; expansions = 0; outcome = `Found;
                    restarts; evaluations = 0 } in
@@ -116,12 +101,15 @@ let worst_case ~rng ?(restarts = 5) ?(budget = 500_000) ?model inst =
 let random_baseline ~rng ~trials ?(budget = 500_000) inst =
   let order = Instance.order inst in
   let k = inst.Instance.k in
+  let model = Fault_model.node inst in
   let ctx = Reconfig.make_ctx inst in
   let total = ref 0 in
   let worst = ref 0 in
   for _ = 1 to trials do
     let faults = Array.to_list (Combinat.sample rng order k) in
-    let score, _ = probe ~ctx ~budget inst (Bitset.of_list order faults) in
+    let score, _ =
+      Fault_model.probe ~ctx ~budget model (Bitset.of_list order faults)
+    in
     total := !total + score;
     worst := max !worst score
   done;

@@ -13,8 +13,8 @@
 
 type finding = {
   faults : int list;
-      (** the adversarial fault set found: node ids without a model,
-          universe indices with one (render with
+      (** the adversarial fault set found, as universe indices of the
+          model (node ids for the node model; render with
           {!Fault_model.describe}) *)
   expansions : int;  (** generic-solver node expansions it causes *)
   outcome : [ `Found | `None | `Gave_up ];
@@ -33,11 +33,11 @@ val worst_case :
     expansions.  [restarts] (default 5) independent climbs from random
     seeds; [budget] (default 500_000) caps each probe so a pathological
     candidate cannot stall the search — a probe that exhausts the budget
-    scores as the budget value.  With [model] (built over this instance —
-    [Invalid_argument] otherwise) the search runs best-response over the
-    model's whole universe: candidates mix nodes, links, colour classes
-    or neighborhoods, probes measure the link-degraded instance, and the
-    node model reproduces the plain search byte for byte. *)
+    scores as the budget value.  The search runs best-response over the
+    whole universe of [model] (built over this instance —
+    [Invalid_argument] otherwise; default [Fault_model.node inst]):
+    candidates mix nodes, links, colour classes or neighborhoods, and
+    probes ({!Fault_model.probe}) measure the link-degraded instance. *)
 
 val random_baseline :
   rng:Random.State.t -> trials:int -> ?budget:int -> Instance.t -> int * int

@@ -14,9 +14,11 @@
     nodes and a set of dead links.  The instance {e gracefully tolerates}
     the set when the link-degraded instance (dead links removed) admits a
     pipeline through every healthy processor.  For the node model this is
-    exactly the paper's definition, and every entry point short-circuits to
-    the legacy code path — reports, outcomes and witnesses are
-    byte-identical to the node-only stack.
+    exactly the paper's definition: there is no dead link, so every entry
+    point runs the plain solver, validator and patch on the instance
+    itself.  That is why verification, the engine, the machine and the
+    adversary each have one body over a model — their node-fault entry
+    points pass {!node}.
 
     Link-degraded instances are cached per dead-link set (the hot loops —
     exhaustive verification, orbit enumeration, the Hayes fallback — keep
@@ -41,9 +43,9 @@ type t
     degraded-instance cache. *)
 
 val node : Instance.t -> t
-(** The legacy model: universe element [i] is [Node i]; a fault mask is a
-    node mask.  All solve/validate/splice calls short-circuit to the plain
-    node-fault code path. *)
+(** The paper's model: universe element [i] is [Node i]; a fault mask is
+    a node mask.  Solve, validate and splice run the plain node-fault
+    calls on the instance itself, with no degraded-instance lookup. *)
 
 val mixed : Instance.t -> t
 (** Nodes then links: element [i < order] is [Node i]; element

@@ -4,7 +4,7 @@ module Auto = Gdpn_graph.Auto
 module Metrics = Gdpn_obs.Metrics
 
 (* Observability instruments (process-wide, see Gdpn_obs.Metrics).
-   [verify.solver_calls] counts in {!check_mask}, the one choke point
+   [verify.solver_calls] counts in {!check_mask_model}, the one choke point
    every verification mode funnels through — sequential, orbit-reduced
    and the parallel shards alike — so the counter matches the report's
    [solver_calls] whenever no early-stop cut the enumeration short. *)
@@ -30,54 +30,6 @@ type report = {
   failures : failure list;
   gave_up : int;
 }
-
-(* Full solve + revalidation, keeping the witness so callers can reuse it
-   as a splice parent.  No metric here: the prefix-tree paths reconstruct
-   [solver_calls] during the merge (pruned subtrees are counted without
-   being visited), so the counter is settled by the caller. *)
-let solve_checked ?budget ?solve inst mask =
-  let outcome =
-    match solve with
-    | Some f -> f ~faults:mask
-    | None -> Reconfig.solve ?budget inst ~faults:mask
-  in
-  match outcome with
-  | Reconfig.Pipeline p -> (
-    (* The solver already validates, but re-check here so the verifier
-       does not trust it (nor any [solve] override). *)
-    match Pipeline.validate inst ~faults:mask p.Pipeline.nodes with
-    | Ok _ -> Ok p
-    | Error e -> Error ("invalid witness: " ^ e))
-  | Reconfig.No_pipeline -> Error "no pipeline"
-  | Reconfig.Gave_up -> Error "solver gave up"
-
-let check_mask ?budget ?solve inst mask =
-  Metrics.incr m_solver_calls;
-  Result.map ignore (solve_checked ?budget ?solve inst mask)
-
-(* Splice-first check of [mask] = parent's faults ∪ {failed}: patch the
-   parent's pipeline around [failed] first ([Repair.patch] revalidates,
-   so a positive verdict is always genuine), full solve on splice
-   failure.  Negatives always come from a full solve, so failure reasons
-   are exactly {!check_mask}'s.  [reported:false] marks scaffold pushes
-   (prefix rebuilding whose set is reported elsewhere). *)
-let splice_checked ?budget ?solve ?(reported = true) inst ~parent ~mask
-    ~failed =
-  match parent with
-  | Ok current -> (
-    match Repair.patch inst ~current ~faults:mask ~failed with
-    | Some (`Unchanged p | `Spliced p) ->
-      if reported then Metrics.incr m_splices;
-      Ok p
-    | None ->
-      if reported then Metrics.incr m_splice_failures
-      else Metrics.incr m_scaffold_solves;
-      solve_checked ?budget ?solve inst mask)
-  | Error _ ->
-    (* The parent has no pipeline; tolerance is not monotone, so the
-       child must still be solved from scratch. *)
-    if not reported then Metrics.incr m_scaffold_solves;
-    solve_checked ?budget ?solve inst mask
 
 (* A recorded failure tagged with the global rank of its fault set in the
    canonical enumeration order (sizes ascending, lexicographic within a
@@ -154,24 +106,83 @@ let merge_tagged ~max_failures ~counts per_source =
     gave_up;
   }
 
+(* ------------------------------------------------------------------ *)
+(* Checks                                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* Full solve + revalidation, keeping the witness so callers can reuse it
+   as a splice parent.  {!Fault_model} supplies the degraded instance:
+   for the node model that is the instance itself, so this is the plain
+   solver and validator.  No metric here: the prefix-tree paths
+   reconstruct [solver_calls] during the merge (pruned subtrees are
+   counted without being visited), so the counter is settled by the
+   caller. *)
+let solve_checked_model ?budget ?solve model mask =
+  let outcome =
+    match solve with
+    | Some f -> f ~faults:mask
+    | None -> Fault_model.solve ?budget model ~faults:mask
+  in
+  match outcome with
+  | Reconfig.Pipeline p -> (
+    (* The solver already validates, but re-check here so the verifier
+       does not trust it (nor any [solve] override). *)
+    match Fault_model.validate model ~faults:mask p.Pipeline.nodes with
+    | Ok _ -> Ok p
+    | Error e -> Error ("invalid witness: " ^ e))
+  | Reconfig.No_pipeline -> Error "no pipeline"
+  | Reconfig.Gave_up -> Error "solver gave up"
+
+let check_mask_model ?budget ?solve model mask =
+  Metrics.incr m_solver_calls;
+  Result.map ignore (solve_checked_model ?budget ?solve model mask)
+
+(* Splice-first check of [mask] = parent's faults ∪ {failed}: repair the
+   parent's pipeline around [failed] first ({!Fault_model.splice}
+   revalidates, so a positive verdict is always genuine), full solve on
+   splice failure.  Negatives always come from a full solve, so failure
+   reasons are exactly {!check_mask_model}'s.  [reported:false] marks
+   scaffold pushes (prefix rebuilding whose set is reported elsewhere). *)
+let splice_checked_model ?budget ?solve ?(reported = true) model ~parent
+    ~mask ~failed =
+  match parent with
+  | Ok current -> (
+    match Fault_model.splice model ~current ~faults:mask ~failed with
+    | Some (`Unchanged p | `Spliced p) ->
+      if reported then Metrics.incr m_splices;
+      Ok p
+    | None ->
+      if reported then Metrics.incr m_splice_failures
+      else Metrics.incr m_scaffold_solves;
+      solve_checked_model ?budget ?solve model mask)
+  | Error _ ->
+    (* The parent has no pipeline; tolerance is not monotone, so the
+       child must still be solved from scratch. *)
+    if not reported then Metrics.incr m_scaffold_solves;
+    solve_checked_model ?budget ?solve model mask
+
+let check_model_set ?budget model indices =
+  let usize = Fault_model.size model in
+  List.iter
+    (fun i ->
+      if i < 0 || i >= usize then
+        invalid_arg "Verify.check_model_set: universe index out of range")
+    indices;
+  Metrics.incr m_solver_calls;
+  solve_checked_model ?budget model (Bitset.of_list usize indices)
+
 let check_fault_set ?budget inst faults =
-  check_mask ?budget inst (Bitset.of_list (Instance.order inst) faults)
+  Result.map ignore (check_model_set ?budget (Fault_model.node inst) faults)
 
 (* ------------------------------------------------------------------ *)
 (* Enumeration cores                                                   *)
 (* ------------------------------------------------------------------ *)
 
 (* Every exhaustive strategy below is written once, against this record
-   of checking closures over an abstract element universe: the node path
-   instantiates it with {!solve_checked}/{!splice_checked} on the
-   instance (element = node id), the generalized path with the
-   {!Fault_model}-aware twins further down (element = universe index).
-   Sharing one body is what makes "node reports stay byte-identical
-   through the refactor" a structural property rather than a testing
-   aspiration — the model twins short-circuit to the very same solver
-   and patch calls when the model is the node model. *)
+   of checking closures over the model's universe (element = universe
+   index; for the node model, a node id). *)
 type core = {
-  c_mask : Bitset.t;  (* scratch fault mask over the element id space *)
+  c_mask : Bitset.t;  (* scratch fault mask over the universe *)
   c_full : Bitset.t -> (Pipeline.t, string) result;
   c_splice :
     reported:bool ->
@@ -185,13 +196,14 @@ let core_check core mask =
   Metrics.incr m_solver_calls;
   Result.map ignore (core.c_full mask)
 
-let node_core ?budget ?solve inst =
+let model_core ?budget ?solve model =
   {
-    c_mask = Bitset.create (Instance.order inst);
-    c_full = (fun mask -> solve_checked ?budget ?solve inst mask);
+    c_mask = Bitset.create (Fault_model.size model);
+    c_full = (fun mask -> solve_checked_model ?budget ?solve model mask);
     c_splice =
       (fun ~reported ~parent mask failed ->
-        splice_checked ?budget ?solve ~reported inst ~parent ~mask ~failed);
+        splice_checked_model ?budget ?solve ~reported model ~parent ~mask
+          ~failed);
   }
 
 let run_checks_core core ~max_failures iter_sets =
@@ -223,9 +235,6 @@ let run_checks_core core ~max_failures iter_sets =
     failures = List.rev !failures;
     gave_up = !gave_up;
   }
-
-let run_checks ?budget ?solve ?(max_failures = 5) inst iter_sets =
-  run_checks_core (node_core ?budget ?solve inst) ~max_failures iter_sets
 
 (* Orbit-reduced exhaustive mode: check one representative per orbit of
    the symmetry group and scale every count by the orbit size.  Sound
@@ -264,13 +273,6 @@ let orbits_core core ~max_failures reps =
     failures = List.rev !failures;
     gave_up = !gave_up;
   }
-
-let exhaustive_orbits ?budget ?solve ?(max_failures = 5) ?universe group inst =
-  if Auto.degree group <> Instance.order inst then
-    invalid_arg "Verify.exhaustive: symmetry group degree <> instance order";
-  let universe = Option.map Array.of_list universe in
-  let reps = Auto.fault_orbits ?universe group ~max_size:inst.Instance.k in
-  orbits_core (node_core ?budget ?solve inst) ~max_failures reps
 
 (* Prefix-tree (DFS) exhaustive mode: walk the subset tree maintaining a
    per-branch stack of solved plans, so the child S ∪ {v} is first
@@ -319,10 +321,6 @@ let dfs_core core ~max_failures ~elts ~k =
      pruned-but-counted tail of an early-stopped enumeration). *)
   Metrics.add m_solver_calls report.solver_calls;
   report
-
-let exhaustive_dfs ?budget ?solve ?(max_failures = 5) ~nodes inst =
-  dfs_core (node_core ?budget ?solve inst) ~max_failures ~elts:nodes
-    ~k:inst.Instance.k
 
 (* Orbit-reduced mode with splicing: representatives arrive in
    size-ascending min-lex order, so consecutive sets share prefixes.  A
@@ -402,128 +400,15 @@ let orbits_splice_core core ~max_failures ~k reps =
     gave_up = !gave_up;
   }
 
-let exhaustive_orbits_splice ?budget ?solve ?(max_failures = 5) ?universe
-    group inst =
-  if Auto.degree group <> Instance.order inst then
-    invalid_arg "Verify.exhaustive: symmetry group degree <> instance order";
-  let universe = Option.map Array.of_list universe in
-  let reps = Auto.fault_orbits ?universe group ~max_size:inst.Instance.k in
-  orbits_splice_core
-    (node_core ?budget ?solve inst)
-    ~max_failures ~k:inst.Instance.k reps
-
-let exhaustive ?budget ?solve ?max_failures ?universe ?symmetry
-    ?(splice = true) inst =
-  let order = Instance.order inst in
-  let k = inst.Instance.k in
-  (match symmetry with
-  | Some group when Auto.degree group <> order ->
-    invalid_arg "Verify.exhaustive: symmetry group degree <> instance order"
-  | Some _ | None -> ());
-  match symmetry with
-  | Some group when not (Auto.is_trivial group) ->
-    if splice then
-      exhaustive_orbits_splice ?budget ?solve ?max_failures ?universe group
-        inst
-    else exhaustive_orbits ?budget ?solve ?max_failures ?universe group inst
-  | Some _ | None when splice ->
-    let nodes =
-      match universe with
-      | None -> Array.init order Fun.id
-      | Some nodes -> Array.of_list nodes
-    in
-    exhaustive_dfs ?budget ?solve ?max_failures ~nodes inst
-  | Some _ | None -> (
-    match universe with
-    | None ->
-      run_checks ?budget ?solve ?max_failures inst (fun f ->
-          Combinat.iter_subsets_up_to order k (fun buf len -> f buf len))
-    | Some nodes ->
-      let nodes = Array.of_list nodes in
-      let translated = Array.make (Array.length nodes) 0 in
-      run_checks ?budget ?solve ?max_failures inst (fun f ->
-          Combinat.iter_subsets_up_to (Array.length nodes) k (fun buf len ->
-              for i = 0 to len - 1 do
-                translated.(i) <- nodes.(buf.(i))
-              done;
-              f translated len)))
-
-let expanded_failure_sets ~symmetry r =
-  List.sort compare
-    (List.concat_map
-       (fun { faults; orbit = _; reason = _ } ->
-         List.map Array.to_list
-           (Auto.orbit_of_set symmetry (Array.of_list faults)))
-       r.failures)
-
-let sampled ~rng ~trials ?budget ?solve ?max_failures inst =
-  let order = Instance.order inst in
-  let k = inst.Instance.k in
-  run_checks ?budget ?solve ?max_failures inst (fun f ->
-      for _ = 1 to trials do
-        let buf = Combinat.sample_up_to rng order k in
-        f buf (Array.length buf)
-      done)
-
-(* ------------------------------------------------------------------ *)
-(* Generalized fault models                                            *)
-(* ------------------------------------------------------------------ *)
-
-(* Model-aware twins of {!solve_checked}/{!check_mask}/{!splice_checked}:
-   same metric cells, same revalidation discipline, with {!Fault_model}
-   supplying the degraded instance and the local repair rule.  For the
-   node model every call short-circuits to the legacy helper's exact
-   code path (same solver entry, same patch rule, same validator), which
-   is what keeps the [_model] entry points byte-identical to the legacy
-   ones there — the equivalence tests and the CI crosscheck enforce it. *)
-let solve_checked_model ?budget ?solve model mask =
-  let outcome =
-    match solve with
-    | Some f -> f ~faults:mask
-    | None -> Fault_model.solve ?budget model ~faults:mask
-  in
-  match outcome with
-  | Reconfig.Pipeline p -> (
-    match Fault_model.validate model ~faults:mask p.Pipeline.nodes with
-    | Ok _ -> Ok p
-    | Error e -> Error ("invalid witness: " ^ e))
-  | Reconfig.No_pipeline -> Error "no pipeline"
-  | Reconfig.Gave_up -> Error "solver gave up"
-
-let check_mask_model ?budget ?solve model mask =
-  Metrics.incr m_solver_calls;
-  Result.map ignore (solve_checked_model ?budget ?solve model mask)
-
-let splice_checked_model ?budget ?solve ?(reported = true) model ~parent
-    ~mask ~failed =
-  match parent with
-  | Ok current -> (
-    match Fault_model.splice model ~current ~faults:mask ~failed with
-    | Some (`Unchanged p | `Spliced p) ->
-      if reported then Metrics.incr m_splices;
-      Ok p
-    | None ->
-      if reported then Metrics.incr m_splice_failures
-      else Metrics.incr m_scaffold_solves;
-      solve_checked_model ?budget ?solve model mask)
-  | Error _ ->
-    if not reported then Metrics.incr m_scaffold_solves;
-    solve_checked_model ?budget ?solve model mask
-
-let model_core ?budget ?solve model =
-  {
-    c_mask = Bitset.create (Fault_model.size model);
-    c_full = (fun mask -> solve_checked_model ?budget ?solve model mask);
-    c_splice =
-      (fun ~reported ~parent mask failed ->
-        splice_checked_model ?budget ?solve ~reported model ~parent ~mask
-          ~failed);
-  }
-
 let exhaustive_model ?budget ?solve ?(max_failures = 5) ?universe ?symmetry
     ?(splice = true) model =
   let usize = Fault_model.size model in
   let k = Fault_model.max_faults model in
+  (match symmetry with
+  | Some group
+    when Auto.degree group <> Instance.order (Fault_model.instance model) ->
+    invalid_arg "Verify.exhaustive: symmetry group degree <> instance order"
+  | Some _ | None -> ());
   let core = model_core ?budget ?solve model in
   (* The caller hands the instance's node group; its action on the
      model's universe is what the orbit machinery needs. *)
@@ -556,6 +441,18 @@ let exhaustive_model ?budget ?solve ?(max_failures = 5) ?universe ?symmetry
               done;
               f translated len)))
 
+let exhaustive ?budget ?solve ?max_failures ?universe ?symmetry ?splice inst =
+  exhaustive_model ?budget ?solve ?max_failures ?universe ?symmetry ?splice
+    (Fault_model.node inst)
+
+let expanded_failure_sets ~symmetry r =
+  List.sort compare
+    (List.concat_map
+       (fun { faults; orbit = _; reason = _ } ->
+         List.map Array.to_list
+           (Auto.orbit_of_set symmetry (Array.of_list faults)))
+       r.failures)
+
 let sampled_model ~rng ~trials ?budget ?solve ?(max_failures = 5) model =
   let usize = Fault_model.size model in
   let k = Fault_model.max_faults model in
@@ -568,106 +465,15 @@ let sampled_model ~rng ~trials ?budget ?solve ?(max_failures = 5) model =
         f buf (Array.length buf)
       done)
 
-let check_model_set ?budget model indices =
-  let usize = Fault_model.size model in
-  List.iter
-    (fun i ->
-      if i < 0 || i >= usize then
-        invalid_arg "Verify.check_model_set: universe index out of range")
-    indices;
-  Metrics.incr m_solver_calls;
-  solve_checked_model ?budget model (Bitset.of_list usize indices)
-
-let exhaustive_parallel ?budget ?(max_failures = 5) ?domains inst =
-  let order = Instance.order inst in
-  let k = inst.Instance.k in
-  let domains =
-    match domains with
-    | Some d -> max 1 d
-    | None -> max 1 (Domain.recommended_domain_count () - 1)
-  in
-  (* Work items: the empty fault set, plus one block per (size, first
-     element): all size-[s] subsets whose smallest element is [f0]. *)
-  let blocks =
-    List.concat_map
-      (fun s -> List.init order (fun f0 -> (s, f0)))
-      (List.init (min k order) (fun i -> i + 1))
-  in
-  let blocks = Array.of_list blocks in
-  let next = Atomic.make 0 in
-  let stop = Atomic.make false in
-  let run_domain () =
-    let checked = ref 0 in
-    let failures = ref [] in
-    let gave_up = ref 0 in
-    let mask = Bitset.create order in
-    (* Per-domain search context: repeated solves inside one domain reuse
-       the backtracker's scratch state. *)
-    let ctx = Reconfig.make_ctx inst in
-    let solve ~faults = Reconfig.solve ?budget ~ctx inst ~faults in
-    let check_one buf len =
-      Bitset.clear mask;
-      for i = 0 to len - 1 do
-        Bitset.add mask buf.(i)
-      done;
-      incr checked;
-      match check_mask ?budget ~solve inst mask with
-      | Ok () -> ()
-      | Error reason ->
-        if reason = "solver gave up" then incr gave_up;
-        failures :=
-          { faults = Array.to_list (Array.sub buf 0 len); reason; orbit = 1 }
-          :: !failures;
-        if List.length !failures >= max_failures then Atomic.set stop true
-    in
-    let buf = Array.make (max 1 k) 0 in
-    let rec drain () =
-      if not (Atomic.get stop) then begin
-        let idx = Atomic.fetch_and_add next 1 in
-        if idx < Array.length blocks then begin
-          let s, f0 = blocks.(idx) in
-          (* Subsets of size s with minimum element f0: f0 plus a size-(s-1)
-             subset of {f0+1 .. order-1}. *)
-          let rest = order - f0 - 1 in
-          if s - 1 <= rest then
-            Combinat.iter_choose rest (s - 1) (fun tail ->
-                if not (Atomic.get stop) then begin
-                  buf.(0) <- f0;
-                  Array.iteri (fun i x -> buf.(i + 1) <- f0 + 1 + x) tail;
-                  check_one buf s
-                end);
-          drain ()
-        end
-      end
-    in
-    drain ();
-    (!checked, !failures, !gave_up)
-  in
-  (* The empty set is checked inline; blocks go to the domains. *)
-  let empty_result =
-    let mask = Bitset.create order in
-    match check_mask ?budget inst mask with
-    | Ok () -> []
-    | Error reason -> [ { faults = []; reason; orbit = 1 } ]
-  in
-  let workers = List.init domains (fun _ -> Domain.spawn run_domain) in
-  let results = List.map Domain.join workers in
-  let checked, failures, gave_up =
-    List.fold_left
-      (fun (c, f, g) (c', f', g') -> (c + c', f' @ f, g + g'))
-      (1, empty_result, 0)
-      results
-  in
-  (* Domains stop soon after the shared flag is set, but each may already
-     hold findings; keep the promised cap. *)
-  let failures = List.filteri (fun i _ -> i < max_failures) failures in
-  { fault_sets_checked = checked; solver_calls = checked; failures; gave_up }
+let sampled ~rng ~trials ?budget ?solve ?max_failures inst =
+  sampled_model ~rng ~trials ?budget ?solve ?max_failures (Fault_model.node inst)
 
 let is_k_gd r = r.failures = [] && r.gave_up = 0
 
 let breaking_fault_set ?budget ?max_size inst =
   let order = Instance.order inst in
   let max_size = Option.value max_size ~default:(inst.Instance.k + 1) in
+  let model = Fault_model.node inst in
   let mask = Bitset.create order in
   let found = ref None in
   (try
@@ -675,7 +481,7 @@ let breaking_fault_set ?budget ?max_size inst =
        Combinat.iter_choose order size (fun buf ->
            Bitset.clear mask;
            Array.iter (Bitset.add mask) buf;
-           match check_mask ?budget inst mask with
+           match check_mask_model ?budget model mask with
            | Ok () -> ()
            | Error _ ->
              found := Some (Array.to_list buf);
@@ -690,19 +496,18 @@ let tolerance ?budget ?cap inst =
   | Some witness -> List.length witness - 1
   | None -> cap
 
-let pp_report ppf r =
+(* One renderer for every model: [describe] prints a failure's fault set
+   ({!Fault_model.describe} for universe indices; plain node ids below). *)
+let pp_report_with describe ppf r =
   Format.fprintf ppf "checked %d fault sets%s: %s" r.fault_sets_checked
     (if r.solver_calls < r.fault_sets_checked then
        Format.asprintf " (%d orbit representatives solved)" r.solver_calls
      else "")
     (if is_k_gd r then "all tolerated"
      else
-       Format.asprintf "%d failures (first: {%s}%s — %s)%s"
+       Format.asprintf "%d failures (first: %s%s — %s)%s"
          (List.length r.failures)
-         (match r.failures with
-         | { faults; _ } :: _ ->
-           String.concat "," (List.map string_of_int faults)
-         | [] -> "")
+         (match r.failures with { faults; _ } :: _ -> describe faults | [] -> "{}")
          (match r.failures with
          | { orbit; _ } :: _ when orbit > 1 ->
            Format.asprintf " ×%d orbit" orbit
@@ -710,3 +515,9 @@ let pp_report ppf r =
          (match r.failures with { reason; _ } :: _ -> reason | [] -> "")
          (if r.gave_up > 0 then Format.asprintf " (%d gave up)" r.gave_up
           else ""))
+
+let pp_report_model model = pp_report_with (Fault_model.describe model)
+
+let pp_report =
+  pp_report_with (fun faults ->
+      "{" ^ String.concat "," (List.map string_of_int faults) ^ "}")

@@ -3,7 +3,13 @@
     [GD(G, k)] quantifies over {e every} fault set of size at most [k] —
     and, because a pipeline must use all healthy processors, tolerance is
     {e not} monotone in the fault set: exhaustive mode therefore enumerates
-    every subset of every size [0..k], not just the maximal ones. *)
+    every subset of every size [0..k], not just the maximal ones.
+
+    Every job has one body, written over a {!Fault_model.t}: the [_model]
+    entry points below.  The node-fault entry points ({!exhaustive},
+    {!sampled}, {!check_fault_set}) are wrappers that pass
+    [Fault_model.node inst], whose universe is the node set, so their
+    fault sets are plain node ids. *)
 
 type failure = {
   faults : int list;  (** the offending fault set *)
@@ -33,7 +39,8 @@ val exhaustive :
   ?splice:bool ->
   Instance.t ->
   report
-(** Check every fault set of size [0..k] drawn from [universe] (default:
+(** {!exhaustive_model} over [Fault_model.node inst].
+    Check every fault set of size [0..k] drawn from [universe] (default:
     all nodes, terminals included; pass [Instance.processors t] for the
     merged-terminal model where I/O devices are fault-free).
     [max_failures] (default 5) bounds the retained counterexamples;
@@ -76,20 +83,11 @@ val sampled :
   ?max_failures:int ->
   Instance.t ->
   report
-(** Check [trials] fault sets drawn uniformly (size uniform on [0..k],
+(** {!sampled_model} over [Fault_model.node inst].
+    Check [trials] fault sets drawn uniformly (size uniform on [0..k],
     contents uniform for that size).  Callers must thread an explicitly
     chosen seed into [rng] — deriving it from instance parameters silently
     correlates the fault-sample sequences of same-order instances. *)
-
-val exhaustive_parallel :
-  ?budget:int -> ?max_failures:int -> ?domains:int -> Instance.t -> report
-(** {!exhaustive} fanned out over OCaml 5 domains (default:
-    [Domain.recommended_domain_count () - 1], at least 1).  The fault space
-    is partitioned into (size, first-element) blocks drained through an
-    atomic work counter; a shared stop flag propagates the
-    [max_failures] cut-off.  All solver state is per-call, so domains never
-    contend.  Equivalent to {!exhaustive} (same space; failure order may
-    differ). *)
 
 val is_k_gd : report -> bool
 (** True when no failures occurred and the solver never gave up, i.e. the
@@ -111,46 +109,8 @@ val tolerance : ?budget:int -> ?cap:int -> Instance.t -> int
     directions. *)
 
 val check_fault_set : ?budget:int -> Instance.t -> int list -> (unit, string) result
-(** Check one fault set: solve and revalidate the witness. *)
-
-val check_mask :
-  ?budget:int ->
-  ?solve:(faults:Gdpn_graph.Bitset.t -> Reconfig.outcome) ->
-  Instance.t ->
-  Gdpn_graph.Bitset.t ->
-  (unit, string) result
-(** {!check_fault_set} on a prebuilt mask.  [solve] overrides the solver
-    call (the engine layer passes its context-reusing solver here); the
-    returned witness is revalidated regardless, so a dishonest override
-    cannot make verification pass. *)
-
-val solve_checked :
-  ?budget:int ->
-  ?solve:(faults:Gdpn_graph.Bitset.t -> Reconfig.outcome) ->
-  Instance.t ->
-  Gdpn_graph.Bitset.t ->
-  (Pipeline.t, string) result
-(** {!check_mask} keeping the validated witness (for reuse as a splice
-    parent).  Does {e not} touch the [verify.solver_calls] counter:
-    prefix-tree callers settle it against the merged report instead. *)
-
-val splice_checked :
-  ?budget:int ->
-  ?solve:(faults:Gdpn_graph.Bitset.t -> Reconfig.outcome) ->
-  ?reported:bool ->
-  Instance.t ->
-  parent:(Pipeline.t, string) result ->
-  mask:Gdpn_graph.Bitset.t ->
-  failed:int ->
-  (Pipeline.t, string) result
-(** Splice-first check of [mask] = parent's faults ∪ {[failed]}: patch
-    the parent's pipeline around [failed] (revalidated, so positives are
-    genuine), full solve on splice failure or when the parent has no
-    pipeline (tolerance is not monotone).  Negatives always come from a
-    full solve, so failure reasons match {!check_mask} exactly.
-    [reported] (default [true]) selects the metric cells: reported checks
-    feed [verify.splices]/[verify.splice_failures], scaffold pushes feed
-    [verify.scaffold_solves]. *)
+(** Check one node fault set: solve and revalidate the witness
+    ({!check_model_set} over [Fault_model.node inst]). *)
 
 (** Rank-tagged bounded failure buffer: keeps the [cap] lowest-ranked
     failures seen, where a rank is the fault set's position in the
@@ -188,18 +148,21 @@ val merge_tagged :
     into orbit-expanded totals. *)
 
 val pp_report : Format.formatter -> report -> unit
+(** The one-line [checked ...] summary, fault sets as node ids. *)
 
-(** {1 Generalized fault models}
+val pp_report_model : Fault_model.t -> Format.formatter -> report -> unit
+(** {!pp_report} with fault sets rendered by {!Fault_model.describe}; for
+    the node model the two print the same bytes. *)
 
-    Model-parametric twins of the node entry points: fault sets are
+(** {1 Fault-model entry points}
+
+    The single bodies behind the node entry points above: fault sets are
     subsets of the model's universe ({!Fault_model.size} elements), so
     [failure.faults] holds universe {e indices} (render with
-    {!Fault_model.describe}).  All four strategies — plain, splice-first
-    DFS, orbit-reduced from scratch, orbit-reduced with splicing — share
-    their enumeration bodies with the legacy path, and for the node model
-    ({!Fault_model.node}) each produces a report byte-identical to its
-    legacy twin (enforced by the equivalence tests and the CI
-    crosscheck). *)
+    {!Fault_model.describe} or {!pp_report_model}).  All four strategies
+    — plain, splice-first DFS, orbit-reduced from scratch, orbit-reduced
+    with splicing — run over the universe, and {!Fault_model} supplies the
+    degraded instance and the local repair rule. *)
 
 val exhaustive_model :
   ?budget:int ->
@@ -210,9 +173,9 @@ val exhaustive_model :
   ?splice:bool ->
   Fault_model.t ->
   report
-(** {!exhaustive} over the model's universe.  [universe] is a list of
-    universe indices (default: the whole universe).  [symmetry] is the
-    {e node} symmetry group (typically
+(** {!exhaustive}'s body, over the model's universe.  [universe] is a
+    list of universe indices (default: the whole universe).  [symmetry] is
+    the {e node} symmetry group (typically
     [Instance.symmetry (Fault_model.instance m)]); its action on the
     universe is derived via {!Fault_model.induced_symmetry}, so
     orbit-reduced enumeration works for links, colour classes and
@@ -228,7 +191,7 @@ val sampled_model :
   ?max_failures:int ->
   Fault_model.t ->
   report
-(** {!sampled} over the model's universe. *)
+(** {!sampled}'s body, over the model's universe. *)
 
 val check_model_set :
   ?budget:int -> Fault_model.t -> int list -> (Pipeline.t, string) result
@@ -242,9 +205,12 @@ val solve_checked_model :
   Fault_model.t ->
   Gdpn_graph.Bitset.t ->
   (Pipeline.t, string) result
-(** {!solve_checked} against a model: solve through
-    {!Fault_model.solve}, revalidate the witness on the degraded
-    instance.  Like its twin, does not touch [verify.solver_calls]. *)
+(** Solve through {!Fault_model.solve} (or the [solve] override, as the
+    engine passes its context-reusing solver) and revalidate the witness
+    on the degraded instance, keeping it for reuse as a splice parent.  A
+    dishonest override cannot make verification pass.  Does {e not}
+    touch the [verify.solver_calls] counter: prefix-tree callers settle
+    it against the merged report instead. *)
 
 val check_mask_model :
   ?budget:int ->
@@ -252,6 +218,8 @@ val check_mask_model :
   Fault_model.t ->
   Gdpn_graph.Bitset.t ->
   (unit, string) result
+(** {!solve_checked_model} without the witness, counted in
+    [verify.solver_calls]. *)
 
 val splice_checked_model :
   ?budget:int ->
@@ -262,6 +230,12 @@ val splice_checked_model :
   mask:Gdpn_graph.Bitset.t ->
   failed:int ->
   (Pipeline.t, string) result
-(** {!splice_checked} against a model: local repair via
-    {!Fault_model.splice} ([failed] is a universe index), full solve on
-    splice failure.  Metric cells match the legacy twin. *)
+(** Splice-first check of [mask] = parent's faults ∪ {[failed]}
+    ([failed] a universe index): repair the parent's pipeline through
+    {!Fault_model.splice} (revalidated, so positives are genuine), full
+    solve on splice failure or when the parent has no pipeline (tolerance
+    is not monotone).  Negatives always come from a full solve, so failure
+    reasons match {!check_mask_model} exactly.  [reported] (default
+    [true]) selects the metric cells: reported checks feed
+    [verify.splices]/[verify.splice_failures], scaffold pushes feed
+    [verify.scaffold_solves]. *)

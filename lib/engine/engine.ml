@@ -14,7 +14,6 @@ open Gdpn_core
 let m_cache_hits = Metrics.counter "engine.cache_hits"
 let m_cache_misses = Metrics.counter "engine.cache_misses"
 let m_splices = Metrics.counter "engine.splices"
-let m_splice_failures = Metrics.counter "engine.splice_failures"
 let m_full_solves = Metrics.counter "engine.full_solves"
 let m_steals = Metrics.counter "engine.parallel_steals"
 
@@ -64,14 +63,6 @@ type stats = {
 let fresh_stats () =
   { lookups = 0; cache_hits = 0; splices = 0; full_solves = 0 }
 
-(* The caches are the only engine state shared between domain handles
-   (see [reader]): the node model's primary table plus one table per
-   generalized fault model, created on first use.  The node model (id 0)
-   owns the primary table so the legacy hot path never pays the extra
-   indirection.  Masks from different models never meet in one table, so
-   the effective cache key is [(model id, mask)].  The table registry is
-   mutex-guarded; the tables themselves are Shard_cache values, safe for
-   lock-free concurrent probes. *)
 (* An attached L2 plan store, plus the transport group for its
    orbit-compressed keys ([None] for flat stores — their lookups need no
    canonicalization). *)
@@ -80,6 +71,15 @@ type store_state = {
   st_group : Auto.group option;
 }
 
+(* The caches are the only engine state shared between domain handles
+   (see [reader]): the node model's table plus one table per other fault
+   model, created on first use (an eager table costs megabytes at the
+   default bound).  The node table is a direct field, so a node L1 hit
+   takes no lock and no registry lookup.  Masks from different models
+   never meet in one table, so the effective cache key is
+   [(model id, mask)].  The table registry is mutex-guarded; the tables
+   themselves are Shard_cache values, safe for lock-free concurrent
+   probes. *)
 type shared = {
   s_cache : Reconfig.outcome Shard_cache.t;
   s_model_caches : (int, Reconfig.outcome Shard_cache.t) Hashtbl.t;
@@ -89,36 +89,36 @@ type shared = {
 
 type t = {
   inst : Instance.t;
+  node : Fault_model.t;  (** built once, shared with every reader *)
   budget : int;
   ctx : Hamilton.ctx;
   shared : shared;
   cache_limit : int;
   stats : stats;
-  scratch : Bitset.t;  (** predecessor-mask scratch for the splice probe *)
-  model_scratch : (int, Bitset.t) Hashtbl.t;
-      (** per-handle, per-model predecessor scratch (universe-sized) *)
+  scratch : (int, Bitset.t) Hashtbl.t;
+      (** per-handle, per-model predecessor scratch for the splice probe *)
 }
 
 let default_budget = 2_000_000
 let default_cache_limit = 1 lsl 16
 
 let create ?(budget = default_budget) ?(cache_limit = default_cache_limit)
-    ?shards inst =
+    inst =
   {
     inst;
+    node = Fault_model.node inst;
     budget;
     ctx = Reconfig.make_ctx inst;
     shared =
       {
-        s_cache = Shard_cache.create ?shards ~capacity:cache_limit ();
+        s_cache = Shard_cache.create ~capacity:cache_limit ();
         s_model_caches = Hashtbl.create 4;
         s_store = None;
         s_lock = Mutex.create ();
       };
     cache_limit;
     stats = fresh_stats ();
-    scratch = Bitset.create (Instance.order inst);
-    model_scratch = Hashtbl.create 4;
+    scratch = Hashtbl.create 4;
   }
 
 (* A domain-private handle on the same instance and the same shared plan
@@ -130,8 +130,7 @@ let reader t =
     t with
     ctx = Reconfig.make_ctx t.inst;
     stats = fresh_stats ();
-    scratch = Bitset.create (Instance.order t.inst);
-    model_scratch = Hashtbl.create 4;
+    scratch = Hashtbl.create 4;
   }
 
 let instance t = t.inst
@@ -236,19 +235,20 @@ let faults_array faults =
     faults;
   set
 
-(* Probe the attached store for a node-model fault set: canonicalize
-   (orbit stores), look up, transport the stored plan back through the
-   automorphism, revalidate.  Anything suspect — a failed record
-   checksum, a decoded [Gave_up] (the compiler never writes one), a
-   plan that does not validate for the queried faults — reads as a
-   miss, so a degraded or tampered store can cost time but never
-   correctness.  Stores for other fault models are skipped silently
-   (they do not cover this universe, so it is not a miss). *)
-let store_probe t ~faults =
+(* Probe the attached store for a fault set of [model]: canonicalize
+   (orbit stores, which cover only the node model — see [attach_store]),
+   look up, transport the stored plan back through the automorphism,
+   revalidate.  Anything suspect — a failed record checksum, a decoded
+   [Gave_up] (the compiler never writes one), a plan that does not
+   validate for the queried faults — reads as a miss, so a degraded or
+   tampered store can cost time but never correctness.  Stores for other
+   fault models are skipped silently (they do not cover this universe,
+   so it is not a miss). *)
+let store_probe t model ~faults =
   match t.shared.s_store with
   | None -> None
   | Some { st_store = store; st_group } ->
-    if Plan_store.model_id store <> 0 then None
+    if Plan_store.model_id store <> Fault_model.id model then None
     else if Bitset.cardinal faults > Plan_store.max_size store then begin
       Metrics.incr m_store_misses;
       None
@@ -266,46 +266,16 @@ let store_probe t ~faults =
         | Some Reconfig.No_pipeline ->
           (* Solvability is orbit-invariant; nothing to transport. *)
           Some Reconfig.No_pipeline
-        | Some (Reconfig.Pipeline p) ->
+        | Some (Reconfig.Pipeline p) -> (
           let nodes =
             match perm with
             | None -> p.Pipeline.nodes
             | Some perm -> List.map (fun v -> perm.(v)) p.Pipeline.nodes
           in
-          if Pipeline.is_valid t.inst ~faults nodes then begin
+          match Fault_model.validate model ~faults nodes with
+          | Ok p ->
             if perm <> None then Metrics.incr m_store_transports;
-            Some (Reconfig.Pipeline { Pipeline.nodes })
-          end
-          else None
-      in
-      (match hit with
-      | Some _ -> Metrics.incr m_store_hits
-      | None -> Metrics.incr m_store_misses);
-      hit
-    end
-
-(* The flat-store probe for a generalized fault model (the compiler
-   writes model stores without orbit compression, so no transport). *)
-let store_probe_model t model ~faults =
-  match t.shared.s_store with
-  | None -> None
-  | Some { st_store = store; _ } ->
-    if
-      Plan_store.model_id store <> Fault_model.id model
-      || Plan_store.orbit_compressed store
-    then None
-    else if Bitset.cardinal faults > Plan_store.max_size store then begin
-      Metrics.incr m_store_misses;
-      None
-    end
-    else begin
-      let hit =
-        match Plan_store.lookup store (faults_array faults) with
-        | None | Some Reconfig.Gave_up -> None
-        | Some Reconfig.No_pipeline -> Some Reconfig.No_pipeline
-        | Some (Reconfig.Pipeline p) -> (
-          match Fault_model.validate model ~faults p.Pipeline.nodes with
-          | Ok p -> Some (Reconfig.Pipeline p)
+            Some (Reconfig.Pipeline p)
           | Error _ -> None)
       in
       (match hit with
@@ -314,136 +284,50 @@ let store_probe_model t model ~faults =
       hit
     end
 
-(* The caller mutates its mask between calls, so the cache must own its
-   keys: Shard_cache.add copies on insert (misses only — hits stay
-   allocation-free) and evicts its shard's oldest resident at the
-   bound. *)
-let remember t mask outcome = Shard_cache.add t.shared.s_cache mask outcome
-
-let full_solve t ~faults =
-  t.stats.full_solves <- t.stats.full_solves + 1;
-  Metrics.incr m_full_solves;
-  Reconfig.solve ~budget:t.budget ~ctx:t.ctx t.inst ~faults
-
-(* Cheap local repair first, global re-solve second (the paper's §4
-   reconfiguration discussion): look for a cached plan of some predecessor
-   mask [faults \ {v}] and patch it around [v] without searching. *)
-let splice_from_cache t ~faults =
-  let exception Found of Reconfig.outcome in
-  try
-    Bitset.iter
-      (fun v ->
-        Bitset.blit ~src:faults ~dst:t.scratch;
-        Bitset.remove t.scratch v;
-        match Shard_cache.find_opt t.shared.s_cache t.scratch with
-        | Some (Reconfig.Pipeline current) -> (
-          match Repair.patch t.inst ~current ~faults ~failed:v with
-          | Some (`Unchanged p) | Some (`Spliced p) ->
-            t.stats.splices <- t.stats.splices + 1;
-            Metrics.incr m_splices;
-            raise (Found (Reconfig.Pipeline p))
-          | None -> ())
-        | Some (Reconfig.No_pipeline | Reconfig.Gave_up) | None -> ())
-      faults;
-    None
-  with Found o -> Some o
-
-let solve ?(cache = true) t ~faults =
-  if not cache then full_solve t ~faults
-  else begin
-    t.stats.lookups <- t.stats.lookups + 1;
-    match Shard_cache.find_opt t.shared.s_cache faults with
-    | Some outcome ->
-      t.stats.cache_hits <- t.stats.cache_hits + 1;
-      Metrics.incr m_cache_hits;
-      outcome
-    | None -> (
-      Metrics.incr m_cache_misses;
-      (* L2: the precompiled store, promoted into L1 on a hit so the
-         next probe for this set is a nanosecond-class cache hit.  The
-         store path stays clock-free like L1 hits — B18 measures it. *)
-      match store_probe t ~faults with
-      | Some outcome ->
-        remember t faults outcome;
-        outcome
-      | None ->
-        let start = Mclock.now_ns () in
-        let outcome =
-          match splice_from_cache t ~faults with
-          | Some o -> o
-          | None -> full_solve t ~faults
-        in
-        remember t faults outcome;
-        let dur = Mclock.now_ns () - start in
-        Metrics.observe h_solve_miss dur;
-        if Span.enabled () then
-          Span.emit ~name:"engine.solve"
-            ~attrs:[ ("faults", Span.Int (Bitset.cardinal faults)) ]
-            ~start_ns:start ~dur_ns:dur ();
-        outcome)
-  end
-
-let solve_list ?cache t ~faults =
-  solve ?cache t ~faults:(Bitset.of_list (Instance.order t.inst) faults)
-
-(* Solve [faults] = parent's faults ∪ {failed} against a known-good plan
-   for the parent set: cheap local patch first ([Repair.patch]
-   revalidates, so a [Pipeline] outcome is always genuine), full solve on
-   splice failure.  This is the engine-level entry point behind the
-   verifier's prefix-tree enumeration, where a parent plan is always at
-   hand — unlike {!solve}'s cache probe, it never has to guess which
-   predecessor might be cached. *)
-let solve_child t ~parent ~faults ~failed =
-  match Repair.patch t.inst ~current:parent ~faults ~failed with
-  | Some (`Unchanged p | `Spliced p) ->
-    t.stats.splices <- t.stats.splices + 1;
-    Metrics.incr m_splices;
-    Reconfig.Pipeline p
-  | None ->
-    Metrics.incr m_splice_failures;
-    full_solve t ~faults
-
-(* ------------------------------------------------------------------ *)
-(* Generalized fault models                                            *)
-(* ------------------------------------------------------------------ *)
-
 let require_same_instance t model name =
   if not (Fault_model.instance model == t.inst) then
     invalid_arg (name ^ ": model built over a different instance")
 
-let model_table t model =
-  let id = Fault_model.id model in
-  Mutex.lock t.shared.s_lock;
-  let tbl =
-    match Hashtbl.find_opt t.shared.s_model_caches id with
-    | Some c -> c
-    | None ->
-      let c = Shard_cache.create ~capacity:t.cache_limit () in
-      Hashtbl.add t.shared.s_model_caches id c;
-      c
-  in
-  Mutex.unlock t.shared.s_lock;
-  tbl
+(* The plan table for [model]: the node table directly, any other
+   model's from the registry (created on first use). *)
+let table t model =
+  if Fault_model.is_node model then t.shared.s_cache
+  else begin
+    let id = Fault_model.id model in
+    Mutex.lock t.shared.s_lock;
+    let tbl =
+      match Hashtbl.find_opt t.shared.s_model_caches id with
+      | Some c -> c
+      | None ->
+        let c = Shard_cache.create ~capacity:t.cache_limit () in
+        Hashtbl.add t.shared.s_model_caches id c;
+        c
+    in
+    Mutex.unlock t.shared.s_lock;
+    tbl
+  end
 
-let model_scratch t model =
+let scratch t model =
   let id = Fault_model.id model in
-  match Hashtbl.find_opt t.model_scratch id with
+  match Hashtbl.find_opt t.scratch id with
   | Some s -> s
   | None ->
     let s = Bitset.create (Fault_model.size model) in
-    Hashtbl.add t.model_scratch id s;
+    Hashtbl.add t.scratch id s;
     s
 
-let full_solve_model t model ~faults =
+let full_solve t model ~faults =
   t.stats.full_solves <- t.stats.full_solves + 1;
   Metrics.incr m_full_solves;
   Fault_model.solve ~budget:t.budget ~ctx:t.ctx model ~faults
 
-(* The splice-before-solve cache probe, over universe elements: a cached
-   plan for [faults \ {e}] is repaired around element [e] when the
-   model's local rule applies (node patch, or revalidate-unchanged for
-   link-like elements). *)
-let splice_from_cache_model t tbl scratch model ~faults =
+(* Cheap local repair first, global re-solve second (the paper's §4
+   reconfiguration discussion): look for a cached plan of some predecessor
+   mask [faults \ {e}] and repair it around element [e] with the model's
+   local rule (node patch, or revalidate-unchanged for link-like
+   elements), without searching. *)
+let splice_from_cache t tbl model ~faults =
+  let scratch = scratch t model in
   let exception Found of Reconfig.outcome in
   try
     Bitset.iter
@@ -463,13 +347,16 @@ let splice_from_cache_model t tbl scratch model ~faults =
     None
   with Found o -> Some o
 
+(* The caller mutates its mask between calls, so the cache must own its
+   keys: Shard_cache.add copies on insert (misses only — hits stay
+   allocation-free) and evicts its shard's oldest resident at the
+   bound. *)
 let solve_model ?(cache = true) t model ~faults =
   require_same_instance t model "Engine.solve_model";
-  if Fault_model.is_node model then solve ~cache t ~faults
-  else if not cache then full_solve_model t model ~faults
+  if not cache then full_solve t model ~faults
   else begin
     t.stats.lookups <- t.stats.lookups + 1;
-    let tbl = model_table t model in
+    let tbl = table t model in
     match Shard_cache.find_opt tbl faults with
     | Some outcome ->
       t.stats.cache_hits <- t.stats.cache_hits + 1;
@@ -477,17 +364,19 @@ let solve_model ?(cache = true) t model ~faults =
       outcome
     | None -> (
       Metrics.incr m_cache_misses;
-      match store_probe_model t model ~faults with
+      (* L2: the precompiled store, promoted into L1 on a hit so the
+         next probe for this set is a nanosecond-class cache hit.  The
+         store path stays clock-free like L1 hits. *)
+      match store_probe t model ~faults with
       | Some outcome ->
         Shard_cache.add tbl faults outcome;
         outcome
       | None ->
         let start = Mclock.now_ns () in
-        let scratch = model_scratch t model in
         let outcome =
-          match splice_from_cache_model t tbl scratch model ~faults with
+          match splice_from_cache t tbl model ~faults with
           | Some o -> o
-          | None -> full_solve_model t model ~faults
+          | None -> full_solve t model ~faults
         in
         Shard_cache.add tbl faults outcome;
         let dur = Mclock.now_ns () - start in
@@ -503,23 +392,14 @@ let solve_model ?(cache = true) t model ~faults =
         outcome)
   end
 
+let solve ?cache t ~faults = solve_model ?cache t t.node ~faults
+
+let solve_list ?cache t ~faults =
+  solve ?cache t ~faults:(Bitset.of_list (Instance.order t.inst) faults)
+
 (* ------------------------------------------------------------------ *)
 (* Engine-backed workloads                                             *)
 (* ------------------------------------------------------------------ *)
-
-let verify_exhaustive ?max_failures ?universe ?symmetry ?splice t =
-  Metrics.time h_verify (fun () ->
-      Verify.exhaustive ~budget:t.budget
-        ~solve:(fun ~faults -> solve ~cache:false t ~faults)
-        ?max_failures ?universe ?symmetry ?splice t.inst)
-
-let verify_sampled ~seed ~trials ?max_failures t =
-  Metrics.time h_verify (fun () ->
-      Verify.sampled
-        ~rng:(Random.State.make [| seed |])
-        ~trials ~budget:t.budget
-        ~solve:(fun ~faults -> solve ~cache:false t ~faults)
-        ?max_failures t.inst)
 
 let verify_exhaustive_model ?max_failures ?universe ?symmetry ?splice t model
     =
@@ -537,6 +417,12 @@ let verify_sampled_model ~seed ~trials ?max_failures t model =
         ~trials ~budget:t.budget
         ~solve:(fun ~faults -> solve_model ~cache:false t model ~faults)
         ?max_failures model)
+
+let verify_exhaustive ?max_failures ?universe ?symmetry ?splice t =
+  verify_exhaustive_model ?max_failures ?universe ?symmetry ?splice t t.node
+
+let verify_sampled ~seed ~trials ?max_failures t =
+  verify_sampled_model ~seed ~trials ?max_failures t t.node
 
 let certify ?(symmetry = true) t =
   let solve ~faults = solve t ~faults in
@@ -558,13 +444,6 @@ let certify_to ?(symmetry = true) t oc =
     Certify.generate_orbits_to ~solve ~symmetry:(Instance.symmetry t.inst) oc
       t.inst
   else Certify.generate_to ~solve oc t.inst
-
-let attack ~rng ?restarts ?model t =
-  (match model with
-  | Some m -> require_same_instance t m "Engine.attack"
-  | None -> ());
-  Attack.worst_case ~rng ?restarts ?model ~budget:(min t.budget 500_000)
-    t.inst
 
 let pp_stats ppf s =
   Format.fprintf ppf "lookups=%d hits=%d splices=%d solves=%d" s.lookups
@@ -588,13 +467,9 @@ module Parallel = struct
   (* Below this many enumeration items per domain, spawning is a net loss
      (a [Domain.spawn]/join round trip costs on the order of a hundred
      microseconds — more than a small instance's whole verify), so
-     [run_sharded] degrades to the serial path.  Benchmarks and tests
+     [run_task] degrades to the serial path.  Benchmarks and tests
      override it ([~min_items_per_domain:0] forces real sharding). *)
-  let default_min_items_per_domain () =
-    match Sys.getenv_opt "GDPN_MIN_ITEMS_PER_DOMAIN" with
-    | Some s when int_of_string_opt (String.trim s) <> None ->
-      Stdlib.max 0 (Option.get (int_of_string_opt (String.trim s)))
-    | Some _ | None -> 512
+  let default_min_items_per_domain = 512
 
   (* A persistent worker-domain pool.  [Domain.spawn] per verification
      call made the 2-domain path slower than the serial one on anything
@@ -722,13 +597,8 @@ module Parallel = struct
      maintainer: every reported check is a from-scratch solve and
      scaffold pushes cost nothing. *)
   type chain = {
-    c_full : Bitset.t -> (Pipeline.t, string) result;
-    c_patch :
-      reported:bool ->
-      parent:(Pipeline.t, string) result ->
-      Bitset.t ->
-      int ->
-      (Pipeline.t, string) result;
+    c_model : Fault_model.t;
+    c_solve : faults:Bitset.t -> Reconfig.outcome;
     c_splice : bool;
     c_mask : Bitset.t;
     c_elts : int array;
@@ -736,32 +606,20 @@ module Parallel = struct
     mutable c_len : int;
   }
 
-  (* Chains are built from closures so the node path and the fault-model
-     path share every line of the sharded walks: the node maker wires in
-     {!Verify.solve_checked}/{!Verify.splice_checked} on the instance,
-     the model maker their [_model] twins on the universe. *)
-  let chain_make ~splice inst solve =
-    let k = inst.Instance.k in
-    {
-      c_full = (fun mask -> Verify.solve_checked ~solve inst mask);
-      c_patch =
-        (fun ~reported ~parent mask failed ->
-          Verify.splice_checked ~solve ~reported inst ~parent ~mask ~failed);
-      c_splice = splice;
-      c_mask = Bitset.create (Instance.order inst);
-      c_elts = Array.make (Stdlib.max 1 k) (-1);
-      c_res = Array.make (k + 1) (Error "unsolved");
-      c_len = -1;
-    }
+  (* One ctx per domain serves the base instance and every link-degraded
+     one: ctx scratch is sized by graph order, which degradation
+     preserves. *)
+  let solver ?budget model =
+    let ctx = Reconfig.cached_ctx (Fault_model.instance model) in
+    fun ~faults -> Fault_model.solve ?budget ~ctx model ~faults
 
-  let chain_make_model ~splice model solve =
+  (* The chain's checks run through the model: {!Fault_model} supplies
+     the degraded instance and the local repair rule. *)
+  let chain_make ?budget ~splice model =
     let k = Fault_model.max_faults model in
     {
-      c_full = (fun mask -> Verify.solve_checked_model ~solve model mask);
-      c_patch =
-        (fun ~reported ~parent mask failed ->
-          Verify.splice_checked_model ~solve ~reported model ~parent ~mask
-            ~failed);
+      c_model = model;
+      c_solve = solver ?budget model;
       c_splice = splice;
       c_mask = Bitset.create (Fault_model.size model);
       c_elts = Array.make (Stdlib.max 1 k) (-1);
@@ -769,7 +627,8 @@ module Parallel = struct
       c_len = -1;
     }
 
-  let chain_solve ch = ch.c_full ch.c_mask
+  let chain_solve ch =
+    Verify.solve_checked_model ~solve:ch.c_solve ch.c_model ch.c_mask
 
   (* Ensure the empty set has a plan (scaffold — the empty set is
      reported by whichever unit covers rank 0). *)
@@ -786,7 +645,8 @@ module Parallel = struct
     Bitset.add ch.c_mask e;
     let r =
       if ch.c_splice then
-        ch.c_patch ~reported ~parent:ch.c_res.(ch.c_len) ch.c_mask e
+        Verify.splice_checked_model ~solve:ch.c_solve ~reported ch.c_model
+          ~parent:ch.c_res.(ch.c_len) ~mask:ch.c_mask ~failed:e
       else if reported then chain_solve ch
       else Error "unsolved"
     in
@@ -820,17 +680,7 @@ module Parallel = struct
 
   let resolve_min_items = function
     | Some m -> Stdlib.max 0 m
-    | None -> default_min_items_per_domain ()
-
-  let node_mk_solve ?budget inst () =
-    let ctx = Reconfig.cached_ctx inst in
-    fun ~faults -> Reconfig.solve ?budget ~ctx inst ~faults
-
-  (* One ctx serves the base instance and every link-degraded one: ctx
-     scratch is sized by graph order, which degradation preserves. *)
-  let model_mk_solve ?budget model () =
-    let ctx = Reconfig.cached_ctx (Fault_model.instance model) in
-    fun ~faults -> Fault_model.solve ?budget ~ctx model ~faults
+    | None -> default_min_items_per_domain
 
   (* A [task] is one verification problem decomposed into serializable
      work units ({!Codec.unit_desc}).  The decomposition is canonical —
@@ -860,6 +710,21 @@ module Parallel = struct
     t_settle : Verify.report -> unit;
   }
 
+  (* The checkpoint header pinning an exhaustive task's spec. *)
+  let exhaustive_header model ~orbit ~splice ~usize ~k ~nunits =
+    let digest = Certify.digest (Fault_model.instance model) in
+    fun ~max_failures ->
+      {
+        Checkpoint.h_digest = digest;
+        h_model = Fault_model.id model;
+        h_orbit = orbit;
+        h_splice = splice;
+        h_max_failures = Stdlib.max 1 max_failures;
+        h_usize = usize;
+        h_k = k;
+        h_nunits = nunits;
+      }
+
   (* Plain-path work units: one [Shallow] unit covering the sets of size
      < d (d = min k 2: the empty set, and the singletons when k >= 2),
      plus one [Rooted] unit per size-d prefix, covering that prefix's
@@ -878,8 +743,9 @@ module Parallel = struct
     in
     Array.of_list (Codec.Shallow :: roots)
 
-  let plain_task ~usize ~k ~splice ~digest ~model_id ~mk_solve ~mk_chain =
-    let k = Stdlib.min k usize in
+  let plain_task ?budget ~splice model =
+    let usize = Fault_model.size model in
+    let k = Stdlib.min (Fault_model.max_faults model) usize in
     let total = Combinat.count_up_to usize k in
     let units = plain_units ~order:usize ~k in
     let d = Stdlib.min k 2 in
@@ -892,8 +758,7 @@ module Parallel = struct
         units
     in
     let mk_processor () =
-      let solve = mk_solve () in
-      let ch = mk_chain solve in
+      let ch = chain_make ?budget ~splice model in
       fun ~record ~cutoff u ->
         let fail buf len reason =
           record
@@ -965,17 +830,8 @@ module Parallel = struct
       t_est_items = total;
       t_counts = (function Some r -> (r + 1, r + 1) | None -> (total, total));
       t_header =
-        (fun ~max_failures ->
-          {
-            Checkpoint.h_digest = digest;
-            h_model = model_id;
-            h_orbit = false;
-            h_splice = splice;
-            h_max_failures = Stdlib.max 1 max_failures;
-            h_usize = usize;
-            h_k = k;
-            h_nunits = Array.length units;
-          });
+        exhaustive_header model ~orbit:false ~splice ~usize ~k
+          ~nunits:(Array.length units);
       t_mk_processor = mk_processor;
       (* Settle the choke-point counter against the merged report (see
          the sequential DFS path): per-check increments would drift on
@@ -1009,8 +865,9 @@ module Parallel = struct
      neighbours.  Ranks stay the {e original} size-major indices, so the
      prefix-sum counts and the merged report are untouched by the
      re-ordering. *)
-  let orbit_task ~usize ~k ~splice ~digest ~model_id ~reps ~mk_solve
-      ~mk_chain =
+  let orbit_task ?budget ~splice model reps =
+    let usize = Fault_model.size model in
+    let k = Fault_model.max_faults model in
     let nreps = Array.length reps in
     let prefix = Array.make (nreps + 1) 0 in
     for i = 0 to nreps - 1 do
@@ -1050,8 +907,7 @@ module Parallel = struct
         units
     in
     let mk_processor () =
-      let solve = mk_solve () in
-      let ch = mk_chain solve in
+      let ch = chain_make ?budget ~splice model in
       fun ~record ~cutoff u ->
         match units.(u) with
         | Codec.Span (lo, hi) ->
@@ -1096,18 +952,7 @@ module Parallel = struct
       t_min_rank = min_rank;
       t_est_items = nreps;
       t_counts = counts;
-      t_header =
-        (fun ~max_failures ->
-          {
-            Checkpoint.h_digest = digest;
-            h_model = model_id;
-            h_orbit = true;
-            h_splice = splice;
-            h_max_failures = Stdlib.max 1 max_failures;
-            h_usize = usize;
-            h_k = k;
-            h_nunits = nunits;
-          });
+      t_header = exhaustive_header model ~orbit:true ~splice ~usize ~k ~nunits;
       t_mk_processor = mk_processor;
       t_settle = ignore;
     }
@@ -1118,7 +963,9 @@ module Parallel = struct
      chain: each trial is checked from scratch.  Sampled tasks are not
      checkpointable from the CLI; the header exists only to satisfy the
      record. *)
-  let sampled_task ~seed ~trials ~usize ~k ~mk_solve ~check =
+  let sampled_task ?budget ~seed ~trials model =
+    let usize = Fault_model.size model in
+    let k = Fault_model.max_faults model in
     let rng = Random.State.make [| seed |] in
     let sets = Array.make trials [||] in
     for i = 0 to trials - 1 do
@@ -1135,7 +982,7 @@ module Parallel = struct
         units
     in
     let mk_processor () =
-      let solve = mk_solve () in
+      let solve = solver ?budget model in
       let mask = Bitset.create usize in
       fun ~record ~cutoff u ->
         match units.(u) with
@@ -1148,7 +995,7 @@ module Parallel = struct
               for j = 0 to len - 1 do
                 Bitset.add mask buf.(j)
               done;
-              match check ~solve mask with
+              match Verify.check_mask_model ~solve model mask with
               | Ok () -> ()
               | Error reason ->
                 record ~rank:i
@@ -1179,38 +1026,15 @@ module Parallel = struct
       t_settle = ignore;
     }
 
-  let task_exhaustive ?budget ?symmetry ?(splice = true) inst =
-    let order = Instance.order inst in
-    let digest = Certify.digest inst in
-    let mk_solve = node_mk_solve ?budget inst in
-    let mk_chain solve = chain_make ~splice inst solve in
-    match symmetry with
-    | Some group when not (Auto.is_trivial group) ->
-      if Auto.degree group <> order then
-        invalid_arg
-          "Engine.Parallel.verify_exhaustive: symmetry degree <> order";
-      let reps = Auto.fault_orbits group ~max_size:inst.Instance.k in
-      orbit_task ~usize:order ~k:inst.Instance.k ~splice ~digest ~model_id:0
-        ~reps ~mk_solve ~mk_chain
-    | Some _ | None ->
-      plain_task ~usize:order ~k:inst.Instance.k ~splice ~digest ~model_id:0
-        ~mk_solve ~mk_chain
-
   let task_exhaustive_model ?budget ?symmetry ?(splice = true) model =
-    let usize = Fault_model.size model in
-    let k = Fault_model.max_faults model in
-    let digest = Certify.digest (Fault_model.instance model) in
-    let model_id = Fault_model.id model in
-    let mk_solve = model_mk_solve ?budget model in
-    let mk_chain solve = chain_make_model ~splice model solve in
-    let induced = Option.map (Fault_model.induced_symmetry model) symmetry in
-    match induced with
+    match Option.map (Fault_model.induced_symmetry model) symmetry with
     | Some group when not (Auto.is_trivial group) ->
-      let reps = Auto.fault_orbits group ~max_size:k in
-      orbit_task ~usize ~k ~splice ~digest ~model_id ~reps ~mk_solve
-        ~mk_chain
-    | Some _ | None ->
-      plain_task ~usize ~k ~splice ~digest ~model_id ~mk_solve ~mk_chain
+      orbit_task ?budget ~splice model
+        (Auto.fault_orbits group ~max_size:(Fault_model.max_faults model))
+    | Some _ | None -> plain_task ?budget ~splice model
+
+  let task_exhaustive ?budget ?symmetry ?splice inst =
+    task_exhaustive_model ?budget ?symmetry ?splice (Fault_model.node inst)
 
   (* Drain a task's pending units over [domains] through {!Steal}, with
      optional durable checkpointing and resume.
@@ -1363,31 +1187,23 @@ module Parallel = struct
       report
   end
 
-  let verify_exhaustive ?budget ?max_failures ?domains ?min_items_per_domain
-      ?symmetry ?splice inst =
-    run_task ?max_failures ?domains ?min_items_per_domain
-      (task_exhaustive ?budget ?symmetry ?splice inst)
-
   let verify_exhaustive_model ?budget ?max_failures ?domains
       ?min_items_per_domain ?symmetry ?splice model =
     run_task ?max_failures ?domains ?min_items_per_domain
       (task_exhaustive_model ?budget ?symmetry ?splice model)
 
-  let verify_sampled ~seed ~trials ?budget ?max_failures ?domains
-      ?min_items_per_domain inst =
-    run_task ?max_failures ?domains ?min_items_per_domain
-      (sampled_task ~seed ~trials ~usize:(Instance.order inst)
-         ~k:inst.Instance.k
-         ~mk_solve:(node_mk_solve ?budget inst)
-         ~check:(fun ~solve mask ->
-           Verify.check_mask ?budget ~solve inst mask))
+  let verify_exhaustive ?budget ?max_failures ?domains ?min_items_per_domain
+      ?symmetry ?splice inst =
+    verify_exhaustive_model ?budget ?max_failures ?domains
+      ?min_items_per_domain ?symmetry ?splice (Fault_model.node inst)
 
   let verify_sampled_model ~seed ~trials ?budget ?max_failures ?domains
       ?min_items_per_domain model =
     run_task ?max_failures ?domains ?min_items_per_domain
-      (sampled_task ~seed ~trials ~usize:(Fault_model.size model)
-         ~k:(Fault_model.max_faults model)
-         ~mk_solve:(model_mk_solve ?budget model)
-         ~check:(fun ~solve mask ->
-           Verify.check_mask_model ?budget ~solve model mask))
+      (sampled_task ?budget ~seed ~trials model)
+
+  let verify_sampled ~seed ~trials ?budget ?max_failures ?domains
+      ?min_items_per_domain inst =
+    verify_sampled_model ~seed ~trials ?budget ?max_failures ?domains
+      ?min_items_per_domain (Fault_model.node inst)
 end

@@ -16,9 +16,9 @@
       keyed on the fault masks themselves ({!Gdpn_graph.Bitset.hash} /
       [equal]), so hits allocate nothing.  On a miss the engine first
       tries to {e splice} a plan from a cached one-fault-smaller
-      predecessor ({!Gdpn_core.Repair.patch}) — cheap local repair first,
-      global re-solve second, mirroring the paper's §4 reconfiguration
-      discussion;
+      predecessor ({!Gdpn_core.Fault_model.splice}) — cheap local repair
+      first, global re-solve second, mirroring the paper's §4
+      reconfiguration discussion;
     - {b domain sharding} ({!Parallel}) — fault-space enumeration fanned
       out over OCaml 5 domains with per-domain ctxs and deterministic
       result merging.
@@ -29,7 +29,13 @@
     therefore safe to share between domains — but an [Engine.t] {e as a
     whole} still is not (its solver ctx and scratch masks are
     single-domain).  {!reader} derives a domain-private handle over the
-    same shared cache; {!Parallel} builds per-domain state internally. *)
+    same shared cache; {!Parallel} builds per-domain state internally.
+
+    Every job has one body, written over a {!Gdpn_core.Fault_model.t}:
+    {!solve_model}, {!verify_exhaustive_model}, {!verify_sampled_model}
+    and their {!Parallel} forms.  The node entry points ({!solve},
+    {!verify_exhaustive}, ...) pass the engine's node model
+    ({!Gdpn_core.Fault_model.node}), whose universe is the node set. *)
 
 type t
 
@@ -40,14 +46,13 @@ type stats = {
   mutable full_solves : int;  (** full strategy-solver runs *)
 }
 
-val create :
-  ?budget:int -> ?cache_limit:int -> ?shards:int -> Gdpn_core.Instance.t -> t
+val create : ?budget:int -> ?cache_limit:int -> Gdpn_core.Instance.t -> t
 (** [budget] bounds solver expansions per solve (default 2_000_000);
-    [cache_limit] bounds retained plans (default 65536 — at the bound the
-    cache evicts its oldest resident to admit the new plan, counted in
-    [engine.cache_evictions]); [shards] is the cache's shard count
-    (default {!Shard_cache.default_shards}, rounded up to a power of
-    two). *)
+    [cache_limit] bounds retained plans per fault model (default 65536 —
+    at the bound the cache evicts its oldest resident to admit the new
+    plan, counted in [engine.cache_evictions]).  The engine builds its
+    node fault model ({!Gdpn_core.Fault_model.node}) here, once, and
+    shares it with every {!reader}. *)
 
 val reader : t -> t
 (** A domain-private handle on the same instance and the {e same shared
@@ -61,46 +66,31 @@ val reader : t -> t
 val instance : t -> Gdpn_core.Instance.t
 val budget : t -> int
 
-val solve :
-  ?cache:bool -> t -> faults:Gdpn_graph.Bitset.t -> Gdpn_core.Reconfig.outcome
-(** Like {!Gdpn_core.Reconfig.solve} but through the engine: plan cache,
-    splice-before-solve, ctx reuse.  [~cache:false] bypasses lookup,
-    splice and insertion (still reuses the ctx) — verification uses this so
-    its verdicts are exactly the plain solver's.  Spliced witnesses are
-    revalidated by {!Gdpn_core.Repair.patch} before being returned, so a
-    [Pipeline] outcome is always genuine. *)
-
-val solve_list :
-  ?cache:bool -> t -> faults:int list -> Gdpn_core.Reconfig.outcome
-
-val solve_child :
-  t ->
-  parent:Gdpn_core.Pipeline.t ->
-  faults:Gdpn_graph.Bitset.t ->
-  failed:int ->
-  Gdpn_core.Reconfig.outcome
-(** Solve [faults] = parent's faults ∪ {[failed]} given a known-good
-    pipeline [parent] for the parent set: local splice first
-    ({!Gdpn_core.Repair.patch}, revalidated — a [Pipeline] outcome is
-    always genuine), full solve on splice failure.  Feeds the
-    [engine.splices] / [engine.splice_failures] counters.  This is the
-    entry point behind prefix-tree verification, where a parent plan is
-    always at hand — unlike {!solve}'s cache probe, it never has to guess
-    which predecessor might be cached. *)
-
 val solve_model :
   ?cache:bool ->
   t ->
   Gdpn_core.Fault_model.t ->
   faults:Gdpn_graph.Bitset.t ->
   Gdpn_core.Reconfig.outcome
-(** {!solve} generalized to a fault model built over this engine's
-    instance ([Invalid_argument] otherwise): [faults] is a mask over the
-    model's universe, plans are cached per model — the effective key is
-    [(Fault_model.id, mask)] — and the splice probe repairs cached
-    one-element-smaller predecessors through the model's local rule.  The
-    node model takes the legacy {!solve} path unchanged (same cache, same
-    counters, zero extra cost). *)
+(** Like {!Gdpn_core.Fault_model.solve} but through the engine: plan
+    cache, plan store, splice-before-solve, ctx reuse.  The model must be
+    built over this engine's instance ([Invalid_argument] otherwise);
+    [faults] is a mask over its universe.  Plans are cached per model —
+    the effective key is [(Fault_model.id, mask)] — and the splice probe
+    repairs a cached one-element-smaller predecessor through the model's
+    local rule ({!Gdpn_core.Fault_model.splice}, revalidated — a
+    [Pipeline] outcome is always genuine).  [~cache:false] bypasses
+    lookup, store, splice and insertion (still reuses the ctx) —
+    verification uses this so its verdicts are exactly the plain
+    solver's. *)
+
+val solve :
+  ?cache:bool -> t -> faults:Gdpn_graph.Bitset.t -> Gdpn_core.Reconfig.outcome
+(** {!solve_model} over the engine's node model: [faults] is a node
+    mask. *)
+
+val solve_list :
+  ?cache:bool -> t -> faults:int list -> Gdpn_core.Reconfig.outcome
 
 val stats : t -> stats
 
@@ -163,24 +153,6 @@ val crash_restart : t -> unit
     ([Gdpn_faultsim.Scenario]) injects this to check plan-cache coherence
     across cold restarts. *)
 
-val verify_exhaustive :
-  ?max_failures:int ->
-  ?universe:int list ->
-  ?symmetry:Gdpn_graph.Auto.group ->
-  ?splice:bool ->
-  t ->
-  Gdpn_core.Verify.report
-(** {!Gdpn_core.Verify.exhaustive} through the engine's ctx (uncached
-    checks; see {!solve}).  [symmetry] enables orbit-reduced enumeration;
-    [splice] (default true) the prefix-tree splice-first enumeration. *)
-
-val verify_sampled :
-  seed:int -> trials:int -> ?max_failures:int -> t -> Gdpn_core.Verify.report
-(** {!Gdpn_core.Verify.sampled} through the engine's ctx.  The RNG is
-    derived from the explicit [seed] alone — never from instance
-    parameters, which would correlate the fault-sample sequences of
-    same-order instances. *)
-
 val verify_exhaustive_model :
   ?max_failures:int ->
   ?universe:int list ->
@@ -189,10 +161,11 @@ val verify_exhaustive_model :
   t ->
   Gdpn_core.Fault_model.t ->
   Gdpn_core.Verify.report
-(** {!Gdpn_core.Verify.exhaustive_model} through the engine's ctx and
-    model-keyed plan cache (uncached checks, as in {!verify_exhaustive}).
-    [symmetry] is the node group; the induced action on the model's
-    universe drives orbit reduction. *)
+(** {!Gdpn_core.Verify.exhaustive_model} through the engine's ctx
+    (uncached checks; see {!solve_model}).  [symmetry] (the node group;
+    its induced action on the universe drives orbit reduction) enables
+    orbit-reduced enumeration; [splice] (default true) the prefix-tree
+    splice-first enumeration. *)
 
 val verify_sampled_model :
   seed:int ->
@@ -201,6 +174,23 @@ val verify_sampled_model :
   t ->
   Gdpn_core.Fault_model.t ->
   Gdpn_core.Verify.report
+(** {!Gdpn_core.Verify.sampled_model} through the engine's ctx.  The RNG
+    is derived from the explicit [seed] alone — never from instance
+    parameters, which would correlate the fault-sample sequences of
+    same-order instances. *)
+
+val verify_exhaustive :
+  ?max_failures:int ->
+  ?universe:int list ->
+  ?symmetry:Gdpn_graph.Auto.group ->
+  ?splice:bool ->
+  t ->
+  Gdpn_core.Verify.report
+(** {!verify_exhaustive_model} over the engine's node model. *)
+
+val verify_sampled :
+  seed:int -> trials:int -> ?max_failures:int -> t -> Gdpn_core.Verify.report
+(** {!verify_sampled_model} over the engine's node model. *)
 
 val certify : ?symmetry:bool -> t -> string
 (** Certificate generation through the cached solver: witnesses for
@@ -225,16 +215,6 @@ val certify_to : ?symmetry:bool -> t -> out_channel -> unit
     sizes where the string-returning {!certify} cannot allocate its
     buffer.  Each record bumps [certify.records_streamed]. *)
 
-val attack :
-  rng:Random.State.t ->
-  ?restarts:int ->
-  ?model:Gdpn_core.Fault_model.t ->
-  t ->
-  Gdpn_core.Attack.finding
-(** {!Gdpn_core.Attack.worst_case} on this engine's instance (the attack
-    probes measure the {e generic} solver and manage their own ctx).
-    With [model], best-response search over the model's universe. *)
-
 val pp_stats : Format.formatter -> stats -> unit
 
 (** Multicore verification: shard the fault-space enumeration over OCaml 5
@@ -248,67 +228,6 @@ module Parallel : sig
   (** [GDPN_DOMAINS] when set to a positive integer, otherwise
       [Domain.recommended_domain_count () - 1], at least 1. *)
 
-  val verify_exhaustive :
-    ?budget:int ->
-    ?max_failures:int ->
-    ?domains:int ->
-    ?min_items_per_domain:int ->
-    ?symmetry:Gdpn_graph.Auto.group ->
-    ?splice:bool ->
-    Gdpn_core.Instance.t ->
-    Gdpn_core.Verify.report
-  (** Check every fault set of size [0..k].  The space is split into one
-      shallow unit (the sets of size < min k 2) plus one DFS-subtree unit
-      per size-[min k 2] prefix — units of comparable weight, unlike the
-      old (size, first-element) blocks whose first block held about half
-      the space.  Units are drained through a work-stealing scheduler:
-      each of the [domains] workers (the calling domain included) owns a
-      contiguous span with its own atomic index, visits it in order —so
-      its chain of solved prefix plans (see below) pops and re-grows by a
-      few elements per unit — and steals from the other spans when its
-      own runs dry.  Steal counts land in [engine.parallel_steals] and on
-      each shard's trace span.
-
-      [splice] (default true) gives every worker a per-branch stack of
-      solved plans, patching each fault set from its parent
-      ({!Gdpn_core.Repair.patch}) before falling back to the full solver
-      — the parallel form of [Verify.exhaustive]'s prefix-tree mode, with
-      the same exactness argument (positives revalidated, negatives
-      always from a full solve).
-
-      Worker domains come from a process-wide persistent pool: they are
-      spawned lazily on first use, parked on a condition variable between
-      calls, and joined at process exit — repeated verifications pay no
-      per-call [Domain.spawn].  When the enumeration divides out to fewer
-      than [min_items_per_domain] items per domain (default 512, or
-      [GDPN_MIN_ITEMS_PER_DOMAIN]), the call degrades to the serial path
-      on the calling domain: same report, none of the fan-out cost — this
-      is what keeps multi-domain requests on small instances from losing
-      to the sequential verifier.  Pass [~min_items_per_domain:0] to
-      force real sharding regardless of size (benchmarks, tests).
-
-      With a nontrivial [symmetry] group, only orbit representatives are
-      sharded — fewer but individually heavier work items, so the units
-      are small contiguous chunks of the representative array; the
-      per-domain chain splices each representative from its nearest
-      solved ancestor.  Counts are orbit-expanded through prefix sums
-      during the merge; the result equals the sequential
-      [Verify.exhaustive ~symmetry] report field for field. *)
-
-  val verify_sampled :
-    seed:int ->
-    trials:int ->
-    ?budget:int ->
-    ?max_failures:int ->
-    ?domains:int ->
-    ?min_items_per_domain:int ->
-    Gdpn_core.Instance.t ->
-    Gdpn_core.Verify.report
-  (** Sampled verification: the full trial sequence is drawn up front from
-      [seed] on one RNG (byte-identical to the sequential stream), then
-      only the solving is sharded.  [min_items_per_domain] as in
-      {!verify_exhaustive}. *)
-
   val verify_exhaustive_model :
     ?budget:int ->
     ?max_failures:int ->
@@ -318,13 +237,56 @@ module Parallel : sig
     ?splice:bool ->
     Gdpn_core.Fault_model.t ->
     Gdpn_core.Verify.report
-  (** {!verify_exhaustive} over a fault model's universe: the same
-      work-stealing shards and per-domain prefix chains, with the model
-      supplying the degraded instance and the local repair rule (the
-      model's degraded-instance cache is mutex-protected, so all domains
-      share one model).  [symmetry] is the {e node} group; its induced
-      action on the universe drives orbit-reduced sharding.  For the node
-      model the report is byte-identical to {!verify_exhaustive}. *)
+  (** Check every fault set of size [0..k] over the model's universe, the
+      model supplying the degraded instance and the local repair rule (its
+      degraded-instance cache is mutex-protected, so all domains share one
+      model).  The space is split into one shallow unit (the sets of size
+      < min k 2) plus one DFS-subtree unit per size-[min k 2] prefix —
+      units of comparable weight.  Units are drained through a
+      work-stealing scheduler: each of the [domains] workers (the calling
+      domain included) owns a contiguous span with its own atomic index,
+      visits it in order — so its chain of solved prefix plans (see below)
+      pops and re-grows by a few elements per unit — and steals from the
+      other spans when its own runs dry.  Steal counts land in
+      [engine.parallel_steals] and on each shard's trace span.
+
+      [splice] (default true) gives every worker a per-branch stack of
+      solved plans, repairing each fault set from its parent
+      ({!Gdpn_core.Fault_model.splice}) before falling back to the full
+      solver — the parallel form of [Verify.exhaustive_model]'s
+      prefix-tree mode, with the same exactness argument (positives
+      revalidated, negatives always from a full solve).
+
+      Worker domains come from a process-wide persistent pool: they are
+      spawned lazily on first use, parked on a condition variable between
+      calls, and joined at process exit — repeated verifications pay no
+      per-call [Domain.spawn].  When the enumeration divides out to fewer
+      than [min_items_per_domain] items per domain (default 512), the call
+      degrades to the serial path on the calling domain: same report, none
+      of the fan-out cost — this is what keeps multi-domain requests on
+      small instances from losing to the sequential verifier.  Pass
+      [~min_items_per_domain:0] to force real sharding regardless of size
+      (benchmarks, tests).
+
+      [symmetry] is the {e node} group; with a nontrivial induced action
+      on the universe, only orbit representatives are sharded — fewer but
+      individually heavier work items, so the units are small contiguous
+      chunks of the representative array; the per-domain chain splices
+      each representative from its nearest solved ancestor.  Counts are
+      orbit-expanded through prefix sums during the merge; the result
+      equals the sequential [Verify.exhaustive_model ~symmetry] report
+      field for field. *)
+
+  val verify_exhaustive :
+    ?budget:int ->
+    ?max_failures:int ->
+    ?domains:int ->
+    ?min_items_per_domain:int ->
+    ?symmetry:Gdpn_graph.Auto.group ->
+    ?splice:bool ->
+    Gdpn_core.Instance.t ->
+    Gdpn_core.Verify.report
+  (** {!verify_exhaustive_model} over [Fault_model.node inst]. *)
 
   val verify_sampled_model :
     seed:int ->
@@ -335,7 +297,21 @@ module Parallel : sig
     ?min_items_per_domain:int ->
     Gdpn_core.Fault_model.t ->
     Gdpn_core.Verify.report
-  (** {!verify_sampled} over a fault model's universe. *)
+  (** Sampled verification over the model's universe: the full trial
+      sequence is drawn up front from [seed] on one RNG (the sequential
+      stream), then only the solving is sharded.
+      [min_items_per_domain] as in {!verify_exhaustive_model}. *)
+
+  val verify_sampled :
+    seed:int ->
+    trials:int ->
+    ?budget:int ->
+    ?max_failures:int ->
+    ?domains:int ->
+    ?min_items_per_domain:int ->
+    Gdpn_core.Instance.t ->
+    Gdpn_core.Verify.report
+  (** {!verify_sampled_model} over [Fault_model.node inst]. *)
 
   (** First-class verification tasks: one verification problem decomposed
       into a canonical array of serializable work units
@@ -347,30 +323,29 @@ module Parallel : sig
   module Task : sig
     type t
 
-    val exhaustive :
-      ?budget:int ->
-      ?symmetry:Gdpn_graph.Auto.group ->
-      ?splice:bool ->
-      Gdpn_core.Instance.t ->
-      t
-    (** The unit decomposition behind {!Parallel.verify_exhaustive}: one
-        [Shallow] unit plus one [Rooted] DFS-subtree unit per
-        size-[min k 2] prefix.  With a nontrivial [symmetry] group,
-        fixed-granularity [Span] chunks of the orbit-representative
-        stream re-ordered into DFS preorder ({e orbit×splice fusion}:
-        consecutive representatives share maximal prefixes, so each
-        splices from its nearest solved ancestor, while ranks — and
-        therefore counts and the merged report — remain the canonical
-        size-major indices). *)
-
     val exhaustive_model :
       ?budget:int ->
       ?symmetry:Gdpn_graph.Auto.group ->
       ?splice:bool ->
       Gdpn_core.Fault_model.t ->
       t
-    (** {!exhaustive} over a fault model's universe; [symmetry] is the
-        node group, inducing the action on the universe. *)
+    (** The unit decomposition behind {!Parallel.verify_exhaustive_model}:
+        one [Shallow] unit plus one [Rooted] DFS-subtree unit per
+        size-[min k 2] prefix of the universe.  [symmetry] is the node
+        group; with a nontrivial induced action, fixed-granularity [Span]
+        chunks of the orbit-representative stream re-ordered into DFS
+        preorder ({e orbit×splice fusion}: consecutive representatives
+        share maximal prefixes, so each splices from its nearest solved
+        ancestor, while ranks — and therefore counts and the merged
+        report — remain the canonical size-major indices). *)
+
+    val exhaustive :
+      ?budget:int ->
+      ?symmetry:Gdpn_graph.Auto.group ->
+      ?splice:bool ->
+      Gdpn_core.Instance.t ->
+      t
+    (** {!exhaustive_model} over [Fault_model.node inst]. *)
 
     val nunits : t -> int
 
@@ -413,8 +388,9 @@ module Parallel : sig
     Task.t ->
     Gdpn_core.Verify.report
   (** Drain a task's units over the domain pool (the machinery behind
-      {!verify_exhaustive}).  With [checkpoint], one {!Codec.unit_result}
-      frame is appended the moment each unit drains (capped at
+      {!verify_exhaustive_model}).  With [checkpoint], one
+      {!Codec.unit_result} frame is appended the moment each unit drains
+      (capped at
       [max_failures] entries — higher ranks can never reach a merged
       report); cutoff-skipped units are not recorded, since their
       justification may still be in flight.  With [resumed] (from

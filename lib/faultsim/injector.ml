@@ -24,17 +24,14 @@ let distinct_sample rng pool count =
   done;
   Array.to_list (Array.sub arr 0 count)
 
-let random ~rng inst ~count ~rounds =
-  let order = Instance.order inst in
-  let nodes = distinct_sample rng (List.init order Fun.id) count in
-  sort_schedule
-    (List.map (fun node -> { round = Stream.Prng.int rng rounds; node }) nodes)
-
 let random_model ~rng model ~count ~rounds =
   let usize = Fault_model.size model in
   let elts = distinct_sample rng (List.init usize Fun.id) count in
   sort_schedule
     (List.map (fun node -> { round = Stream.Prng.int rng rounds; node }) elts)
+
+let random ~rng inst ~count ~rounds =
+  random_model ~rng (Fault_model.node inst) ~count ~rounds
 
 let random_processors_only ~rng inst ~count ~rounds =
   let nodes = distinct_sample rng (Instance.processors inst) count in

@@ -19,8 +19,9 @@ val sort_schedule : schedule -> schedule
 
 val random :
   rng:Stream.Prng.t -> Gdpn_core.Instance.t -> count:int -> rounds:int -> schedule
-(** [count <= k] faults at uniformly random distinct nodes (terminals
-    included) and uniformly random rounds. *)
+(** {!random_model} over [Fault_model.node inst]: [count <= k] faults at
+    uniformly random distinct nodes (terminals included) and uniformly
+    random rounds. *)
 
 val random_model :
   rng:Stream.Prng.t ->
@@ -28,9 +29,9 @@ val random_model :
   count:int ->
   rounds:int ->
   schedule
-(** Like {!random} but over a generalized fault universe: events carry
-    distinct universe indices (nodes, links, colour classes,
-    neighborhoods) for a machine created with the same model. *)
+(** Faults at distinct, uniformly random universe indices of the model
+    (nodes, links, colour classes, neighborhoods) and uniformly random
+    rounds, for a machine created with the same model. *)
 
 val random_processors_only :
   rng:Stream.Prng.t -> Gdpn_core.Instance.t -> count:int -> rounds:int -> schedule

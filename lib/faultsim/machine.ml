@@ -11,8 +11,7 @@ let m_lost = Metrics.counter "machine.streams_lost"
 
 type t = {
   engine : Engine.t;
-  model : Fault_model.t option;
-      (* when set, fault_mask/fault_list hold universe indices *)
+  model : Fault_model.t;  (* fault_mask/fault_list hold universe indices *)
   fault_mask : Bitset.t;
   local_repair : bool;
   mutable fault_list : int list;
@@ -34,9 +33,8 @@ let solver_budget = ref 2_000_000
 let resolve t =
   let before = (Engine.stats t.engine).Engine.full_solves in
   let outcome =
-    match t.model with
-    | Some m -> Engine.solve_model ~cache:t.local_repair t.engine m ~faults:t.fault_mask
-    | None -> Engine.solve ~cache:t.local_repair t.engine ~faults:t.fault_mask
+    Engine.solve_model ~cache:t.local_repair t.engine t.model
+      ~faults:t.fault_mask
   in
   let solved_fully = (Engine.stats t.engine).Engine.full_solves > before in
   match outcome with
@@ -56,20 +54,18 @@ let create ?engine ?(local_repair = true) ?model inst =
       e
     | None -> Engine.create ~budget:!solver_budget inst
   in
-  (match model with
-  | Some m when Fault_model.instance m != inst ->
-    invalid_arg "Machine.create: model built over a different instance"
-  | _ -> ());
-  let universe_size =
+  let model =
     match model with
-    | Some m -> Fault_model.size m
-    | None -> Instance.order inst
+    | Some m when Fault_model.instance m != inst ->
+      invalid_arg "Machine.create: model built over a different instance"
+    | Some m -> m
+    | None -> Fault_model.node inst
   in
   let t =
     {
       engine;
       model;
-      fault_mask = Bitset.create universe_size;
+      fault_mask = Bitset.create (Fault_model.size model);
       local_repair;
       fault_list = [];
       current = None;
@@ -91,11 +87,7 @@ let pipeline t = t.current
 let healthy_processor_count t =
   (* Under a generalized model only the node component of the fault set
      kills processors; link/class faults degrade connectivity instead. *)
-  let node_mask =
-    match t.model with
-    | Some m -> fst (Fault_model.decompose m t.fault_mask)
-    | None -> t.fault_mask
-  in
+  let node_mask = fst (Fault_model.decompose t.model t.fault_mask) in
   List.length
     (List.filter
        (fun p -> not (Bitset.mem node_mask p))
@@ -125,12 +117,7 @@ let restart t =
   ignore (resolve t)
 
 let inject t node =
-  let universe_size =
-    match t.model with
-    | Some m -> Fault_model.size m
-    | None -> Instance.order (instance t)
-  in
-  if node < 0 || node >= universe_size then
+  if node < 0 || node >= Fault_model.size t.model then
     invalid_arg "Machine.inject: node out of range";
   if Bitset.mem t.fault_mask node then Unchanged
   else begin

@@ -29,8 +29,8 @@ val create :
     (default true) enables the cached path in {!inject} (plan cache plus
     O(degree) splice); disable it to force full reconfiguration on every
     fault (the B8/E14 ablation baseline).  [model] (built over [inst] —
-    [Invalid_argument] otherwise) runs the machine over a generalized
-    fault universe: {!inject} then takes universe indices (nodes, links,
+    [Invalid_argument] otherwise; default [Fault_model.node inst]) fixes
+    the fault universe: {!inject} takes universe indices (nodes, links,
     colour classes, neighborhoods — see {!Gdpn_core.Fault_model}) and
     reconfiguration goes through {!Gdpn_engine.Engine.solve_model}, so the
     model-keyed plan cache and splice path apply. *)
@@ -41,13 +41,14 @@ val engine : t -> Gdpn_engine.Engine.t
 (** The engine this machine solves through (shared when [create ?engine]
     was used). *)
 
-val model : t -> Gdpn_core.Fault_model.t option
-(** The generalized fault model, when the machine was created with one. *)
+val model : t -> Gdpn_core.Fault_model.t
+(** The machine's fault model ({!Gdpn_core.Fault_model.node} unless
+    {!create} was given another). *)
 
 val fault_count : t -> int
 
-(** Injected faults in injection order: node ids without a model,
-    universe indices with one (render with
+(** Injected faults in injection order, as universe indices of the
+    machine's model (node ids for the node model; render with
     {!Gdpn_core.Fault_model.describe}). *)
 val faults : t -> int list
 val remap_count : t -> int
@@ -56,9 +57,9 @@ val pipeline : t -> Gdpn_core.Pipeline.t option
 (** Current embedding ([None] once lost). *)
 
 val healthy_processor_count : t -> int
-(** Processors not killed by a fault.  Under a generalized model only the
-    node component of the fault set counts: link/class faults degrade
-    connectivity without removing processors. *)
+(** Processors not killed by a fault.  Only the node component of the
+    fault set counts: link/class faults degrade connectivity without
+    removing processors. *)
 
 val used_processor_count : t -> int
 (** Processors on the current pipeline — for the paper's constructions this
@@ -78,9 +79,9 @@ val restart : t -> unit
     existed before the crash. *)
 
 val inject : t -> int -> inject_result
-(** Mark a node (or, with a model, a universe element) faulty and
-    re-embed: first the O(degree) local patch ({!Gdpn_core.Repair}), then
-    the full strategy solver. *)
+(** Mark a universe element of the machine's model (a node, for the node
+    model) faulty and re-embed: first the O(degree) local patch
+    ({!Gdpn_core.Repair}), then the full strategy solver. *)
 
 val local_repair_count : t -> int
 (** How many injections were absorbed without a full strategy-solver run —

@@ -182,11 +182,6 @@ type run = {
 (* Invariant checkers                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let model_of m =
-  match Machine.model m with
-  | Some fm -> fm
-  | None -> Fault_model.node (Machine.instance m)
-
 let fault_mask_of m fm =
   let mask = Bitset.create (Fault_model.size fm) in
   List.iter (Bitset.add mask) (Machine.faults m);
@@ -206,7 +201,7 @@ let check_coverage m =
   match Machine.pipeline m with
   | None -> Ok ()
   | Some p -> (
-    let fm = model_of m in
+    let fm = Machine.model m in
     let mask = fault_mask_of m fm in
     match Fault_model.validate fm ~faults:mask p.Pipeline.nodes with
     | Error e -> Error ("embedded pipeline is invalid: " ^ e)
@@ -220,7 +215,7 @@ let check_coverage m =
       else Ok ())
 
 let check_coherence ?ctx m =
-  let fm = model_of m in
+  let fm = Machine.model m in
   let mask = fault_mask_of m fm in
   let budget = Engine.budget (Machine.engine m) in
   let ctx =

@@ -289,11 +289,7 @@ let checker_tests =
    the acceptance criterion for `gdp chaos --seed N` replay. *)
 let sabotage ~at op machine =
   if op = at then
-    let usize =
-      match Machine.model machine with
-      | Some fm -> Fault_model.size fm
-      | None -> Instance.order (Machine.instance machine)
-    in
+    let usize = Fault_model.size (Machine.model machine) in
     let faulty = Machine.faults machine in
     let idx =
       List.find (fun i -> not (List.mem i faulty)) (List.init usize Fun.id)

@@ -10,6 +10,7 @@ module Iso = Gdpn_graph.Iso
 module Graph6 = Gdpn_graph.Graph6
 module Image = Gdpn_faultsim.Image
 module Machine = Gdpn_faultsim.Machine
+module Engine = Gdpn_engine.Engine
 
 let check = Alcotest.check
 let tc name f = Alcotest.test_case name `Quick f
@@ -214,7 +215,10 @@ let parallel_tests =
         List.iter
           (fun inst ->
             let serial = Verify.exhaustive inst in
-            let parallel = Verify.exhaustive_parallel ~domains:3 inst in
+            let parallel =
+              Engine.Parallel.verify_exhaustive ~domains:3
+                ~min_items_per_domain:0 inst
+            in
             check Alcotest.int
               (inst.Instance.name ^ ": same count")
               serial.Verify.fault_sets_checked
@@ -234,19 +238,26 @@ let parallel_tests =
             ~kind:(Array.init (Instance.order inst) (Instance.kind_of inst))
             ~n:1 ~k:2 ~name:"broken" ~strategy:Instance.Generic
         in
-        let r = Verify.exhaustive_parallel ~domains:2 broken in
+        let r =
+          Engine.Parallel.verify_exhaustive ~domains:2 ~min_items_per_domain:0
+            broken
+        in
         check Alcotest.bool "not k-GD" false (Verify.is_k_gd r));
     tc "single domain degenerates to serial behaviour" (fun () ->
         let inst = Small_n.g2 ~k:2 in
-        let r = Verify.exhaustive_parallel ~domains:1 inst in
+        let r = Engine.Parallel.verify_exhaustive ~domains:1 inst in
         check Alcotest.int "count"
           (Gdpn_graph.Combinat.count_up_to (Instance.order inst) 2)
           r.Verify.fault_sets_checked);
     tc_slow "parallel partition covers the G(22,4) space exactly" (fun () ->
-        (* The block partition (size, first-element) is the intricate part;
-           check it against the analytic count on a 66,712-set space. *)
+        (* The unit partition (one shallow unit plus one DFS subtree per
+           size-2 prefix) is the intricate part; check it against the
+           analytic count on a 66,712-set space. *)
         let inst = Circulant_family.build ~n:22 ~k:4 in
-        let r = Verify.exhaustive_parallel ~domains:4 inst in
+        let r =
+          Engine.Parallel.verify_exhaustive ~domains:4 ~min_items_per_domain:0
+            inst
+        in
         check Alcotest.int "count"
           (Gdpn_graph.Combinat.count_up_to (Instance.order inst) 4)
           r.Verify.fault_sets_checked;

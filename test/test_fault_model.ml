@@ -1,13 +1,15 @@
-(* Oracle tests for the generalized fault-model layer.
+(* Tests for the fault-model layer.
 
-   The load-bearing claim of the refactor: instantiating the Fault_model
-   machinery with the node model reproduces the legacy node-only verifier
-   *byte-identically* — same verdicts, same failure lists in the same
-   order, same counts — on every path it generalizes (sequential DFS,
-   orbit-reduced, splice on/off, sampled, work-stealing shards).  On top
-   of that, frozen mixed node+link exhaustive results pin the generalized
-   semantics themselves, and the satellite layers (certificates, link
-   wrapper, machine, injector, attack) are checked against the model. *)
+   Verification has one body per job, written over Fault_model.t; the
+   node model is the paper's node-fault path.  The reports the separate
+   node-only verifier produced, before it was folded into that body, are
+   frozen below as literals (counts, full failure lists, gave-up tallies)
+   and the node model must reproduce them on every path: sequential DFS,
+   orbit-reduced, splice on/off, early stop, the processors-only
+   universe, sampled, and work-stealing shards.  Frozen mixed node+link
+   exhaustive results pin the generalized semantics themselves, and the
+   satellite layers (certificates, link wrapper, machine, injector,
+   attack) are checked against the model. *)
 
 open Gdpn_core
 module Engine = Gdpn_engine.Engine
@@ -16,7 +18,6 @@ module Faultsim = Gdpn_faultsim
 
 let check = Alcotest.check
 let tc name f = Alcotest.test_case name `Quick f
-let to_alcotest = List.map QCheck_alcotest.to_alcotest
 
 let report_testable : Verify.report Alcotest.testable =
   Alcotest.testable Verify.pp_report ( = )
@@ -40,121 +41,207 @@ let frozen_instances () =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Node-model byte-identity oracle                                     *)
+(* Frozen node-model reports                                           *)
 (* ------------------------------------------------------------------ *)
 
-let node_oracle_tests =
+(* A frozen report: the node-only verifier's output, recorded as
+   literals when it was folded into the model path. *)
+let rep checked calls gave_up failures =
+  {
+    Verify.fault_sets_checked = checked;
+    solver_calls = calls;
+    gave_up;
+    failures =
+      List.map
+        (fun (faults, reason, orbit) -> { Verify.faults; reason; orbit })
+        failures;
+  }
+
+let nopipe ?(orbit = 1) faults = (faults, "no pipeline", orbit)
+
+let over_g2_2 =
+  rep 75 75 0
+    [
+      nopipe [ 0; 2; 3 ];
+      nopipe [ 0; 2; 6 ];
+      nopipe [ 0; 2; 7 ];
+      nopipe [ 0; 3; 5 ];
+      nopipe [ 0; 3; 7 ];
+    ]
+
+(* [frozen_instances] in order. *)
+let frozen_family_reports =
+  [
+    rep 7 7 0 [];
+    rep 299 299 0 [];
+    rep 67 67 0 [];
+    rep 106 106 0 [];
+    rep 15 15 0
+      [
+        nopipe [ 0; 1 ];
+        nopipe [ 0; 3 ];
+        nopipe [ 0; 5 ];
+        nopipe [ 1; 2 ];
+        nopipe [ 1; 4 ];
+      ];
+    over_g2_2;
+  ]
+
+let frozen_orbit_reports () =
+  [
+    (Small_n.g1 ~k:3, rep 299 21 0 []);
+    (Special.g62 (), rep 106 61 0 []);
+    ( overclaimed (Small_n.g2 ~k:2),
+      rep 122 41 0
+        [
+          nopipe ~orbit:2 [ 0; 2; 3 ];
+          nopipe ~orbit:4 [ 0; 2; 6 ];
+          nopipe ~orbit:4 [ 0; 2; 7 ];
+          nopipe ~orbit:2 [ 0; 5; 6 ];
+          nopipe ~orbit:2 [ 2; 3; 4 ];
+        ] );
+  ]
+
+let frozen_shard_reports () =
+  [
+    (Small_n.g1 ~k:3, rep 299 299 0 []);
+    (overclaimed (Small_n.g2 ~k:2), over_g2_2);
+  ]
+
+let frozen_tests =
+  let node = Fault_model.node in
   [
     tc "node model equals legacy verifier on frozen families" (fun () ->
-        List.iter
-          (fun inst ->
-            let model = Fault_model.node inst in
+        List.iter2
+          (fun inst expected ->
             List.iter
               (fun splice ->
-                let legacy = Verify.exhaustive ~splice inst in
-                let gen = Verify.exhaustive_model ~splice model in
                 check report_testable
                   (Printf.sprintf "%s splice=%b" inst.Instance.name splice)
-                  legacy gen)
+                  expected
+                  (Verify.exhaustive_model ~splice (node inst)))
               [ true; false ])
-          (frozen_instances ()));
+          (frozen_instances ()) frozen_family_reports);
     tc "node model equals legacy under orbit reduction" (fun () ->
         List.iter
-          (fun inst ->
-            let model = Fault_model.node inst in
+          (fun (inst, expected) ->
             let symmetry = Instance.symmetry inst in
             List.iter
               (fun splice ->
-                let legacy = Verify.exhaustive ~symmetry ~splice inst in
-                let gen = Verify.exhaustive_model ~symmetry ~splice model in
                 check report_testable
                   (Printf.sprintf "%s orbit splice=%b" inst.Instance.name
                      splice)
-                  legacy gen)
+                  expected
+                  (Verify.exhaustive_model ~symmetry ~splice (node inst)))
               [ true; false ])
-          [ Small_n.g1 ~k:3; Special.g62 (); overclaimed (Small_n.g2 ~k:2) ]);
+          (frozen_orbit_reports ()));
     tc "node model equals legacy under early stop" (fun () ->
-        let inst = overclaimed (Small_n.g2 ~k:2) in
-        let model = Fault_model.node inst in
+        let model = node (overclaimed (Small_n.g2 ~k:2)) in
         List.iter
-          (fun max_failures ->
+          (fun (max_failures, expected) ->
             check report_testable
               (Printf.sprintf "cap=%d" max_failures)
-              (Verify.exhaustive ~max_failures inst)
+              expected
               (Verify.exhaustive_model ~max_failures model))
-          [ 1; 2; 5 ]);
+          [
+            (1, rep 65 65 0 [ nopipe [ 0; 2; 3 ] ]);
+            (2, rep 68 68 0 [ nopipe [ 0; 2; 3 ]; nopipe [ 0; 2; 6 ] ]);
+            (5, over_g2_2);
+          ]);
     tc "node model equals legacy on a restricted universe" (fun () ->
         List.iter
-          (fun inst ->
-            let model = Fault_model.node inst in
+          (fun (inst, expected) ->
             let universe = Instance.processors inst in
-            check report_testable inst.Instance.name
-              (Verify.exhaustive ~universe inst)
-              (Verify.exhaustive_model ~universe model))
-          [ Small_n.g3 ~k:2; overclaimed (Small_n.g2 ~k:2) ]);
-    tc "node model equals legacy on the sampled path" (fun () ->
-        List.iter
-          (fun inst ->
-            let model = Fault_model.node inst in
-            let legacy =
-              Verify.sampled ~rng:(Random.State.make [| 7 |]) ~trials:200 inst
-            in
-            let gen =
-              Verify.sampled_model
-                ~rng:(Random.State.make [| 7 |])
-                ~trials:200 model
-            in
-            check report_testable inst.Instance.name legacy gen)
-          [ Small_n.g1 ~k:3; overclaimed (Small_n.g2 ~k:2) ]);
-    tc "node model equals legacy under forced sharding" (fun () ->
-        List.iter
-          (fun inst ->
-            let model = Fault_model.node inst in
             List.iter
               (fun splice ->
-                let legacy = Verify.exhaustive ~splice inst in
+                check report_testable
+                  (Printf.sprintf "%s splice=%b" inst.Instance.name splice)
+                  expected
+                  (Verify.exhaustive_model ~universe ~splice (node inst)))
+              [ true; false ])
+          [
+            (Small_n.g3 ~k:2, rep 16 16 0 []);
+            ( overclaimed (Small_n.g2 ~k:2),
+              rep 16 16 0
+                [
+                  nopipe [ 0; 2; 3 ]; nopipe [ 1; 2; 3 ]; nopipe [ 0; 1; 2; 3 ];
+                ] );
+          ]);
+    tc "node model equals legacy on the sampled path" (fun () ->
+        List.iter
+          (fun (inst, expected) ->
+            check report_testable inst.Instance.name expected
+              (Verify.sampled_model
+                 ~rng:(Random.State.make [| 7 |])
+                 ~trials:200 (node inst)))
+          [
+            (Small_n.g1 ~k:3, rep 200 200 0 []);
+            ( overclaimed (Small_n.g2 ~k:2),
+              rep 27 27 0
+                [
+                  nopipe [ 1; 7; 8; 9 ];
+                  nopipe [ 1; 6; 8; 9 ];
+                  nopipe [ 2; 5; 7; 9 ];
+                  nopipe [ 0; 5; 6 ];
+                  nopipe [ 0; 1; 2; 9 ];
+                ] );
+          ]);
+    tc "node model equals legacy under forced sharding" (fun () ->
+        List.iter
+          (fun (inst, expected) ->
+            List.iter
+              (fun splice ->
                 List.iter
                   (fun domains ->
-                    let gen =
-                      Engine.Parallel.verify_exhaustive_model ~domains
-                        ~min_items_per_domain:0 ~splice model
-                    in
                     check report_testable
                       (Printf.sprintf "%s splice=%b domains=%d"
                          inst.Instance.name splice domains)
-                      legacy gen)
-                  [ 1; 2; 4 ])
+                      expected
+                      (Engine.Parallel.verify_exhaustive_model ~domains
+                         ~min_items_per_domain:0 ~splice (node inst)))
+                  [ 1; 2; 3; 4 ])
               [ true; false ])
-          [ Small_n.g1 ~k:3; overclaimed (Small_n.g2 ~k:2) ]);
+          (frozen_shard_reports ()));
     tc "node model equals legacy under orbit-reduced sharding" (fun () ->
         List.iter
-          (fun inst ->
-            let model = Fault_model.node inst in
+          (fun (inst, expected) ->
             let symmetry = Instance.symmetry inst in
-            let legacy = Verify.exhaustive ~symmetry inst in
             List.iter
               (fun domains ->
-                let gen =
-                  Engine.Parallel.verify_exhaustive_model ~domains
-                    ~min_items_per_domain:0 ~symmetry model
-                in
                 check report_testable
                   (Printf.sprintf "%s domains=%d" inst.Instance.name domains)
-                  legacy gen)
-              [ 2; 3 ])
-          [ Small_n.g1 ~k:3; overclaimed (Small_n.g2 ~k:2) ]);
+                  expected
+                  (Engine.Parallel.verify_exhaustive_model ~domains
+                     ~min_items_per_domain:0 ~symmetry (node inst)))
+              [ 1; 2; 3; 4 ])
+          (frozen_orbit_reports ()));
     tc "node model equals legacy on the parallel sampled path" (fun () ->
-        let inst = overclaimed (Small_n.g2 ~k:2) in
-        let model = Fault_model.node inst in
-        check report_testable "parallel sampled"
-          (Engine.Parallel.verify_sampled ~seed:11 ~trials:300 ~domains:3
-             ~min_items_per_domain:0 inst)
-          (Engine.Parallel.verify_sampled_model ~seed:11 ~trials:300
-             ~domains:3 ~min_items_per_domain:0 model));
+        let model = node (overclaimed (Small_n.g2 ~k:2)) in
+        let expected =
+          rep 10 10 0
+            [
+              nopipe [ 2; 7; 9 ];
+              nopipe [ 1; 3; 4; 8 ];
+              nopipe [ 0; 5; 6; 8 ];
+              nopipe [ 3; 4; 7 ];
+              nopipe [ 3; 4; 7 ];
+            ]
+        in
+        List.iter
+          (fun domains ->
+            check report_testable
+              (Printf.sprintf "parallel sampled domains=%d" domains)
+              expected
+              (Engine.Parallel.verify_sampled_model ~seed:11 ~trials:300
+                 ~domains ~min_items_per_domain:0 model))
+          [ 1; 2; 3; 4 ]);
     tc "engine solve_model on the node model is the legacy solve" (fun () ->
+        (* Uncached, the engine's node path is the plain solver; cached,
+           it may splice a different pipeline, but never a different
+           verdict or an invalid one. *)
         let inst = Small_n.g1 ~k:3 in
         let engine = Engine.create inst in
-        let model = Fault_model.node inst in
+        let model = node inst in
         let order = Instance.order inst in
         let rng = Random.State.make [| 3 |] in
         for _ = 1 to 50 do
@@ -162,42 +249,15 @@ let node_oracle_tests =
           for _ = 1 to Random.State.int rng 4 do
             Bitset.add faults (Random.State.int rng order)
           done;
-          let a = Engine.solve engine ~faults in
-          let b = Engine.solve_model engine model ~faults in
-          check Alcotest.bool "same outcome" true (a = b)
+          let plain = Reconfig.solve inst ~faults in
+          check Alcotest.bool "uncached is the plain solve" true
+            (plain = Engine.solve_model ~cache:false engine model ~faults);
+          match (plain, Engine.solve_model engine model ~faults) with
+          | Reconfig.Pipeline _, Reconfig.Pipeline p ->
+            check Alcotest.bool "cached witness valid" true
+              (Pipeline.is_valid inst ~faults p.Pipeline.nodes)
+          | a, b -> check Alcotest.bool "same verdict" true (a = b)
         done);
-  ]
-
-let node_oracle_props =
-  let open QCheck in
-  [
-    Test.make
-      ~name:"node model equals legacy on random family instances" ~count:40
-      (quad (int_range 1 8) (int_range 1 3) bool bool)
-      (fun (n, k, overclaim, splice) ->
-        let inst = Family.build ~n ~k in
-        let inst = if overclaim then overclaimed inst else inst in
-        Verify.exhaustive ~splice inst
-        = Verify.exhaustive_model ~splice (Fault_model.node inst));
-    Test.make
-      ~name:"orbit-reduced node model equals legacy on random instances"
-      ~count:25
-      (triple (int_range 1 7) (int_range 1 3) bool)
-      (fun (n, k, overclaim) ->
-        let inst = Family.build ~n ~k in
-        let inst = if overclaim then overclaimed inst else inst in
-        let symmetry = Instance.symmetry inst in
-        Verify.exhaustive ~symmetry inst
-        = Verify.exhaustive_model ~symmetry (Fault_model.node inst));
-    Test.make
-      ~name:"sharded node model equals legacy on random instances" ~count:15
-      (triple (int_range 1 7) (int_range 1 3) bool)
-      (fun (n, k, overclaim) ->
-        let inst = Family.build ~n ~k in
-        let inst = if overclaim then overclaimed inst else inst in
-        Verify.exhaustive inst
-        = Engine.Parallel.verify_exhaustive_model ~domains:3
-            ~min_items_per_domain:0 (Fault_model.node inst));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -424,28 +484,30 @@ let link_wrapper_tests =
 let faultsim_tests =
   [
     tc "machine over the node model mirrors the legacy machine" (fun () ->
+        (* The node-only machine's remaps, frozen when it was folded into
+           the model path. *)
         let inst = Small_n.g1 ~k:3 in
-        let legacy = Faultsim.Machine.create inst in
-        let gen =
-          Faultsim.Machine.create ~model:(Fault_model.node inst) inst
+        let m = Faultsim.Machine.create ~model:(Fault_model.node inst) inst in
+        let show = function
+          | Faultsim.Machine.Remapped p ->
+            "remapped " ^ String.concat "," (List.map string_of_int p.Pipeline.nodes)
+          | Faultsim.Machine.Unchanged -> "unchanged"
+          | Faultsim.Machine.Lost -> "lost"
         in
         List.iter
-          (fun v ->
-            let a = Faultsim.Machine.inject legacy v in
-            let b = Faultsim.Machine.inject gen v in
-            let same =
-              match (a, b) with
-              | Faultsim.Machine.Remapped p, Faultsim.Machine.Remapped q ->
-                p = q
-              | Faultsim.Machine.Unchanged, Faultsim.Machine.Unchanged -> true
-              | Faultsim.Machine.Lost, Faultsim.Machine.Lost -> true
-              | _ -> false
-            in
-            check Alcotest.bool (Printf.sprintf "inject %d" v) true same;
-            check Alcotest.int "healthy"
-              (Faultsim.Machine.healthy_processor_count legacy)
-              (Faultsim.Machine.healthy_processor_count gen))
-          [ 0; 0; 3; 5 ]);
+          (fun (v, expected, healthy) ->
+            check Alcotest.string
+              (Printf.sprintf "inject %d" v)
+              expected
+              (show (Faultsim.Machine.inject m v));
+            check Alcotest.int "healthy" healthy
+              (Faultsim.Machine.healthy_processor_count m))
+          [
+            (0, "remapped 6,2,3,1,9", 3);
+            (0, "unchanged", 3);
+            (3, "remapped 6,2,1,9", 2);
+            (5, "remapped 6,2,1,9", 2);
+          ]);
     tc "machine absorbs a graceful link fault without losing processors"
       (fun () ->
         let inst = Family.build ~n:1 ~k:3 in
@@ -494,16 +556,23 @@ let faultsim_tests =
               (e >= 0 && e < Fault_model.size model))
           elts);
     tc "attack with the node model reproduces the plain search" (fun () ->
+        (* The node-only search's finding, frozen when it was folded into
+           the model path. *)
         let inst = Small_n.g1 ~k:3 in
-        let plain =
-          Attack.worst_case ~rng:(Random.State.make [| 9 |]) ~restarts:3 inst
-        in
-        let modeled =
+        let f =
           Attack.worst_case
             ~rng:(Random.State.make [| 9 |])
             ~restarts:3 ~model:(Fault_model.node inst) inst
         in
-        check Alcotest.bool "identical finding" true (plain = modeled));
+        check Alcotest.bool "frozen finding" true
+          (f
+          = {
+              Attack.faults = [ 5; 6; 9 ];
+              expansions = 5;
+              outcome = `Found;
+              restarts = 3;
+              evaluations = 244;
+            }));
     tc "attack over the mixed universe finds an in-range set" (fun () ->
         let inst = Family.build ~n:1 ~k:3 in
         let model = Fault_model.mixed inst in
@@ -524,7 +593,7 @@ let faultsim_tests =
 let () =
   Alcotest.run "gdpn_fault_model"
     [
-      ("node-oracle", node_oracle_tests @ to_alcotest node_oracle_props);
+      ("node-oracle", frozen_tests);
       ("mixed-frozen", mixed_frozen_tests);
       ("certificates", certificate_tests);
       ("link-wrapper", link_wrapper_tests);

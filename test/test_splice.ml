@@ -178,32 +178,6 @@ let scheduler_tests =
                   [ 1; 3 ])
               [ true; false ])
           [ Small_n.g1 ~k:3; overclaimed (Small_n.g2 ~k:2) ]);
-    tc "solve_child splices or falls back but never lies" (fun () ->
-        let inst = Special.g62 () in
-        let engine = Engine.create inst in
-        let order = Instance.order inst in
-        let empty = Gdpn_graph.Bitset.create order in
-        match Engine.solve ~cache:false engine ~faults:empty with
-        | Reconfig.Pipeline parent ->
-          for v = 0 to order - 1 do
-            let faults = Gdpn_graph.Bitset.create order in
-            Gdpn_graph.Bitset.add faults v;
-            match Engine.solve_child engine ~parent ~faults ~failed:v with
-            | Reconfig.Pipeline p ->
-              check Alcotest.bool
-                (Printf.sprintf "witness valid for {%d}" v)
-                true
-                (Pipeline.is_valid inst ~faults p.Pipeline.nodes)
-            | Reconfig.No_pipeline | Reconfig.Gave_up ->
-              (* Must agree with the plain solver's verdict. *)
-              (match Reconfig.solve inst ~faults with
-              | Reconfig.Pipeline _ ->
-                Alcotest.fail
-                  (Printf.sprintf "solve_child missed a pipeline for {%d}" v)
-              | Reconfig.No_pipeline | Reconfig.Gave_up -> ())
-          done
-        | Reconfig.No_pipeline | Reconfig.Gave_up ->
-          Alcotest.fail "empty fault set should be solvable");
   ]
 
 let () =
