@@ -17,17 +17,20 @@ test:
 # be identical), the word-parallel kernel against the reference
 # backtracker (reports and expansion counts), and with --symmetry the
 # orbit-reduced run against full enumeration (verdict, counts and
-# orbit-expanded failure sets).  A traced run's JSONL output must end with
-# the metrics snapshot.  The fault-model lines run the same crosschecks
-# over the mixed node+link universe: it exits 1 (the constructions are
-# not link-GD — that is the honest verdict) but must not exit 3
-# (crosscheck divergence); --faults checks one explicit mixed node+link
-# set end to end.
+# orbit-expanded failure sets) — on G(8,2)'s order-2 group and on the
+# order-1,440 and order-240 groups of G(1,5) and G(2,5).  A traced run's
+# JSONL output must end with the metrics snapshot.  The fault-model lines
+# run the same crosschecks over the mixed node+link universe: it exits 1
+# (the constructions are not link-GD — that is the honest verdict) but
+# must not exit 3 (crosscheck divergence); --faults checks one explicit
+# mixed node+link set end to end.
 check: build test
 	GDPN_DOMAINS=2 dune exec bin/gdp.exe -- verify -n 8 -k 2
 	GDPN_DOMAINS=2 dune exec bin/gdp.exe -- verify -n 8 -k 2 --no-splice
 	GDPN_DOMAINS=2 dune exec bin/gdp.exe -- verify -n 8 -k 2 --crosscheck
 	GDPN_DOMAINS=2 dune exec bin/gdp.exe -- verify -n 8 -k 2 --symmetry --crosscheck
+	dune exec bin/gdp.exe -- verify -n 1 -k 5 --symmetry --crosscheck
+	dune exec bin/gdp.exe -- verify -n 2 -k 5 --symmetry --crosscheck
 	GDPN_DOMAINS=2 dune exec bin/gdp.exe -- verify -n 5 -k 2 --model mixed --crosscheck; test $$? -ne 3
 	GDPN_DOMAINS=2 dune exec bin/gdp.exe -- verify -n 5 -k 2 --faults "3,7,2-5"; test $$? -ne 2
 	GDPN_DOMAINS=2 dune exec bin/gdp.exe -- verify -n 8 -k 2 --symmetry --trace-out /tmp/gdpn-check-trace.jsonl

@@ -254,8 +254,7 @@ let induced_symmetry t group =
           | Color _ | Neighborhood _ -> assert false)
     in
     (try
-       Auto.of_generators ~degree:usize ~order:(Auto.order group)
-         (List.map extend (Auto.generators group))
+       Auto.of_generators ~degree:usize (List.map extend (Auto.generators group))
      with Exit ->
        (* A generator failed to map an edge to an edge — it was not a graph
           automorphism; fall back to no symmetry rather than unsound orbits. *)

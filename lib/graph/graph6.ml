@@ -42,6 +42,11 @@ let decode s =
     if c < 0 || c > 63 then invalid_arg "Graph6.decode: bad data byte";
     c lsr (5 - (idx mod 6)) land 1 = 1
   in
+  (* [encode] pads the last character with zero bits; anything else
+     would decode to a graph that re-encodes differently. *)
+  for idx = needed_bits to (6 * needed_chars) - 1 do
+    if bit idx then invalid_arg "Graph6.decode: nonzero padding"
+  done;
   let b = Graph.builder n in
   let idx = ref 0 in
   for j = 1 to n - 1 do

@@ -11,4 +11,6 @@ val encode : Graph.t -> string
     bit vector in column order, 6 bits per printable character. *)
 
 val decode : string -> Graph.t
-(** Inverse of {!encode}.  Raises [Invalid_argument] on malformed input. *)
+(** Inverse of {!encode}.  Raises [Invalid_argument] on malformed input,
+    including nonzero padding bits in the last character, so a decoded
+    string always re-encodes to itself. *)

@@ -1,6 +1,8 @@
 (* Tests for the symmetry layer (PR 2): automorphism group computation
    (checked against a brute-force n! oracle and frozen orders for the
-   paper families), orbit-reduced verification (verdicts, counts and
+   paper families), the element-table orbit scans (checked against the
+   breadth-first orbit walk they replaced, on groups of order 2 to
+   1,440), orbit-reduced verification (verdicts, counts and
    orbit-expanded failure sets must agree with full enumeration,
    including on instances that genuinely fail), domain-sharded orbit
    verification, and orbit-compressed (v2) certificates. *)
@@ -113,6 +115,24 @@ let group_tests =
            terminal attachments: only the input/output reversal remains. *)
         check Alcotest.int "circulant G(18,4) full" 2
           (full (Circulant_family.build ~n:18 ~k:4)));
+    tc "of_generators has the exact order of the generated group" (fun () ->
+        let cyc n = Array.init n (fun i -> (i + 1) mod n) in
+        let swap n i j =
+          Array.init n (fun v -> if v = i then j else if v = j then i else v)
+        in
+        List.iter
+          (fun (name, degree, gens, want) ->
+            check Alcotest.int name want
+              (Auto.order (Auto.of_generators ~degree gens)))
+          [
+            ("S5 from a transposition and a 5-cycle", 5, [ swap 5 0 1; cyc 5 ], 120);
+            ("D6 from a rotation and a reflection", 6,
+             [ cyc 6; Array.init 6 (fun i -> (6 - i) mod 6) ], 12);
+            ("A4 from two 3-cycles", 4, [ [| 1; 2; 0; 3 |]; [| 0; 2; 3; 1 |] ], 12);
+            ("C2 x C2, a generator repeated, the identity", 4,
+             [ swap 4 0 1; swap 4 2 3; swap 4 0 1; Array.init 4 Fun.id ], 4);
+            ("no generators", 3, [], 1);
+          ]);
     tc "adjoin_involution rejects bad arguments" (fun () ->
         let g = Auto.automorphisms (cycle 5) in
         Alcotest.check_raises "identity"
@@ -125,8 +145,158 @@ let group_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Orbit machinery                                                     *)
+(* Reference orbit walk                                                *)
 (* ------------------------------------------------------------------ *)
+
+(* The orbit machinery before groups carried an element table, kept here
+   as the oracle for the table scans: close the set under the generators
+   breadth-first, keying every member seen in a hash table.  It shares
+   nothing with [Auto]'s scans but the generator list. *)
+let apply_sorted p set =
+  let img = Array.map (fun v -> p.(v)) set in
+  Array.sort compare img;
+  img
+
+let ref_orbit g set =
+  let set = Array.copy set in
+  Array.sort compare set;
+  let seen = Hashtbl.create 16 in
+  Hashtbl.replace seen set ();
+  let members = ref [ set ] in
+  let queue = Queue.create () in
+  Queue.add set queue;
+  while not (Queue.is_empty queue) do
+    let s = Queue.pop queue in
+    List.iter
+      (fun p ->
+        let img = apply_sorted p s in
+        if not (Hashtbl.mem seen img) then begin
+          Hashtbl.replace seen img ();
+          members := img :: !members;
+          Queue.add img queue
+        end)
+      (Auto.generators g)
+  done;
+  List.rev !members
+
+let ref_canonical g set =
+  match ref_orbit g set with
+  | [] -> assert false
+  | first :: rest -> List.fold_left min first rest
+
+(* The enumeration [Auto.fault_orbits] promises: subsets in
+   [Combinat.iter_subsets_up_to] order, the first unseen member of each
+   orbit kept with the orbit's size. *)
+let ref_fault_orbits g ~max_size =
+  let seen = Hashtbl.create 4096 in
+  let reps = ref [] in
+  Combinat.iter_subsets_up_to (Auto.degree g) max_size (fun buf len ->
+      let set = Array.sub buf 0 len in
+      if not (Hashtbl.mem seen set) then begin
+        let members = ref_orbit g set in
+        List.iter (fun s -> Hashtbl.replace seen s ()) members;
+        reps := (Array.to_list set, List.length members) :: !reps
+      end);
+  List.rev !reps
+
+(* The groups the oracle runs on: the clique-core families' groups of
+   order 32, 240 and 1,440, the circulant G(25,4)'s order-2 reversal,
+   and induced actions on mixed node+link universes: G(1,3)'s 26
+   points, and G(3,6)'s 69 and G(25,4)'s 131, wider than one bitmask
+   band of the scans. *)
+type subject = {
+  label : string;
+  group : Auto.group;
+  max_size : int;
+  is_element : int array -> bool;
+      (* whether a permutation of the group's points is a symmetry of the
+         underlying graph (acting on links, for the mixed universe) *)
+}
+
+let node_subject label inst =
+  {
+    label;
+    group = Instance.symmetry inst;
+    max_size = inst.Instance.k;
+    is_element = Auto.is_automorphism inst.Instance.graph;
+  }
+
+let mixed_subject label inst ~max_size =
+  let model = Fault_model.mixed inst in
+  let n = Instance.order inst in
+  let acts_on_links p =
+    let ok = ref true in
+    for i = n to Fault_model.size model - 1 do
+      match Fault_model.element model i with
+      | Fault_model.Link (u, v) ->
+        let a, b = (p.(u), p.(v)) in
+        let image = Fault_model.Link (min a b, max a b) in
+        if Fault_model.index_of model image <> Some p.(i) then ok := false
+      | _ -> ok := false
+    done;
+    !ok
+  in
+  {
+    label;
+    group = Fault_model.induced_symmetry model (Instance.symmetry inst);
+    max_size;
+    is_element =
+      (fun p ->
+        Auto.is_automorphism inst.Instance.graph (Array.sub p 0 n)
+        && acts_on_links p);
+  }
+
+let subjects =
+  lazy
+    [
+      node_subject "G(3,5)" (Small_n.g3 ~k:5);
+      node_subject "G(2,5)" (Small_n.g2 ~k:5);
+      node_subject "G(1,5)" (Small_n.g1 ~k:5);
+      node_subject "G(25,4)" (Family.build ~n:25 ~k:4);
+      mixed_subject "mixed G(1,3)" (Small_n.g1 ~k:3) ~max_size:3;
+      mixed_subject "mixed G(3,6)" (Family.build ~n:3 ~k:6) ~max_size:3;
+      mixed_subject "mixed G(25,4)" (Family.build ~n:25 ~k:4) ~max_size:2;
+    ]
+
+(* A random set of distinct points, of size up to one past the bound. *)
+let random_set rng s =
+  let d = Auto.degree s.group in
+  let size = Random.State.int rng (Stdlib.min d (s.max_size + 1) + 1) in
+  let chosen = Array.make d false and acc = ref [] in
+  while List.length !acc < size do
+    let v = Random.State.int rng d in
+    if not chosen.(v) then begin
+      chosen.(v) <- true;
+      acc := v :: !acc
+    end
+  done;
+  Array.of_list !acc
+
+let scans_agree s set =
+  let g = s.group in
+  let sorted = List.sort compare (Array.to_list set) in
+  let want = Array.to_list (ref_canonical g set) in
+  let canon, transport = Auto.canonical_with_transport g set in
+  let mapped p c = List.sort compare (List.map (fun v -> p.(v)) c) in
+  let members = List.map Array.to_list (Auto.orbit_of_set g set) in
+  Array.to_list (Auto.canonical_set g set) = want
+  && Array.to_list canon = want
+  && (match transport with
+     | None -> want = sorted
+     | Some p -> want <> sorted && s.is_element p && mapped p want = sorted)
+  && List.hd members = sorted
+  && List.sort compare members
+     = List.sort compare (List.map Array.to_list (ref_orbit g set))
+
+let test_scans_vs_reference =
+  QCheck.Test.make ~count:40
+    ~name:"table scans agree with the reference orbit walk"
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      List.for_all
+        (fun s -> List.for_all (fun _ -> scans_agree s (random_set rng s)) [ 1; 2; 3 ])
+        (Lazy.force subjects))
 
 let orbit_tests =
   [
@@ -150,13 +320,48 @@ let orbit_tests =
                   (Alcotest.list Alcotest.int)
                   (inst.Instance.name ^ ": rep canonical")
                   (Array.to_list r.Auto.set)
-                  (Array.to_list (Auto.canonical_set g r.Auto.set));
+                  (Array.to_list (ref_canonical g r.Auto.set));
                 check Alcotest.int
                   (inst.Instance.name ^ ": orbit size")
                   r.Auto.size
-                  (List.length (Auto.orbit_of_set g r.Auto.set)))
+                  (List.length (ref_orbit g r.Auto.set)))
               reps)
           [ Small_n.g1 ~k:3; Small_n.g2 ~k:3; Small_n.g3 ~k:3 ]);
+    tc "fault_orbits matches the reference enumeration" (fun () ->
+        List.iter
+          (fun s ->
+            let got = Auto.fault_orbits s.group ~max_size:s.max_size in
+            check
+              (Alcotest.list (Alcotest.pair (Alcotest.list Alcotest.int) Alcotest.int))
+              (s.label ^ ": representatives and sizes")
+              (ref_fault_orbits s.group ~max_size:s.max_size)
+              (Array.to_list
+                 (Array.map (fun r -> (Array.to_list r.Auto.set, r.Auto.size)) got)))
+          (Lazy.force subjects));
+    tc "frozen representative counts" (fun () ->
+        (* Measured with the breadth-first orbit walk, before the element
+           table, and frozen here. *)
+        List.iter
+          (fun (label, inst, reps) ->
+            check Alcotest.int label reps
+              (Array.length
+                 (Auto.fault_orbits (Instance.symmetry inst)
+                    ~max_size:inst.Instance.k)))
+          [
+            ("G(3,5)", Small_n.g3 ~k:5, 1_262);
+            ("G(2,5)", Small_n.g2 ~k:5, 377);
+            ("G(1,5)", Small_n.g1 ~k:5, 90);
+            ("G(25,4)", Family.build ~n:25 ~k:4, 46_191);
+          ]);
+    tc "orbit queries reject a set that is not one" (fun () ->
+        let g = Instance.symmetry (Small_n.g1 ~k:2) in
+        Alcotest.check_raises "repeated point"
+          (Invalid_argument "Auto.canonical_with_transport: repeated point")
+          (fun () -> ignore (Auto.canonical_with_transport g [| 2; 2 |]));
+        Alcotest.check_raises "out of range"
+          (Invalid_argument "Auto.orbit_of_set: point out of range")
+          (fun () -> ignore (Auto.orbit_of_set g [| Auto.degree g |])));
+    QCheck_alcotest.to_alcotest test_scans_vs_reference;
     tc "trivial group enumerates every subset" (fun () ->
         let reps = Auto.fault_orbits (Auto.trivial 6) ~max_size:2 in
         check Alcotest.int "rep count" (Combinat.count_up_to 6 2)

@@ -163,7 +163,11 @@ let graph6_tests =
           (fun () -> ignore (Graph6.decode ""));
         Alcotest.check_raises "short"
           (Invalid_argument "Graph6.decode: wrong length") (fun () ->
-            ignore (Graph6.decode "D")));
+            ignore (Graph6.decode "D"));
+        (* "B^" is K3 minus 0-1 ("BW") with its three padding bits set. *)
+        Alcotest.check_raises "padding"
+          (Invalid_argument "Graph6.decode: nonzero padding") (fun () ->
+            ignore (Graph6.decode "B^")));
     tc "encode rejects large graphs" (fun () ->
         Alcotest.check_raises "n > 62"
           (Invalid_argument "Graph6.encode: order > 62 unsupported") (fun () ->

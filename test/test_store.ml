@@ -203,36 +203,52 @@ let test_flat_oracle =
    The transported plan is not necessarily the plan a fresh solve would
    pick, but the verdict must match and every Pipeline must validate;
    and a key that IS its orbit's representative must come back
-   byte-identical to the fresh solve that compiled it. *)
-let test_orbit_oracle =
+   byte-identical to the fresh solve that compiled it.  Every in-bound
+   set must be served by the store itself: a transport that failed
+   revalidation would fall back to splicing or solving and still pass
+   the verdict checks, so the engine's stats must show neither.  Run on
+   groups of order 2 (G(6,2)), 32 (G(3,5)) and 240 (G(1,4)). *)
+let orbit_oracle ?(suffix = "") inst =
   QCheck.Test.make ~count:30
-    ~name:"orbit store: transported lookups valid, verdicts exact"
+    ~name:("orbit store: transported lookups valid, verdicts exact" ^ suffix)
     QCheck.(int_bound 1_000_000)
     (fun seed ->
-      with_store inst6 @@ fun path _ ->
-      let store_engine = Engine.create inst6 in
+      with_store inst @@ fun path _ ->
+      let store_engine = Engine.create inst in
       (match Engine.attach_store store_engine ~path with
       | Ok () -> ()
       | Error e -> Alcotest.failf "attach: %s" e);
-      let group = Instance.symmetry inst6 in
-      let fresh = Engine.create inst6 in
-      let order = Instance.order inst6 in
+      let group = Instance.symmetry inst in
+      let fresh = Engine.create inst in
+      let order = Instance.order inst in
       let rng = Prng.create seed in
       let ok = ref true in
+      let not_from_store () =
+        let s = Engine.stats store_engine in
+        s.Engine.full_solves + s.Engine.splices
+      in
+      let served_from_store f =
+        let before = not_from_store () in
+        let outcome = f () in
+        if not_from_store () <> before then ok := false;
+        outcome
+      in
       for _ = 1 to 100 do
-        let faults = random_faults rng inst6 in
-        let got = Engine.solve store_engine ~faults in
+        let faults = random_faults rng inst in
+        let in_bound = Bitset.cardinal faults <= inst.Instance.k in
+        let solve () = Engine.solve store_engine ~faults in
+        let got = if in_bound then served_from_store solve else solve () in
         let want = Engine.solve ~cache:false fresh ~faults in
-        if not (same_verdict inst6 ~faults got want) then ok := false;
+        if not (same_verdict inst ~faults got want) then ok := false;
         (* representative keys inside the bound hit without transport
            and must come back byte-identical to the solve that compiled
            them *)
-        if Bitset.cardinal faults <= inst6.Instance.k then begin
+        if in_bound then begin
           let canon =
             Auto.canonical_set group (Array.of_list (Bitset.elements faults))
           in
           let cmask = Bitset.of_list order (Array.to_list canon) in
-          if Engine.solve store_engine ~faults:cmask
+          if served_from_store (fun () -> Engine.solve store_engine ~faults:cmask)
              <> Engine.solve ~cache:false fresh ~faults:cmask
           then ok := false
         end
@@ -498,7 +514,11 @@ let () =
       ( "oracle",
         [
           QCheck_alcotest.to_alcotest test_flat_oracle;
-          QCheck_alcotest.to_alcotest test_orbit_oracle;
+          QCheck_alcotest.to_alcotest (orbit_oracle inst6);
+          QCheck_alcotest.to_alcotest
+            (orbit_oracle ~suffix:" on G(3,5)" (Family.build ~n:3 ~k:5));
+          QCheck_alcotest.to_alcotest
+            (orbit_oracle ~suffix:" on G(1,4)" (Family.build ~n:1 ~k:4));
         ] );
       ( "corruption",
         [
