@@ -23,11 +23,14 @@ test:
 # run the same crosschecks over the mixed node+link universe: it exits 1
 # (the constructions are not link-GD — that is the honest verdict) but
 # must not exit 3 (crosscheck divergence); --faults checks one explicit
-# mixed node+link set end to end.
+# mixed node+link set end to end.  --merged restricts the universe to the
+# processors and is crosschecked the same way.  An (n, k) with no
+# construction is an input error: exit 2, not a crash.
 check: build test
 	GDPN_DOMAINS=2 dune exec bin/gdp.exe -- verify -n 8 -k 2
 	GDPN_DOMAINS=2 dune exec bin/gdp.exe -- verify -n 8 -k 2 --no-splice
 	GDPN_DOMAINS=2 dune exec bin/gdp.exe -- verify -n 8 -k 2 --crosscheck
+	GDPN_DOMAINS=2 dune exec bin/gdp.exe -- verify -n 8 -k 2 --merged --crosscheck
 	GDPN_DOMAINS=2 dune exec bin/gdp.exe -- verify -n 8 -k 2 --symmetry --crosscheck
 	dune exec bin/gdp.exe -- verify -n 1 -k 5 --symmetry --crosscheck
 	dune exec bin/gdp.exe -- verify -n 2 -k 5 --symmetry --crosscheck
@@ -37,6 +40,8 @@ check: build test
 	tail -1 /tmp/gdpn-check-trace.jsonl | grep -q '"snapshot"'
 	dune exec bin/gdp.exe -- verify -n 8 -k 2 --procs 2 --crosscheck
 	dune exec bin/gdp.exe -- verify -n 3 -k 5 --procs 2 --symmetry --crosscheck
+	dune exec bin/gdp.exe -- verify -n 4 -k 4; test $$? -eq 2
+	dune exec bin/gdp.exe -- build -n 0 -k 2; test $$? -eq 2
 	$(MAKE) resume-smoke
 	$(MAKE) chaos-smoke
 	$(MAKE) serve-smoke

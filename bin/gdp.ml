@@ -69,9 +69,16 @@ let out_arg =
   Arg.(value & opt (some string) None & info [ "out"; "o" ] ~docv:"FILE"
          ~doc:"Write DOT output to $(docv).")
 
+(* Every subcommand builds its instance here, so this is where gdp
+   reports an (n, k) that Family.build refuses — no construction
+   ([Family.Unsupported]) or n, k below 1 ([Invalid_argument]) — as an
+   input error: one [error:] line and exit 2. *)
 let build_instance n k merged =
-  let inst = Family.build ~n ~k in
-  if merged then Merge.apply inst else inst
+  match Family.build ~n ~k with
+  | inst -> if merged then Merge.apply inst else inst
+  | exception (Family.Unsupported msg | Invalid_argument msg) ->
+    pf "error: %s@." msg;
+    exit 2
 
 let model_arg =
   Arg.(value & opt string "node" & info [ "model" ] ~docv:"MODEL"
@@ -139,26 +146,12 @@ let solve_cmd =
 
 (* -------------------- verify -------------------- *)
 
-(* Shared by both verification paths below: the header lines, the
-   symmetry group (with its line) and the report lines, fault sets
+(* The header lines and the report lines of a verification, fault sets
    rendered in the model's element syntax. *)
 let print_model model =
   pf "fault model: %s (universe %d elements, sets of size <= %d)@."
     (Fault_model.name model) (Fault_model.size model)
     (Fault_model.max_faults model)
-
-let verify_group model symmetry =
-  let module Auto = Gdpn_graph.Auto in
-  if not symmetry then None
-  else begin
-    let g = Instance.symmetry (Fault_model.instance model) in
-    pf "symmetry: group order %d, %d generators%s@." (Auto.order g)
-      (List.length (Auto.generators g))
-      (if Auto.is_trivial (Fault_model.induced_symmetry model g) then
-         " — trivial group, using plain enumeration"
-       else "");
-    Some g
-  end
 
 let print_report model report =
   pf "%a@." (Verify.pp_report_model model) report;
@@ -179,12 +172,12 @@ let print_report model report =
    printing one line per check; true when all agree.  With symmetry: the
    orbit-reduced report against full enumeration (verdict, counts and
    orbit-expanded failure sets).  Splice-first against from-scratch
-   solving and, over the whole universe, the work-stealing shards.  The
-   word-parallel kernel against the reference backtracker, with splicing
-   off so every set reaches the solvers: reports and expansion counts
-   must match.  It runs over the run's own enumeration, orbit-reduced
-   under symmetry, because the unreduced space of a link universe is
-   large (mixed G(3,5): 4.2M sets against 166k representatives). *)
+   solving and the work-stealing shards.  The word-parallel kernel
+   against the reference backtracker, with splicing off so every set
+   reaches the solvers: reports and expansion counts must match.  It
+   runs over the run's own enumeration, orbit-reduced under symmetry,
+   because the unreduced space of a link universe is large (mixed
+   G(3,5): 4.2M sets against 166k representatives). *)
 let crosschecks model ~universe ~group ~domains ~no_splice =
   let module Metrics = Gdpn_obs.Metrics in
   let cap = 1_000_000 in
@@ -233,17 +226,12 @@ let crosschecks model ~universe ~group ~domains ~no_splice =
     in
     let scratch = exhaustive ?symmetry:group ~splice:false () in
     let parallel =
-      match universe with
-      | Some _ -> [] (* the shards cover the whole universe *)
-      | None ->
-        [
-          Engine.Parallel.verify_exhaustive_model ~max_failures:cap ~domains
-            ?symmetry:group ~splice:(not no_splice) model;
-        ]
+      Engine.Parallel.run_task ~max_failures:cap ~domains
+        (Engine.Parallel.Task.exhaustive_model ?universe ?symmetry:group
+           ~splice:(not no_splice) model)
     in
-    report
-      ("splice vs from-scratch" ^ if parallel = [] then "" else " vs parallel")
-      (spliced = scratch && List.for_all (( = ) spliced) parallel)
+    report "splice vs from-scratch vs parallel"
+      (spliced = scratch && spliced = parallel)
       (Printf.sprintf "%d sets, %d spliced" spliced.Verify.fault_sets_checked
          n_splices)
   in
@@ -267,89 +255,77 @@ let crosschecks model ~universe ~group ~domains ~no_splice =
   in
   orbit_ok && splice_ok && kernel_ok
 
-(* In-process verification for every fault model: sampled or exhaustive,
-   sharded over domains unless --merged restricts the universe. *)
-let verify_run inst model ~merged ~sample ~domains ~seed ~symmetry
-    ~crosscheck ~no_splice =
-  pf "%a@." Instance.pp inst;
-  print_model model;
-  (* The merged transform restricts node faults to processors; terminals
-     are fault-free in that model. *)
-  let universe =
-    if not merged then None
-    else if Fault_model.is_node model then Some (Instance.processors inst)
-    else begin
-      pf "note: --merged fault restriction applies to the node model only@.";
-      None
-    end
-  in
-  let d =
-    match domains with Some d -> d | None -> Engine.Parallel.default_domains ()
-  in
-  let group = verify_group model symmetry in
-  let report =
-    match sample with
-    | Some trials ->
-      if symmetry then pf "note: --symmetry applies to exhaustive mode only@.";
-      pf "sampled verification: seed=%d domains=%d@." seed d;
-      Engine.Parallel.verify_sampled_model ~seed ~trials ~domains:d model
-    | None when universe <> None ->
-      (* The sharded enumerator covers the whole universe, so a restricted
-         one keeps the sequential path. *)
-      Verify.exhaustive_model ?universe ?symmetry:group ~splice:(not no_splice)
-        model
-    | None ->
-      pf "exhaustive verification: domains=%d@." d;
-      Engine.Parallel.verify_exhaustive_model ~domains:d ?symmetry:group
-        ~splice:(not no_splice) model
-  in
-  print_report model report;
-  let crosscheck_failed =
-    if crosscheck && sample = None then
-      not (crosschecks model ~universe ~group ~domains:d ~no_splice)
-    else begin
-      if crosscheck then pf "note: --crosscheck requires exhaustive mode@.";
-      false
-    end
-  in
-  if crosscheck_failed then 3 else if Verify.is_k_gd report then 0 else 1
-
-(* Out-of-core verification: --procs / --checkpoint / --resume route the
-   run through the first-class task decomposition
-   ([Engine.Parallel.Task]), optionally farmed over worker processes
-   ([Mp.run] spawning `gdp verify-worker` children) and/or streamed to a
-   resumable checkpoint file.  Both the resumed and the multi-process
-   reports are byte-identical to the sequential one — the deterministic
-   rank merge is the same in every topology — which --crosscheck verifies
-   directly (exit 3 on divergence). *)
-let verify_oocore inst model ~model_name ~n ~k ~domains ~procs ~ckpt_path
-    ~resume_path ~symmetry ~crosscheck ~no_splice ~sample ~merged =
+(* Every verification, in every fault model: build the task once —
+   sampled, or exhaustive (orbit-reduced under a nontrivial induced
+   group; restricted to the processors under --merged) — then drain it
+   over domains ([Engine.Parallel.run_task], optionally checkpointed to
+   or resumed from a file) or over `gdp verify-worker` processes
+   ([Mp.run]).  Every drain merges into the same report, which
+   --crosscheck verifies (exit 3 on divergence). *)
+let verify_run inst model ~model_name ~n ~k ~merged ~sample ~domains ~seed
+    ~symmetry ~crosscheck ~no_splice ~procs ~ckpt_path ~resume_path =
+  let module Auto = Gdpn_graph.Auto in
   let module Task = Engine.Parallel.Task in
   let module Checkpoint = Gdpn_engine.Checkpoint in
   let module Mp = Gdpn_engine.Mp in
-  if sample <> None then begin
-    pf "error: --procs/--checkpoint/--resume require exhaustive mode@.";
+  let out_of_core = procs > 1 || ckpt_path <> None || resume_path <> None in
+  let refuse msg =
+    pf "error: %s@." msg;
     2
-  end
-  else if merged then begin
-    pf "error: --merged restricts the fault universe to the sequential \
-        path; it cannot be checkpointed or farmed over processes@.";
-    2
-  end
-  else if ckpt_path <> None && resume_path <> None then begin
-    pf "error: --resume already appends to its own file; give one of \
-        --checkpoint/--resume@.";
-    2
-  end
+  in
+  if out_of_core && sample <> None then
+    refuse "--procs/--checkpoint/--resume require exhaustive mode"
+  else if out_of_core && merged then
+    refuse
+      "--merged runs in process only; it cannot be checkpointed or farmed \
+       over processes"
+  else if ckpt_path <> None && resume_path <> None then
+    refuse
+      "--resume already appends to its own file; give one of \
+       --checkpoint/--resume"
   else begin
     let max_failures = 5 in
     pf "%a@." Instance.pp inst;
     print_model model;
-    let group = verify_group model symmetry in
-    let task =
-      Task.exhaustive_model ?symmetry:group ~splice:(not no_splice) model
+    (* The merged transform restricts node faults to processors; terminals
+       are fault-free in that model. *)
+    let universe =
+      if not merged then None
+      else if Fault_model.is_node model then Some (Instance.processors inst)
+      else begin
+        pf "note: --merged fault restriction applies to the node model only@.";
+        None
+      end
     in
-    let header = Task.header task ~max_failures in
+    let d =
+      match domains with
+      | Some d -> d
+      | None -> Engine.Parallel.default_domains ()
+    in
+    let group, task =
+      match sample with
+      | Some trials ->
+        if symmetry then
+          pf "note: --symmetry applies to exhaustive mode only@.";
+        ( None,
+          Task.sampled_model ~rng:(Random.State.make [| seed |]) ~trials model
+        )
+      | None ->
+        let group = if symmetry then Some (Instance.symmetry inst) else None in
+        let task =
+          Task.exhaustive_model ?universe ?symmetry:group
+            ~splice:(not no_splice) model
+        in
+        Option.iter
+          (fun g ->
+            pf "symmetry: group order %d, %d generators%s@." (Auto.order g)
+              (List.length (Auto.generators g))
+              (match Task.spec task with
+              | Some { Verify.Task.s_orbit = true; _ } -> ""
+              | Some _ | None -> " — trivial group, using plain enumeration"))
+          group;
+        (group, task)
+    in
     let nunits = Task.nunits task in
     let resume_state =
       match resume_path with
@@ -359,7 +335,9 @@ let verify_oocore inst model ~model_name ~n ~k ~domains ~procs ~ckpt_path
         | Error e -> Error e
         | Ok l -> (
           match
-            Checkpoint.check_header ~expected:header l.Checkpoint.l_header
+            Checkpoint.check_header
+              ~expected:(Task.header task ~max_failures)
+              l.Checkpoint.l_header
           with
           | Error e -> Error e
           | Ok () -> Ok (Some l)))
@@ -368,7 +346,7 @@ let verify_oocore inst model ~model_name ~n ~k ~domains ~procs ~ckpt_path
     | Error e ->
       pf "error: cannot resume: %s@." e;
       2
-    | Ok loaded ->
+    | Ok loaded -> (
       let resumed = Option.map (fun l -> l.Checkpoint.l_results) loaded in
       Option.iter
         (fun l ->
@@ -386,13 +364,13 @@ let verify_oocore inst model ~model_name ~n ~k ~domains ~procs ~ckpt_path
         loaded;
       let writer =
         match (ckpt_path, resume_path) with
-        | Some path, _ -> Some (Checkpoint.create ~path header)
+        | Some path, _ ->
+          Some (Checkpoint.create ~path (Task.header task ~max_failures))
         | None, Some path -> Some (Checkpoint.open_append ~path)
         | None, None -> None
       in
       let run_report () =
-        Fun.protect
-          ~finally:(fun () -> Option.iter Checkpoint.close writer)
+        Fun.protect ~finally:(fun () -> Option.iter Checkpoint.close writer)
         @@ fun () ->
         if procs > 1 then begin
           let argv =
@@ -409,43 +387,43 @@ let verify_oocore inst model ~model_name ~n ~k ~domains ~procs ~ckpt_path
           Mp.run ~max_failures ~procs ~argv ?checkpoint:writer ?resumed task
         end
         else begin
-          let d =
-            match domains with
-            | Some d -> d
-            | None -> Engine.Parallel.default_domains ()
-          in
-          pf "checkpointed verification: domains=%d units=%d@." d nunits;
+          (match sample with
+          | Some _ -> pf "sampled verification: seed=%d domains=%d@." seed d
+          | None when out_of_core ->
+            pf "checkpointed verification: domains=%d units=%d@." d nunits
+          | None -> pf "exhaustive verification: domains=%d@." d);
           Engine.Parallel.run_task ~max_failures ~domains:d ?checkpoint:writer
             ?resumed task
         end
       in
-      (match run_report () with
+      match run_report () with
       | exception Mp.Worker_died pid ->
         pf "error: worker process %d died with a unit still assigned@." pid;
         2
       | report ->
-        (match ckpt_path with
-        | Some p -> pf "checkpoint: %s@." p
-        | None -> ());
+        Option.iter (pf "checkpoint: %s@.") ckpt_path;
         print_report model report;
-        let crosscheck_failed =
-          if crosscheck then begin
+        let agree =
+          if not crosscheck then true
+          else if sample <> None then begin
+            pf "note: --crosscheck requires exhaustive mode@.";
+            true
+          end
+          else if out_of_core then begin
             let seq =
               Verify.exhaustive_model ~max_failures ?symmetry:group
                 ~splice:(not no_splice) model
             in
-            let agree = report = seq in
+            let same = report = seq in
             pf "crosscheck out-of-core vs sequential: %s (%d sets, %d \
                 solver calls)@."
-              (if agree then "PASS" else "FAIL")
+              (if same then "PASS" else "FAIL")
               seq.Verify.fault_sets_checked seq.Verify.solver_calls;
-            not agree
+            same
           end
-          else false
+          else crosschecks model ~universe ~group ~domains:d ~no_splice
         in
-        if crosscheck_failed then 3
-        else if Verify.is_k_gd report then 0
-        else 1)
+        if not agree then 3 else if Verify.is_k_gd report then 0 else 1)
   end
 
 let verify_cmd =
@@ -487,7 +465,7 @@ let verify_cmd =
     Arg.(value & opt int 0 & info [ "procs" ] ~docv:"P"
            ~doc:"Farm the exhaustive enumeration over $(docv) worker \
                  processes ($(b,gdp verify-worker) children over pipes). \
-                 The report is byte-identical to the sequential one.")
+                 The report is identical to an in-process run's.")
   in
   let checkpoint_arg =
     Arg.(value & opt (some string) None & info [ "checkpoint" ] ~docv:"FILE"
@@ -583,12 +561,9 @@ let verify_cmd =
       2
     | Ok model when fault_spec <> None ->
       check_fault_spec inst model (Option.get fault_spec)
-    | Ok model when procs > 1 || ckpt_path <> None || resume_path <> None ->
-      verify_oocore inst model ~model_name ~n ~k ~domains ~procs ~ckpt_path
-        ~resume_path ~symmetry ~crosscheck ~no_splice ~sample ~merged
     | Ok model ->
-      verify_run inst model ~merged ~sample ~domains ~seed ~symmetry
-        ~crosscheck ~no_splice
+      verify_run inst model ~model_name ~n ~k ~merged ~sample ~domains ~seed
+        ~symmetry ~crosscheck ~no_splice ~procs ~ckpt_path ~resume_path
   in
   Cmd.v
     (Cmd.info "verify" ~doc:"Verify k-graceful-degradability.")
@@ -618,7 +593,7 @@ let verify_worker_cmd =
            ~doc:"Per-unit recorded-entry cap (must match the coordinator).")
   in
   let run n k model_name symmetry no_splice max_failures =
-    let inst = Family.build ~n ~k in
+    let inst = build_instance n k false in
     match model_of_name inst model_name with
     | Error e ->
       prerr_endline ("verify-worker: " ^ e);
@@ -695,7 +670,7 @@ let simulate_cmd =
   in
   let run n k stages rounds inject seed model_name trace_out =
     with_trace trace_out @@ fun () ->
-    let inst = Family.build ~n ~k in
+    let inst = build_instance n k false in
     match model_of_name inst model_name with
     | Error e ->
       pf "error: %s@." e;
@@ -902,7 +877,7 @@ let certify_cmd =
                  fault spaces.  `gdp check-cert` validates both formats.")
   in
   let run n k stream file =
-    let inst = Family.build ~n ~k in
+    let inst = build_instance n k false in
     pf "%a@." Instance.pp inst;
     (* Through the engine: size-s witnesses splice from their cached
        size-(s-1) predecessors instead of re-running the solver. *)
@@ -947,7 +922,7 @@ let check_cert_cmd =
            ~doc:"Certificate file produced by `gdp certify`.")
   in
   let run n k file =
-    let inst = Family.build ~n ~k in
+    let inst = build_instance n k false in
     let ic = open_in file in
     let text = really_input_string ic (in_channel_length ic) in
     close_in ic;
@@ -968,7 +943,7 @@ let check_cert_cmd =
 
 let console_cmd =
   let run n k =
-    let inst = Family.build ~n ~k in
+    let inst = build_instance n k false in
     let console = Faultsim.Console.create inst in
     pf "gdpn console — 'help' for commands, 'quit' to leave@.";
     let rec loop () =
@@ -1056,7 +1031,7 @@ let bounds_cmd =
 
 let draw_cmd =
   let run n k faults =
-    let inst = Family.build ~n ~k in
+    let inst = build_instance n k false in
     let pipeline =
       match Reconfig.solve_list inst ~faults with
       | Reconfig.Pipeline p -> Some p
@@ -1134,7 +1109,7 @@ let survival_cmd =
   let run n k trials seed =
     let rng () = Random.State.make [| seed |] in
     pf "%-14s %s@." "scheme" "faults absorbed before stream loss";
-    let inst = Family.build ~n ~k in
+    let inst = build_instance n k false in
     pf "%-14s %a@." "gdpn"
       Gdpn_baselines.Survival.pp_stats
       (Gdpn_baselines.Survival.instance_lifetime ~rng:(rng ()) ~trials inst);
@@ -1157,7 +1132,7 @@ let survival_cmd =
 
 let links_cmd =
   let run n k =
-    let inst = Family.build ~n ~k in
+    let inst = build_instance n k false in
     pf "%a@." Instance.pp inst;
     pf "surveying every mixed node/link fault set of size <= %d ...@." k;
     let s = Link_faults.survey_exhaustive inst in
@@ -1200,7 +1175,7 @@ let trace_cmd =
            ~doc:"Random faults to inject.")
   in
   let run n k rounds inject seed =
-    let inst = Family.build ~n ~k in
+    let inst = build_instance n k false in
     let machine = Faultsim.Machine.create inst in
     let rng = Faultsim.Stream.Prng.create seed in
     let schedule = Faultsim.Injector.random ~rng inst ~count:inject ~rounds in
@@ -1243,7 +1218,7 @@ let stats_cmd =
   in
   let run n k rounds inject seed json store trace_out =
     with_trace trace_out @@ fun () ->
-    let inst = Family.build ~n ~k in
+    let inst = build_instance n k false in
     (* A representative workload that exercises every instrumented layer:
        an exhaustive verification (solver + verify counters), then a
        fault-injected simulation (engine cache + machine + runner). *)
@@ -1254,7 +1229,10 @@ let stats_cmd =
       match Engine.attach_store engine ~path with
       | Ok () -> ()
       | Error e -> pf "warning: plan store not attached: %s@." e));
-    let report = Engine.verify_exhaustive engine in
+    let report =
+      Engine.Parallel.verify_exhaustive ~budget:(Engine.budget engine)
+        ~domains:1 inst
+    in
     let machine = Faultsim.Machine.create ~engine inst in
     let rng = Faultsim.Stream.Prng.create seed in
     let schedule =

@@ -16,22 +16,7 @@ module Combinat = Gdpn_graph.Combinat
 
 (* Exhaustive k-GD check with early exit, largest fault sets first (faults
    of maximal size fail soonest in practice). *)
-let is_k_gd inst =
-  let order = Instance.order inst in
-  let k = inst.Instance.k in
-  let model = Fault_model.node inst in
-  let ok = ref true in
-  (try
-     for size = k downto 0 do
-       Combinat.iter_choose order size (fun buf ->
-           match Verify.check_model_set model (Array.to_list buf) with
-           | Ok _ -> ()
-           | Error _ ->
-             ok := false;
-             raise Exit)
-     done
-   with Exit -> ());
-  !ok
+let is_k_gd = Impossibility.is_k_gd_quick
 
 (* Build a standard instance from a processor graph + terminal attachment. *)
 let instance_of ~n ~k ~name proc_graph attach =

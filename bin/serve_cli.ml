@@ -88,8 +88,9 @@ let serve_run fleet socket port workers queue warm budget cache_limit
     | () ->
       pf "gdpd: shut down cleanly@.";
       0
-    | exception Invalid_argument e ->
-      epf "gdpd: %s@." e;
+    | exception (Invalid_argument e | Family.Unsupported e) ->
+      (* Bad configuration, an unbuildable fleet slot included. *)
+      epf "gdpd: error: %s@." e;
       2)
 
 let serve_term =

@@ -5,6 +5,14 @@
     {e not} monotone in the fault set: exhaustive mode therefore enumerates
     every subset of every size [0..k], not just the maximal ones.
 
+    There is one enumeration core, {!Task}: a verification problem cut
+    into a canonical array of work units, each checked by a processor
+    that reports rank-tagged failures.  {!exhaustive_model} and
+    {!sampled_model} build a task and drain it on the calling domain;
+    [Gdpn_engine.Engine.Parallel] drains the same units over a domain
+    pool, a checkpoint file or worker processes, and every drain merges
+    into the same canonical report.
+
     Every job has one body, written over a {!Fault_model.t}: the [_model]
     entry points below.  The node-fault entry points ({!exhaustive},
     {!sampled}, {!check_fault_set}) are wrappers that pass
@@ -26,7 +34,10 @@ type report = {
   solver_calls : int;
       (** solver invocations actually made; equals [fault_sets_checked]
           except in orbit-reduced mode, where it counts representatives *)
-  failures : failure list;  (** at most [max_failures], in discovery order *)
+  failures : failure list;
+      (** at most [max_failures], in canonical order: sizes ascending,
+          lexicographic within a size (orbit representatives in that
+          order; sampled sets in trial order) *)
   gave_up : int;  (** fault sets where the solver exhausted its budget *)
 }
 
@@ -55,18 +66,18 @@ val exhaustive :
     [Invalid_argument] if the group's degree differs from the instance
     order or [universe] is not group-invariant.
 
-    [splice] (default [true]) enumerates the fault space as a prefix
-    tree, keeping a per-branch stack of solved plans: each child set is
-    first patched from its parent's pipeline ({!Repair.patch}, which
+    [splice] (default [true]) walks each work unit as a prefix tree,
+    keeping a chain of solved prefix plans: each child set is first
+    patched from its parent's pipeline ({!Repair.patch}, which
     revalidates — a positive verdict is always genuine) and only solved
     from scratch when the splice fails.  Negatives always come from a
     full solve, so the report is identical to [~splice:false] field for
     field (the one theoretical exception: with a finite [budget], a
     splice can succeed where the budgeted solver would have given up —
     the default budget is unbounded, and [gdp verify --crosscheck]
-    guards budgeted runs).  In orbit-reduced mode the representatives'
-    shared prefixes form the chain, and each representative is patched
-    from its nearest solved ancestor. *)
+    guards budgeted runs).  In orbit-reduced mode the representatives,
+    taken in DFS preorder, share prefixes on the chain, and each is
+    patched from its nearest solved ancestor. *)
 
 val expanded_failure_sets :
   symmetry:Gdpn_graph.Auto.group -> report -> int list list
@@ -115,14 +126,16 @@ val check_fault_set : ?budget:int -> Instance.t -> int list -> (unit, string) re
 (** Rank-tagged bounded failure buffer: keeps the [cap] lowest-ranked
     failures seen, where a rank is the fault set's position in the
     canonical enumeration order ({!Gdpn_graph.Combinat.rank_of_subset}).
-    Out-of-order enumerators (the DFS prefix walk, parallel shards) feed
-    one of these per source and reconstruct the sequential report with
-    {!merge_tagged}. *)
+    Each drain (a domain, a checkpointed unit, a worker process) feeds
+    one, and {!Task.merge} reconstructs the canonical report from their
+    contents. *)
 module Topk : sig
   type t
 
   val create : int -> t
-  (** [create cap] holds at most [max 1 cap] entries. *)
+  (** [create cap] holds at most [max 1 cap] entries.  Storage grows
+      geometrically as entries arrive, so a large [cap] costs nothing
+      until it fills. *)
 
   val insert : t -> rank:int -> failure -> unit
   val full : t -> bool
@@ -133,19 +146,6 @@ module Topk : sig
   val to_list : t -> (int * failure) list
   (** Retained entries, rank-ascending. *)
 end
-
-val merge_tagged :
-  max_failures:int ->
-  counts:(int option -> int * int) ->
-  (int * failure) list list ->
-  report
-(** Merge rank-tagged failures from any number of sources into the report
-    the sequential enumeration would have produced: the lowest-ranked
-    [max 1 max_failures] failures are kept in rank order, and
-    [counts stop] maps the early-stop rank ([None] when enumeration ran
-    to completion) to [(fault_sets_checked, solver_calls)] — the
-    indirection lets orbit-reduced callers translate representative ranks
-    into orbit-expanded totals. *)
 
 val pp_report : Format.formatter -> report -> unit
 (** The one-line [checked ...] summary, fault sets as node ids. *)
@@ -159,10 +159,10 @@ val pp_report_model : Fault_model.t -> Format.formatter -> report -> unit
     The single bodies behind the node entry points above: fault sets are
     subsets of the model's universe ({!Fault_model.size} elements), so
     [failure.faults] holds universe {e indices} (render with
-    {!Fault_model.describe} or {!pp_report_model}).  All four strategies
-    — plain, splice-first DFS, orbit-reduced from scratch, orbit-reduced
-    with splicing — run over the universe, and {!Fault_model} supplies the
-    degraded instance and the local repair rule. *)
+    {!Fault_model.describe} or {!pp_report_model}).  Plain and
+    orbit-reduced units, with or without splicing, run over the universe,
+    and {!Fault_model} supplies the degraded instance and the local
+    repair rule. *)
 
 val exhaustive_model :
   ?budget:int ->
@@ -180,8 +180,9 @@ val exhaustive_model :
     universe is derived via {!Fault_model.induced_symmetry}, so
     orbit-reduced enumeration works for links, colour classes and
     neighborhoods exactly as for nodes.  [solve] overrides the per-set
-    solver (the engine passes its context-reusing, cache-aware solver);
-    witnesses are revalidated against the degraded instance regardless. *)
+    solver (the kernel crosschecks pass the reference backtracker);
+    witnesses are revalidated against the degraded instance regardless,
+    so a dishonest override cannot make verification pass. *)
 
 val sampled_model :
   rng:Random.State.t ->
@@ -191,7 +192,8 @@ val sampled_model :
   ?max_failures:int ->
   Fault_model.t ->
   report
-(** {!sampled}'s body, over the model's universe. *)
+(** {!sampled}'s body, over the model's universe.  The whole trial
+    sequence is drawn from [rng] before any set is checked. *)
 
 val check_model_set :
   ?budget:int -> Fault_model.t -> int list -> (Pipeline.t, string) result
@@ -199,43 +201,110 @@ val check_model_set :
     witness pipeline (the CLI's [--faults] debugging aid).  Raises
     [Invalid_argument] on an out-of-range index. *)
 
-val solve_checked_model :
-  ?budget:int ->
-  ?solve:(faults:Gdpn_graph.Bitset.t -> Reconfig.outcome) ->
-  Fault_model.t ->
-  Gdpn_graph.Bitset.t ->
-  (Pipeline.t, string) result
-(** Solve through {!Fault_model.solve} (or the [solve] override, as the
-    engine passes its context-reusing solver) and revalidate the witness
-    on the degraded instance, keeping it for reuse as a splice parent.  A
-    dishonest override cannot make verification pass.  Does {e not}
-    touch the [verify.solver_calls] counter: prefix-tree callers settle
-    it against the merged report instead. *)
+(** {1 Work units} *)
 
-val check_mask_model :
-  ?budget:int ->
-  ?solve:(faults:Gdpn_graph.Bitset.t -> Reconfig.outcome) ->
-  Fault_model.t ->
-  Gdpn_graph.Bitset.t ->
-  (unit, string) result
-(** {!solve_checked_model} without the witness, counted in
-    [verify.solver_calls]. *)
+(** One verification problem cut into a canonical array of work units.
+    The cut is a function of the model and mode alone — never of the
+    domain or process count — so a unit reports the same failures
+    wherever it runs, and a checkpoint written under one topology
+    resumes under any other.
 
-val splice_checked_model :
-  ?budget:int ->
-  ?solve:(faults:Gdpn_graph.Bitset.t -> Reconfig.outcome) ->
-  ?reported:bool ->
-  Fault_model.t ->
-  parent:(Pipeline.t, string) result ->
-  mask:Gdpn_graph.Bitset.t ->
-  failed:int ->
-  (Pipeline.t, string) result
-(** Splice-first check of [mask] = parent's faults ∪ {[failed]}
-    ([failed] a universe index): repair the parent's pipeline through
-    {!Fault_model.splice} (revalidated, so positives are genuine), full
-    solve on splice failure or when the parent has no pipeline (tolerance
-    is not monotone).  Negatives always come from a full solve, so failure
-    reasons match {!check_mask_model} exactly.  [reported] (default
-    [true]) selects the metric cells: reported checks feed
-    [verify.splices]/[verify.splice_failures], scaffold pushes feed
-    [verify.scaffold_solves]. *)
+    - Plain units: one unit for the sets of size [< min k 2], then one
+      DFS subtree per size-[min k 2] prefix of the universe.
+    - Orbit units: fixed-size spans of the orbit representatives in DFS
+      preorder ({e orbit×splice fusion}: consecutive representatives
+      share prefixes, so each splices from its nearest solved ancestor).
+    - Sampled units: fixed-size spans of the trial sequence.
+
+    Every failure carries its rank in the canonical order (the subset's
+    size-major rank, the representative's index, the trial index), so
+    {!merge} rebuilds the canonical report from any drain order. *)
+module Task : sig
+  type t
+
+  type spec = {
+    s_model : Fault_model.t;
+    s_orbit : bool;  (** orbit-reduced *)
+    s_splice : bool;  (** splice-first chains *)
+    s_universe : int list option;  (** the [universe] restriction *)
+  }
+  (** What an exhaustive task enumerates: everything a checkpoint header
+      must pin besides the unit count. *)
+
+  val exhaustive_model :
+    ?budget:int ->
+    ?solve:(faults:Gdpn_graph.Bitset.t -> Reconfig.outcome) ->
+    ?universe:int list ->
+    ?symmetry:Gdpn_graph.Auto.group ->
+    ?splice:bool ->
+    Fault_model.t ->
+    t
+  (** The units behind {!exhaustive_model}, with the same arguments. *)
+
+  val exhaustive :
+    ?budget:int ->
+    ?solve:(faults:Gdpn_graph.Bitset.t -> Reconfig.outcome) ->
+    ?universe:int list ->
+    ?symmetry:Gdpn_graph.Auto.group ->
+    ?splice:bool ->
+    Instance.t ->
+    t
+  (** {!exhaustive_model} over [Fault_model.node inst]. *)
+
+  val sampled_model :
+    rng:Random.State.t ->
+    trials:int ->
+    ?budget:int ->
+    ?solve:(faults:Gdpn_graph.Bitset.t -> Reconfig.outcome) ->
+    Fault_model.t ->
+    t
+  (** The units behind {!sampled_model}; the trials are drawn here. *)
+
+  val nunits : t -> int
+
+  val min_rank : t -> int -> int
+  (** Lower bound on the ranks unit [u] can emit — a scheduler skips the
+      whole unit once the early-stop cutoff drops below it. *)
+
+  val items : t -> int
+  (** Fault sets (orbit representatives, trials) a full drain checks. *)
+
+  val spec : t -> spec option
+  (** [None] for sampled tasks, whose trials come from an RNG state. *)
+
+  val processor :
+    t ->
+    record:(rank:int -> failure -> unit) ->
+    cutoff:(unit -> int) ->
+    int ->
+    unit
+  (** [processor t] builds one domain's solver chain; the result checks
+      one unit id per call, reporting rank-tagged failures through
+      [record] and skipping sets ranked above [cutoff ()].  Unit ids may
+      arrive in any order (the chain re-aligns). *)
+
+  val drain :
+    t ->
+    max_failures:int ->
+    next:(unit -> int option) ->
+    cutoff:(unit -> int) ->
+    tighten:(int -> unit) ->
+    on_unit:(int -> (int * failure) list -> unit) ->
+    (int * failure) list
+  (** One domain's drain: process the unit ids [next] hands out until it
+      returns [None], skipping units whose {!min_rank} is above
+      [cutoff ()], and keep the lowest-ranked [max_failures] failures,
+      passing their highest rank to [tighten] whenever the buffer is
+      full.  [on_unit u entries] receives each processed unit's own
+      capped failures (a checkpoint record).  Returns the kept failures,
+      rank-ascending.  {!exhaustive_model} drains every unit in order on
+      the calling domain; [Engine.Parallel.run_task] runs one drain per
+      domain. *)
+
+  val merge : t -> max_failures:int -> (int * failure) list list -> report
+  (** Deterministic rank merge of any mix of sources — drains,
+      checkpoint records, worker results — into the canonical report:
+      the lowest-ranked [max 1 max_failures] failures in rank order,
+      with the counts of an enumeration that stopped at the last of them
+      when the cap was reached. *)
+end

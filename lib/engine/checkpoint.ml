@@ -29,6 +29,7 @@ type header = {
   h_usize : int;  (** fault universe size *)
   h_k : int;  (** max fault-set size *)
   h_nunits : int;  (** canonical unit count *)
+  h_universe : int list option;  (** restricted universe, if any *)
 }
 
 let magic = "gdpn-ckpt 1\n"
@@ -43,6 +44,12 @@ let encode_header h =
   Codec.put_uint buf h.h_usize;
   Codec.put_uint buf h.h_k;
   Codec.put_uint buf h.h_nunits;
+  (* 0 for the whole universe, else 1 + the length, then the elements. *)
+  (match h.h_universe with
+  | None -> Codec.put_uint buf 0
+  | Some l ->
+    Codec.put_uint buf (List.length l + 1);
+    List.iter (Codec.put_uint buf) l);
   Buffer.contents buf
 
 let decode_header s =
@@ -54,7 +61,18 @@ let decode_header s =
   let h_max_failures, p = Codec.get_uint s p in
   let h_usize, p = Codec.get_uint s p in
   let h_k, p = Codec.get_uint s p in
-  let h_nunits, _ = Codec.get_uint s p in
+  let h_nunits, p = Codec.get_uint s p in
+  let n, p = Codec.get_uint s p in
+  let p = ref p in
+  let h_universe =
+    if n = 0 then None
+    else
+      Some
+        (List.init (n - 1) (fun _ ->
+             let v, next = Codec.get_uint s !p in
+             p := next;
+             v))
+  in
   {
     h_digest;
     h_model;
@@ -64,6 +82,7 @@ let decode_header s =
     h_usize;
     h_k;
     h_nunits;
+    h_universe;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -175,6 +194,8 @@ let check_header ~expected (h : header) =
   else if h.h_usize <> expected.h_usize || h.h_k <> expected.h_k then
     err "checkpoint universe (%d, k=%d) does not match run (%d, k=%d)"
       h.h_usize h.h_k expected.h_usize expected.h_k
+  else if h.h_universe <> expected.h_universe then
+    err "checkpoint restricts the fault universe differently from the run"
   else if h.h_nunits <> expected.h_nunits then
     err "checkpoint has %d work units, run decomposes into %d" h.h_nunits
       expected.h_nunits

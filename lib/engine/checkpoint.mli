@@ -17,6 +17,8 @@ type header = {
   h_usize : int;  (** fault universe size *)
   h_k : int;  (** max fault-set size *)
   h_nunits : int;  (** canonical unit count *)
+  h_universe : int list option;
+      (** the task's universe restriction ([None]: the whole universe) *)
 }
 
 type writer
@@ -48,4 +50,4 @@ val load : path:string -> (loaded, string) result
 
 val check_header : expected:header -> header -> (unit, string) result
 (** Reject resuming under a different instance, model, enumeration mode,
-    [max_failures] or unit decomposition. *)
+    [max_failures], universe or unit decomposition. *)

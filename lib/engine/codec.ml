@@ -1,5 +1,6 @@
-(* Compact binary codec for serializable verification work units and
-   their partial results.
+(* Compact binary codec for the results of verification work units.
+   Units themselves never cross a process boundary: both ends rebuild
+   the canonical unit array from the spec, and only unit ids travel.
 
    Everything here is deliberately dependency-free and stream-oriented:
    the same byte shapes serve the checkpoint file (appended record by
@@ -9,14 +10,6 @@
    ids, unit ids and orbit sizes are tiny, while enumeration ranks can
    approach int63, and varints serve both ends without a fixed-width
    compromise. *)
-
-type unit_desc =
-  | Shallow  (** the sets of size < min k 2 (plain DFS decomposition) *)
-  | Rooted of int array  (** one DFS subtree, rooted at this prefix *)
-  | Span of int * int
-      (** [lo, hi) index span: positions in the DFS-ordered
-          orbit-representative stream (orbit mode) or trial indices
-          (sampled mode) *)
 
 type unit_result = {
   r_unit : int;  (** unit id: index in the canonical unit array *)
@@ -68,39 +61,8 @@ let get_string s pos =
   (String.sub s pos len, pos + len)
 
 (* ------------------------------------------------------------------ *)
-(* Unit descriptors and results                                        *)
+(* Unit results                                                        *)
 (* ------------------------------------------------------------------ *)
-
-let put_unit_desc buf = function
-  | Shallow -> put_uint buf 0
-  | Rooted prefix ->
-    put_uint buf 1;
-    put_uint buf (Array.length prefix);
-    Array.iter (put_uint buf) prefix
-  | Span (lo, hi) ->
-    put_uint buf 2;
-    put_uint buf lo;
-    put_uint buf hi
-
-let get_unit_desc s pos =
-  let tag, pos = get_uint s pos in
-  match tag with
-  | 0 -> (Shallow, pos)
-  | 1 ->
-    let len, pos = get_uint s pos in
-    let pos = ref pos in
-    let prefix =
-      Array.init len (fun _ ->
-          let v, p = get_uint s !pos in
-          pos := p;
-          v)
-    in
-    (Rooted prefix, !pos)
-  | 2 ->
-    let lo, pos = get_uint s pos in
-    let hi, pos = get_uint s pos in
-    (Span (lo, hi), pos)
-  | t -> raise (Corrupt (Printf.sprintf "unknown unit tag %d" t))
 
 let put_failure buf (f : Gdpn_core.Verify.failure) =
   put_uint buf (List.length f.faults);

@@ -1,5 +1,7 @@
-(** Compact binary codec for serializable verification work units and
-    partial results.
+(** Compact binary codec for the results of verification work units
+    (the units themselves are never serialized: both ends of a pipe or
+    checkpoint rebuild the canonical unit array, and only unit ids
+    travel).
 
     One byte vocabulary serves two transports: the {e checkpoint file}
     (one checksummed frame appended per drained unit, torn tails from a
@@ -8,14 +10,6 @@
     reusable by a future [gdpd] daemon).  Integers are LEB128 varints:
     fault ids and unit ids are tiny, enumeration ranks approach int63,
     and varints serve both without a fixed-width compromise. *)
-
-type unit_desc =
-  | Shallow  (** the sets of size < min k 2 (plain DFS decomposition) *)
-  | Rooted of int array  (** one DFS subtree, rooted at this prefix *)
-  | Span of int * int
-      (** [lo, hi) index span: positions in the DFS-ordered
-          orbit-representative stream (orbit mode) or trial indices
-          (sampled mode) *)
 
 type unit_result = {
   r_unit : int;  (** unit id: index in the canonical unit array *)
@@ -39,8 +33,6 @@ val get_uint : string -> int -> int * int
 
 val put_string : Buffer.t -> string -> unit
 val get_string : string -> int -> string * int
-val put_unit_desc : Buffer.t -> unit_desc -> unit
-val get_unit_desc : string -> int -> unit_desc * int
 val put_unit_result : Buffer.t -> unit_result -> unit
 val get_unit_result : string -> int -> unit_result * int
 

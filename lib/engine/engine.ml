@@ -1,5 +1,4 @@
 module Bitset = Gdpn_graph.Bitset
-module Combinat = Gdpn_graph.Combinat
 module Hamilton = Gdpn_graph.Hamilton
 module Auto = Gdpn_graph.Auto
 module Metrics = Gdpn_obs.Metrics
@@ -26,16 +25,7 @@ let m_store_misses = Metrics.counter "engine.store_misses"
 let m_store_transports = Metrics.counter "engine.store_transports"
 let g_store_mmap_bytes = Metrics.gauge "engine.store_mmap_bytes"
 let h_solve_miss = Metrics.histogram "engine.solve_miss_ns"
-let h_verify = Metrics.histogram "engine.verify_ns"
 let h_shard = Metrics.histogram "engine.parallel_shard_ns"
-
-(* Same cells as Verify's own instruments (registration is idempotent by
-   name): the parallel shards account their representatives and splice
-   work here, where the orbit sizes and chain state are known. *)
-let m_orbits_checked = Metrics.counter "verify.orbits_checked"
-let m_calls_saved = Metrics.counter "verify.solver_calls_saved"
-let m_v_solver_calls = Metrics.counter "verify.solver_calls"
-let m_v_scaffold_solves = Metrics.counter "verify.scaffold_solves"
 
 (* Out-of-core verification: units skipped on resume because the
    checkpoint already held their result (the checkpointed-units twin
@@ -398,31 +388,8 @@ let solve_list ?cache t ~faults =
   solve ?cache t ~faults:(Bitset.of_list (Instance.order t.inst) faults)
 
 (* ------------------------------------------------------------------ *)
-(* Engine-backed workloads                                             *)
+(* Certification through the cached solver                             *)
 (* ------------------------------------------------------------------ *)
-
-let verify_exhaustive_model ?max_failures ?universe ?symmetry ?splice t model
-    =
-  require_same_instance t model "Engine.verify_exhaustive_model";
-  Metrics.time h_verify (fun () ->
-      Verify.exhaustive_model ~budget:t.budget
-        ~solve:(fun ~faults -> solve_model ~cache:false t model ~faults)
-        ?max_failures ?universe ?symmetry ?splice model)
-
-let verify_sampled_model ~seed ~trials ?max_failures t model =
-  require_same_instance t model "Engine.verify_sampled_model";
-  Metrics.time h_verify (fun () ->
-      Verify.sampled_model
-        ~rng:(Random.State.make [| seed |])
-        ~trials ~budget:t.budget
-        ~solve:(fun ~faults -> solve_model ~cache:false t model ~faults)
-        ?max_failures model)
-
-let verify_exhaustive ?max_failures ?universe ?symmetry ?splice t =
-  verify_exhaustive_model ?max_failures ?universe ?symmetry ?splice t t.node
-
-let verify_sampled ~seed ~trials ?max_failures t =
-  verify_sampled_model ~seed ~trials ?max_failures t t.node
 
 let certify ?(symmetry = true) t =
   let solve ~faults = solve t ~faults in
@@ -588,453 +555,30 @@ module Parallel = struct
       go 0
   end
 
-  (* Per-domain chain of solved prefix plans, mirroring the sequential
-     prefix-tree walk: [c_res.(d)] is the (memoised) outcome for the
-     prefix [c_elts.(0..d-1)]; [c_len = -1] until the empty set has been
-     solved.  Negative outcomes are memoised too — the solver is
-     deterministic, so reusing a recorded [Error] is identical to
-     re-solving.  With [c_splice = false] the chain degrades to a mask
-     maintainer: every reported check is a from-scratch solve and
-     scaffold pushes cost nothing. *)
-  type chain = {
-    c_model : Fault_model.t;
-    c_solve : faults:Bitset.t -> Reconfig.outcome;
-    c_splice : bool;
-    c_mask : Bitset.t;
-    c_elts : int array;
-    c_res : (Pipeline.t, string) result array;
-    mutable c_len : int;
-  }
-
-  (* One ctx per domain serves the base instance and every link-degraded
-     one: ctx scratch is sized by graph order, which degradation
-     preserves. *)
-  let solver ?budget model =
-    let ctx = Reconfig.cached_ctx (Fault_model.instance model) in
-    fun ~faults -> Fault_model.solve ?budget ~ctx model ~faults
-
-  (* The chain's checks run through the model: {!Fault_model} supplies
-     the degraded instance and the local repair rule. *)
-  let chain_make ?budget ~splice model =
-    let k = Fault_model.max_faults model in
-    {
-      c_model = model;
-      c_solve = solver ?budget model;
-      c_splice = splice;
-      c_mask = Bitset.create (Fault_model.size model);
-      c_elts = Array.make (Stdlib.max 1 k) (-1);
-      c_res = Array.make (k + 1) (Error "unsolved");
-      c_len = -1;
-    }
-
-  let chain_solve ch =
-    Verify.solve_checked_model ~solve:ch.c_solve ch.c_model ch.c_mask
-
-  (* Ensure the empty set has a plan (scaffold — the empty set is
-     reported by whichever unit covers rank 0). *)
-  let chain_root ch =
-    if ch.c_len < 0 then begin
-      if ch.c_splice then begin
-        Metrics.incr m_v_scaffold_solves;
-        ch.c_res.(0) <- chain_solve ch
-      end;
-      ch.c_len <- 0
-    end
-
-  let chain_push ch ~reported e =
-    Bitset.add ch.c_mask e;
-    let r =
-      if ch.c_splice then
-        Verify.splice_checked_model ~solve:ch.c_solve ~reported ch.c_model
-          ~parent:ch.c_res.(ch.c_len) ~mask:ch.c_mask ~failed:e
-      else if reported then chain_solve ch
-      else Error "unsolved"
-    in
-    ch.c_elts.(ch.c_len) <- e;
-    ch.c_res.(ch.c_len + 1) <- r;
-    ch.c_len <- ch.c_len + 1;
-    r
-
-  let chain_pop ch =
-    ch.c_len <- ch.c_len - 1;
-    Bitset.remove ch.c_mask ch.c_elts.(ch.c_len)
-
-  (* Align the chain to the prefix [target.(0..m-1)]: pop to the longest
-     common prefix, scaffold-push the rest. *)
-  let chain_align ch target m =
-    chain_root ch;
-    let lcp = ref 0 in
-    while !lcp < ch.c_len && !lcp < m && ch.c_elts.(!lcp) = target.(!lcp) do
-      incr lcp
-    done;
-    while ch.c_len > !lcp do
-      chain_pop ch
-    done;
-    for i = !lcp to m - 1 do
-      ignore (chain_push ch ~reported:false target.(i))
-    done
-
-  (* ------------------------------------------------------------------ *)
-  (* First-class work units                                              *)
-  (* ------------------------------------------------------------------ *)
-
   let resolve_min_items = function
     | Some m -> Stdlib.max 0 m
     | None -> default_min_items_per_domain
 
-  (* A [task] is one verification problem decomposed into serializable
-     work units ({!Codec.unit_desc}).  The decomposition is canonical —
-     a function of the instance and mode alone, never of the domain or
-     process count — so a checkpoint written under one topology resumes
-     under any other, and an out-of-process worker rebuilds the identical
-     unit array from the spec on its command line. *)
-  type task = {
-    t_units : Codec.unit_desc array;
-    t_min_rank : int array;
-        (* per-unit lower bound on the ranks it can emit: lets schedulers
-           and coordinators skip whole units once the early-stop cutoff
-           passes them *)
-    t_est_items : int;  (* fault-set estimate for the serial-fallback gate *)
-    t_counts : int option -> int * int;
-    t_header : max_failures:int -> Checkpoint.header;
-    t_mk_processor :
-      unit ->
-      (record:(rank:int -> Verify.failure -> unit) ->
-      cutoff:(unit -> int) ->
-      int ->
-      unit);
-        (* called once per domain or worker process (builds the solver
-           and the prefix chain); the result processes one unit id per
-           call, with [record]/[cutoff] supplied per call so schedulers
-           can interpose per-unit capture *)
-    t_settle : Verify.report -> unit;
-  }
+  (* Verify's work units plus the checkpoint header that pins them. *)
+  module Task = struct
+    include Verify.Task
 
-  (* The checkpoint header pinning an exhaustive task's spec. *)
-  let exhaustive_header model ~orbit ~splice ~usize ~k ~nunits =
-    let digest = Certify.digest (Fault_model.instance model) in
-    fun ~max_failures ->
-      {
-        Checkpoint.h_digest = digest;
-        h_model = Fault_model.id model;
-        h_orbit = orbit;
-        h_splice = splice;
-        h_max_failures = Stdlib.max 1 max_failures;
-        h_usize = usize;
-        h_k = k;
-        h_nunits = nunits;
-      }
-
-  (* Plain-path work units: one [Shallow] unit covering the sets of size
-     < d (d = min k 2: the empty set, and the singletons when k >= 2),
-     plus one [Rooted] unit per size-d prefix, covering that prefix's
-     whole DFS subtree.  C(order, d) + 1 units of comparable weight —
-     unlike the old (size, first-element) blocks, where the f0 = 0 block
-     held roughly half the space. *)
-  let plain_units ~order ~k =
-    let roots =
-      if k = 0 then []
-      else if k = 1 then List.init order (fun v -> Codec.Rooted [| v |])
-      else
-        List.concat
-          (List.init order (fun a ->
-               List.init (order - a - 1) (fun j ->
-                   Codec.Rooted [| a; a + 1 + j |])))
-    in
-    Array.of_list (Codec.Shallow :: roots)
-
-  let plain_task ?budget ~splice model =
-    let usize = Fault_model.size model in
-    let k = Stdlib.min (Fault_model.max_faults model) usize in
-    let total = Combinat.count_up_to usize k in
-    let units = plain_units ~order:usize ~k in
-    let d = Stdlib.min k 2 in
-    let min_rank =
-      Array.map
-        (function
-          | Codec.Shallow -> 0
-          | Codec.Rooted p -> Combinat.rank_of_subset usize p (Array.length p)
-          | Codec.Span _ -> assert false)
-        units
-    in
-    let mk_processor () =
-      let ch = chain_make ?budget ~splice model in
-      fun ~record ~cutoff u ->
-        let fail buf len reason =
-          record
-            ~rank:(Combinat.rank_of_subset usize buf len)
-            {
-              Verify.faults = Array.to_list (Array.sub buf 0 len);
-              reason;
-              orbit = 1;
-            }
-        in
-        let process_shallow () =
-          chain_root ch;
-          while ch.c_len > 0 do
-            chain_pop ch
-          done;
-          (match if ch.c_splice then ch.c_res.(0) else chain_solve ch with
-          | Ok _ -> ()
-          | Error reason ->
-            record ~rank:0 { Verify.faults = []; reason; orbit = 1 });
-          if d >= 2 then
-            for v = 0 to usize - 1 do
-              let co = cutoff () in
-              if not (co < max_int && 1 + v > co) then begin
-                (match chain_push ch ~reported:true v with
-                | Ok _ -> ()
-                | Error reason -> fail [| v |] 1 reason);
-                chain_pop ch
-              end
-            done
-        in
-        let process_rooted prefix =
-          let dd = Array.length prefix in
-          let co0 = cutoff () in
-          if co0 < max_int && Combinat.rank_of_subset usize prefix dd > co0
-          then ()
-          else begin
-            chain_align ch prefix (dd - 1);
-            Combinat.iter_subsets_dfs ~root:prefix usize k
-              ~enter:(fun buf len ->
-                let e = buf.(len - 1) in
-                let co = cutoff () in
-                if co < max_int && Combinat.rank_of_subset usize buf len > co
-                then begin
-                  (* Pruned: push a placeholder so [leave]'s pop pairs
-                     up; no child ever reads it. *)
-                  Bitset.add ch.c_mask e;
-                  ch.c_elts.(ch.c_len) <- e;
-                  ch.c_res.(ch.c_len + 1) <- Error "pruned";
-                  ch.c_len <- ch.c_len + 1;
-                  false
-                end
-                else begin
-                  (match chain_push ch ~reported:true e with
-                  | Ok _ -> ()
-                  | Error reason -> fail buf len reason);
-                  true
-                end)
-              ~leave:(fun _ _ -> chain_pop ch)
-          end
-        in
-        match units.(u) with
-        | Codec.Shallow -> process_shallow ()
-        | Codec.Rooted prefix -> process_rooted prefix
-        | Codec.Span _ -> invalid_arg "plain task: Span unit"
-    in
-    {
-      t_units = units;
-      t_min_rank = min_rank;
-      t_est_items = total;
-      t_counts = (function Some r -> (r + 1, r + 1) | None -> (total, total));
-      t_header =
-        exhaustive_header model ~orbit:false ~splice ~usize ~k
-          ~nunits:(Array.length units);
-      t_mk_processor = mk_processor;
-      (* Settle the choke-point counter against the merged report (see
-         the sequential DFS path): per-check increments would drift on
-         pruned subtrees and double-count scaffolds. *)
-      t_settle =
-        (fun r -> Metrics.add m_v_solver_calls r.Verify.solver_calls);
-    }
-
-  (* Target unit count for span-chunked modes.  Fixed — deliberately NOT
-     a function of the domain count, which would make the decomposition
-     topology-dependent and break checkpoint portability across
-     [--procs]/[GDPN_DOMAINS] settings; ~256 units keeps work stealing
-     effective at any plausible core count while bounding the number of
-     checkpoint records. *)
-  let span_unit_target = 256
-
-  let span_chunks n =
-    let chunk =
-      Stdlib.max 1 ((n + span_unit_target - 1) / span_unit_target)
-    in
-    let nunits = Stdlib.max 1 ((n + chunk - 1) / chunk) in
-    (chunk, nunits)
-
-  (* Orbit-reduced units with orbit×splice fusion: the representative
-     stream is re-ordered into DFS preorder (lexicographic by element
-     sequence, prefixes first) before span-chunking, so consecutive
-     representatives inside a unit share maximal prefixes and each
-     splices from its nearest solved ancestor — the orbit stream rides
-     the same per-domain prefix chains as the plain DFS decomposition
-     instead of popping to a shallow common prefix between size-major
-     neighbours.  Ranks stay the {e original} size-major indices, so the
-     prefix-sum counts and the merged report are untouched by the
-     re-ordering. *)
-  let orbit_task ?budget ~splice model reps =
-    let usize = Fault_model.size model in
-    let k = Fault_model.max_faults model in
-    let nreps = Array.length reps in
-    let prefix = Array.make (nreps + 1) 0 in
-    for i = 0 to nreps - 1 do
-      prefix.(i + 1) <- prefix.(i) + reps.(i).Auto.size
-    done;
-    let counts = function
-      | Some stop_rank -> (prefix.(stop_rank + 1), stop_rank + 1)
-      | None -> (prefix.(nreps), nreps)
-    in
-    let dfs = Array.init nreps Fun.id in
-    let cmp i j =
-      let a = reps.(i).Auto.set and b = reps.(j).Auto.set in
-      let la = Array.length a and lb = Array.length b in
-      let rec go t =
-        if t >= la || t >= lb then compare la lb
-        else if a.(t) <> b.(t) then compare a.(t) b.(t)
-        else go (t + 1)
-      in
-      go 0
-    in
-    Array.sort cmp dfs;
-    let chunk, nunits = span_chunks nreps in
-    let units =
-      Array.init nunits (fun u ->
-          Codec.Span (u * chunk, Stdlib.min ((u + 1) * chunk) nreps))
-    in
-    let min_rank =
-      Array.map
-        (function
-          | Codec.Span (lo, hi) ->
-            let m = ref max_int in
-            for pos = lo to hi - 1 do
-              if dfs.(pos) < !m then m := dfs.(pos)
-            done;
-            !m
-          | _ -> assert false)
-        units
-    in
-    let mk_processor () =
-      let ch = chain_make ?budget ~splice model in
-      fun ~record ~cutoff u ->
-        match units.(u) with
-        | Codec.Span (lo, hi) ->
-          for pos = lo to hi - 1 do
-            let i = dfs.(pos) in
-            if i <= cutoff () then begin
-              let { Auto.set; size } = reps.(i) in
-              let m = Array.length set in
-              Metrics.incr m_orbits_checked;
-              Metrics.add m_calls_saved (size - 1);
-              Metrics.incr m_v_solver_calls;
-              let r =
-                if m = 0 then begin
-                  if ch.c_len < 0 then begin
-                    ch.c_res.(0) <- chain_solve ch;
-                    ch.c_len <- 0
-                  end
-                  else if not ch.c_splice then begin
-                    while ch.c_len > 0 do
-                      chain_pop ch
-                    done;
-                    ch.c_res.(0) <- chain_solve ch
-                  end;
-                  ch.c_res.(0)
-                end
-                else begin
-                  chain_align ch set (m - 1);
-                  chain_push ch ~reported:true set.(m - 1)
-                end
-              in
-              match r with
-              | Ok _ -> ()
-              | Error reason ->
-                record ~rank:i
-                  { Verify.faults = Array.to_list set; reason; orbit = size }
-            end
-          done
-        | _ -> invalid_arg "orbit task: non-span unit"
-    in
-    {
-      t_units = units;
-      t_min_rank = min_rank;
-      t_est_items = nreps;
-      t_counts = counts;
-      t_header = exhaustive_header model ~orbit:true ~splice ~usize ~k ~nunits;
-      t_mk_processor = mk_processor;
-      t_settle = ignore;
-    }
-
-  (* Draw the whole trial sequence up front on one RNG — byte-identical
-     to the sequential sampled stream for the same seed — then shard only
-     the solving.  Sampled sets share no prefix structure, so there is no
-     chain: each trial is checked from scratch.  Sampled tasks are not
-     checkpointable from the CLI; the header exists only to satisfy the
-     record. *)
-  let sampled_task ?budget ~seed ~trials model =
-    let usize = Fault_model.size model in
-    let k = Fault_model.max_faults model in
-    let rng = Random.State.make [| seed |] in
-    let sets = Array.make trials [||] in
-    for i = 0 to trials - 1 do
-      sets.(i) <- Combinat.sample_up_to rng usize k
-    done;
-    let chunk, nunits = span_chunks trials in
-    let units =
-      Array.init nunits (fun u ->
-          Codec.Span (u * chunk, Stdlib.min ((u + 1) * chunk) trials))
-    in
-    let min_rank =
-      Array.map
-        (function Codec.Span (lo, _) -> lo | _ -> assert false)
-        units
-    in
-    let mk_processor () =
-      let solve = solver ?budget model in
-      let mask = Bitset.create usize in
-      fun ~record ~cutoff u ->
-        match units.(u) with
-        | Codec.Span (lo, hi) ->
-          for i = lo to Stdlib.min (hi - 1) (trials - 1) do
-            if i <= cutoff () then begin
-              let buf = sets.(i) in
-              let len = Array.length buf in
-              Bitset.clear mask;
-              for j = 0 to len - 1 do
-                Bitset.add mask buf.(j)
-              done;
-              match Verify.check_mask_model ~solve model mask with
-              | Ok () -> ()
-              | Error reason ->
-                record ~rank:i
-                  { Verify.faults = Array.to_list buf; reason; orbit = 1 }
-            end
-          done
-        | _ -> invalid_arg "sampled task: non-span unit"
-    in
-    {
-      t_units = units;
-      t_min_rank = min_rank;
-      t_est_items = trials;
-      t_counts =
-        (function Some r -> (r + 1, r + 1) | None -> (trials, trials));
-      t_header =
-        (fun ~max_failures ->
-          {
-            Checkpoint.h_digest = "";
-            h_model = 0;
-            h_orbit = false;
-            h_splice = false;
-            h_max_failures = Stdlib.max 1 max_failures;
-            h_usize = usize;
-            h_k = k;
-            h_nunits = nunits;
-          });
-      t_mk_processor = mk_processor;
-      t_settle = ignore;
-    }
-
-  let task_exhaustive_model ?budget ?symmetry ?(splice = true) model =
-    match Option.map (Fault_model.induced_symmetry model) symmetry with
-    | Some group when not (Auto.is_trivial group) ->
-      orbit_task ?budget ~splice model
-        (Auto.fault_orbits group ~max_size:(Fault_model.max_faults model))
-    | Some _ | None -> plain_task ?budget ~splice model
-
-  let task_exhaustive ?budget ?symmetry ?splice inst =
-    task_exhaustive_model ?budget ?symmetry ?splice (Fault_model.node inst)
+    let header t ~max_failures =
+      match spec t with
+      | None -> invalid_arg "Engine.Parallel.Task.header: sampled task"
+      | Some s ->
+        {
+          Checkpoint.h_digest = Certify.digest (Fault_model.instance s.s_model);
+          h_model = Fault_model.id s.s_model;
+          h_orbit = s.s_orbit;
+          h_splice = s.s_splice;
+          h_max_failures = Stdlib.max 1 max_failures;
+          h_usize = Fault_model.size s.s_model;
+          h_k = Fault_model.max_faults s.s_model;
+          h_nunits = nunits t;
+          h_universe = s.s_universe;
+        }
+  end
 
   (* Drain a task's pending units over [domains] through {!Steal}, with
      optional durable checkpointing and resume.
@@ -1059,7 +603,7 @@ module Parallel = struct
     let cap = Stdlib.max 1 max_failures in
     let domains = resolve_domains domains in
     let min_items = resolve_min_items min_items_per_domain in
-    let nunits = Array.length task.t_units in
+    let nunits = Task.nunits task in
     let done_tbl =
       match resumed with Some tbl -> tbl | None -> Hashtbl.create 1
     in
@@ -1073,16 +617,15 @@ module Parallel = struct
     let resumed_sources =
       Hashtbl.fold (fun _ r acc -> r.Codec.r_entries :: acc) done_tbl []
     in
-    let seed_topk = Verify.Topk.create cap in
-    List.iter
-      (List.iter (fun (rank, f) -> Verify.Topk.insert seed_topk ~rank f))
-      resumed_sources;
+    (* The recorded entries alone may already hold [cap] failures: then
+       nothing ranked above the cap-th lowest can reach the report. *)
     let init_cutoff =
-      if Verify.Topk.full seed_topk then Verify.Topk.max_rank seed_topk
-      else max_int
+      let ranks = List.concat_map (List.map fst) resumed_sources in
+      Option.value ~default:max_int
+        (List.nth_opt (List.sort compare ranks) (cap - 1))
     in
     let domains =
-      if domains > 1 && task.t_est_items / domains < min_items then 1
+      if domains > 1 && Task.items task / domains < min_items then 1
       else domains
     in
     let steal = Steal.create ~nunits:(Array.length pending) ~domains in
@@ -1090,51 +633,34 @@ module Parallel = struct
        above that domain's highest kept rank is dead weight; [cutoff]
        propagates a safe upper bound. *)
     let cutoff = Atomic.make init_cutoff in
-    let tighten r =
-      let rec go () =
-        let current = Atomic.get cutoff in
-        if r < current && not (Atomic.compare_and_set cutoff current r) then
-          go ()
-      in
-      go ()
+    let rec tighten r =
+      let current = Atomic.get cutoff in
+      if r < current && not (Atomic.compare_and_set cutoff current r) then
+        tighten r
     in
-    let read_cutoff () = Atomic.get cutoff in
+    let on_unit =
+      match checkpoint with
+      | None -> fun _ _ -> ()
+      | Some w ->
+        fun u entries ->
+          Checkpoint.append w { Codec.r_unit = u; r_entries = entries }
+    in
     let run_domain me () =
       let shard_start = Mclock.now_ns () in
-      let process = task.t_mk_processor () in
-      let kept = Verify.Topk.create cap in
-      let record ~rank failure =
-        Verify.Topk.insert kept ~rank failure;
-        if Verify.Topk.full kept then tighten (Verify.Topk.max_rank kept)
-      in
       let steals = ref 0 in
-      let rec drain () =
-        match Steal.take steal ~me with
-        | Some (idx, stolen) ->
-          if stolen then incr steals;
-          let u = pending.(idx) in
-          let co = Atomic.get cutoff in
-          if not (co < max_int && task.t_min_rank.(u) > co) then begin
-            match checkpoint with
-            | None -> process ~record ~cutoff:read_cutoff u
-            | Some w ->
-              let local = Verify.Topk.create cap in
-              let record_ck ~rank failure =
-                record ~rank failure;
-                Verify.Topk.insert local ~rank failure
-              in
-              process ~record:record_ck ~cutoff:read_cutoff u;
-              Checkpoint.append w
-                { Codec.r_unit = u; r_entries = Verify.Topk.to_list local }
-          end;
-          drain ()
-        | None -> ()
+      let next () =
+        Option.map
+          (fun (idx, stolen) ->
+            if stolen then incr steals;
+            pending.(idx))
+          (Steal.take steal ~me)
       in
-      drain ();
-      ( Verify.Topk.to_list kept,
-        shard_start,
-        Mclock.now_ns () - shard_start,
-        !steals )
+      let kept =
+        Task.drain task ~max_failures:cap ~next
+          ~cutoff:(fun () -> Atomic.get cutoff)
+          ~tighten ~on_unit
+      in
+      (kept, shard_start, Mclock.now_ns () - shard_start, !steals)
     in
     let tickets =
       if domains <= 1 then []
@@ -1160,37 +686,12 @@ module Parallel = struct
             ~start_ns ~dur_ns:elapsed ())
       timed;
     let per_domain = List.map (fun (kept, _, _, _) -> kept) timed in
-    let report =
-      Verify.merge_tagged ~max_failures:cap ~counts:task.t_counts
-        (per_domain @ resumed_sources)
-    in
-    task.t_settle report;
-    report
-
-  module Task = struct
-    type t = task
-
-    let exhaustive = task_exhaustive
-    let exhaustive_model = task_exhaustive_model
-    let nunits t = Array.length t.t_units
-    let min_rank t u = t.t_min_rank.(u)
-    let header t ~max_failures = t.t_header ~max_failures
-    let processor t = t.t_mk_processor ()
-
-    let merge t ~max_failures sources =
-      let report =
-        Verify.merge_tagged
-          ~max_failures:(Stdlib.max 1 max_failures)
-          ~counts:t.t_counts sources
-      in
-      t.t_settle report;
-      report
-  end
+    Task.merge task ~max_failures:cap (per_domain @ resumed_sources)
 
   let verify_exhaustive_model ?budget ?max_failures ?domains
       ?min_items_per_domain ?symmetry ?splice model =
     run_task ?max_failures ?domains ?min_items_per_domain
-      (task_exhaustive_model ?budget ?symmetry ?splice model)
+      (Task.exhaustive_model ?budget ?symmetry ?splice model)
 
   let verify_exhaustive ?budget ?max_failures ?domains ?min_items_per_domain
       ?symmetry ?splice inst =
@@ -1200,7 +701,8 @@ module Parallel = struct
   let verify_sampled_model ~seed ~trials ?budget ?max_failures ?domains
       ?min_items_per_domain model =
     run_task ?max_failures ?domains ?min_items_per_domain
-      (sampled_task ?budget ~seed ~trials model)
+      (Task.sampled_model ~rng:(Random.State.make [| seed |]) ~trials ?budget
+         model)
 
   let verify_sampled ~seed ~trials ?budget ?max_failures ?domains
       ?min_items_per_domain inst =

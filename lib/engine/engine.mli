@@ -19,9 +19,9 @@
       predecessor ({!Gdpn_core.Fault_model.splice}) — cheap local repair
       first, global re-solve second, mirroring the paper's §4
       reconfiguration discussion;
-    - {b domain sharding} ({!Parallel}) — fault-space enumeration fanned
-      out over OCaml 5 domains with per-domain ctxs and deterministic
-      result merging.
+    - {b domain sharding} ({!Parallel}) — {!Gdpn_core.Verify}'s work
+      units drained over OCaml 5 domains, a checkpoint file or worker
+      processes, merged deterministically.
 
     Since PR 9 the fault-plan cache is a {!Shard_cache}: N hash-sharded
     slices with a lock-free read path and per-shard writer locks, bounded
@@ -32,9 +32,8 @@
     same shared cache; {!Parallel} builds per-domain state internally.
 
     Every job has one body, written over a {!Gdpn_core.Fault_model.t}:
-    {!solve_model}, {!verify_exhaustive_model}, {!verify_sampled_model}
-    and their {!Parallel} forms.  The node entry points ({!solve},
-    {!verify_exhaustive}, ...) pass the engine's node model
+    {!solve_model} and the {!Parallel} verifiers.  The node entry points
+    ({!solve}, {!Parallel.verify_exhaustive}, ...) pass the node model
     ({!Gdpn_core.Fault_model.node}), whose universe is the node set. *)
 
 type t
@@ -153,45 +152,6 @@ val crash_restart : t -> unit
     ([Gdpn_faultsim.Scenario]) injects this to check plan-cache coherence
     across cold restarts. *)
 
-val verify_exhaustive_model :
-  ?max_failures:int ->
-  ?universe:int list ->
-  ?symmetry:Gdpn_graph.Auto.group ->
-  ?splice:bool ->
-  t ->
-  Gdpn_core.Fault_model.t ->
-  Gdpn_core.Verify.report
-(** {!Gdpn_core.Verify.exhaustive_model} through the engine's ctx
-    (uncached checks; see {!solve_model}).  [symmetry] (the node group;
-    its induced action on the universe drives orbit reduction) enables
-    orbit-reduced enumeration; [splice] (default true) the prefix-tree
-    splice-first enumeration. *)
-
-val verify_sampled_model :
-  seed:int ->
-  trials:int ->
-  ?max_failures:int ->
-  t ->
-  Gdpn_core.Fault_model.t ->
-  Gdpn_core.Verify.report
-(** {!Gdpn_core.Verify.sampled_model} through the engine's ctx.  The RNG
-    is derived from the explicit [seed] alone — never from instance
-    parameters, which would correlate the fault-sample sequences of
-    same-order instances. *)
-
-val verify_exhaustive :
-  ?max_failures:int ->
-  ?universe:int list ->
-  ?symmetry:Gdpn_graph.Auto.group ->
-  ?splice:bool ->
-  t ->
-  Gdpn_core.Verify.report
-(** {!verify_exhaustive_model} over the engine's node model. *)
-
-val verify_sampled :
-  seed:int -> trials:int -> ?max_failures:int -> t -> Gdpn_core.Verify.report
-(** {!verify_sampled_model} over the engine's node model. *)
-
 val certify : ?symmetry:bool -> t -> string
 (** Certificate generation through the cached solver: witnesses for
     size-[s] fault sets are spliced from their cached size-[s-1]
@@ -217,12 +177,13 @@ val certify_to : ?symmetry:bool -> t -> out_channel -> unit
 
 val pp_stats : Format.formatter -> stats -> unit
 
-(** Multicore verification: shard the fault-space enumeration over OCaml 5
-    domains.  Reports are {e byte-identical} to the sequential
-    {!Gdpn_core.Verify} paths: every fault set is tagged with its global
-    rank in the sequential enumeration order, each domain keeps only its
-    lowest-ranked failures, and the merge reproduces the sequential
-    failure list, early-stop count and gave-up tally exactly. *)
+(** Multicore and out-of-core verification: the scheduling half of
+    verification.  {!Gdpn_core.Verify.Task} cuts the fault space into
+    work units and checks them; this module drains those units over a
+    domain pool with work stealing, optionally recording each drained
+    unit in a checkpoint and resuming from one.  Every drain merges
+    rank-tagged failures with {!Gdpn_core.Verify.Task.merge}, so reports
+    are identical to [Verify]'s whatever the domain count. *)
 module Parallel : sig
   val default_domains : unit -> int
   (** [GDPN_DOMAINS] when set to a positive integer, otherwise
@@ -237,45 +198,25 @@ module Parallel : sig
     ?splice:bool ->
     Gdpn_core.Fault_model.t ->
     Gdpn_core.Verify.report
-  (** Check every fault set of size [0..k] over the model's universe, the
-      model supplying the degraded instance and the local repair rule (its
-      degraded-instance cache is mutex-protected, so all domains share one
-      model).  The space is split into one shallow unit (the sets of size
-      < min k 2) plus one DFS-subtree unit per size-[min k 2] prefix —
-      units of comparable weight.  Units are drained through a
-      work-stealing scheduler: each of the [domains] workers (the calling
-      domain included) owns a contiguous span with its own atomic index,
-      visits it in order — so its chain of solved prefix plans (see below)
-      pops and re-grows by a few elements per unit — and steals from the
-      other spans when its own runs dry.  Steal counts land in
-      [engine.parallel_steals] and on each shard's trace span.
-
-      [splice] (default true) gives every worker a per-branch stack of
-      solved plans, repairing each fault set from its parent
-      ({!Gdpn_core.Fault_model.splice}) before falling back to the full
-      solver — the parallel form of [Verify.exhaustive_model]'s
-      prefix-tree mode, with the same exactness argument (positives
-      revalidated, negatives always from a full solve).
+  (** {!run_task} over [Task.exhaustive_model ?budget ?symmetry ?splice
+      model]: {!Gdpn_core.Verify.exhaustive_model}'s report, with the
+      units drained over [domains] workers (the calling domain
+      included).  Each worker owns a contiguous span of the unit array
+      with its own atomic index, visits it in order — so its chain of
+      solved prefix plans pops and re-grows by a few elements per unit —
+      and steals from the other spans when its own runs dry.  Steal
+      counts land in [engine.parallel_steals] and on each shard's trace
+      span.  The model's degraded-instance cache is mutex-protected, so
+      all domains share one model.
 
       Worker domains come from a process-wide persistent pool: they are
       spawned lazily on first use, parked on a condition variable between
       calls, and joined at process exit — repeated verifications pay no
-      per-call [Domain.spawn].  When the enumeration divides out to fewer
-      than [min_items_per_domain] items per domain (default 512), the call
-      degrades to the serial path on the calling domain: same report, none
-      of the fan-out cost — this is what keeps multi-domain requests on
-      small instances from losing to the sequential verifier.  Pass
-      [~min_items_per_domain:0] to force real sharding regardless of size
-      (benchmarks, tests).
-
-      [symmetry] is the {e node} group; with a nontrivial induced action
-      on the universe, only orbit representatives are sharded — fewer but
-      individually heavier work items, so the units are small contiguous
-      chunks of the representative array; the per-domain chain splices
-      each representative from its nearest solved ancestor.  Counts are
-      orbit-expanded through prefix sums during the merge; the result
-      equals the sequential [Verify.exhaustive_model ~symmetry] report
-      field for field. *)
+      per-call [Domain.spawn].  When the task divides out to fewer than
+      [min_items_per_domain] items per domain (default 512), the call
+      drains on the calling domain alone: same report, none of the
+      fan-out cost.  Pass [~min_items_per_domain:0] to force real
+      sharding regardless of size (benchmarks, tests). *)
 
   val verify_exhaustive :
     ?budget:int ->
@@ -297,10 +238,10 @@ module Parallel : sig
     ?min_items_per_domain:int ->
     Gdpn_core.Fault_model.t ->
     Gdpn_core.Verify.report
-  (** Sampled verification over the model's universe: the full trial
-      sequence is drawn up front from [seed] on one RNG (the sequential
-      stream), then only the solving is sharded.
-      [min_items_per_domain] as in {!verify_exhaustive_model}. *)
+  (** {!Gdpn_core.Verify.sampled_model} with [rng] seeded from [seed]
+      alone (never from instance parameters, which would correlate the
+      fault-sample sequences of same-order instances), its units drained
+      as in {!verify_exhaustive_model}. *)
 
   val verify_sampled :
     seed:int ->
@@ -313,70 +254,18 @@ module Parallel : sig
     Gdpn_core.Verify.report
   (** {!verify_sampled_model} over [Fault_model.node inst]. *)
 
-  (** First-class verification tasks: one verification problem decomposed
-      into a canonical array of serializable work units
-      ({!Codec.unit_desc}).  The decomposition is a function of the
-      instance and mode alone — never of the domain or process count — so
-      a checkpoint written under one topology resumes under any other,
-      and an out-of-process worker ({!Mp}) rebuilds the identical unit
-      array from the spec on its command line. *)
+  (** {!Gdpn_core.Verify.Task} plus the checkpoint header that pins a
+      task.  An out-of-process worker ({!Mp}) rebuilds the identical
+      unit array from the spec on its command line. *)
   module Task : sig
-    type t
-
-    val exhaustive_model :
-      ?budget:int ->
-      ?symmetry:Gdpn_graph.Auto.group ->
-      ?splice:bool ->
-      Gdpn_core.Fault_model.t ->
-      t
-    (** The unit decomposition behind {!Parallel.verify_exhaustive_model}:
-        one [Shallow] unit plus one [Rooted] DFS-subtree unit per
-        size-[min k 2] prefix of the universe.  [symmetry] is the node
-        group; with a nontrivial induced action, fixed-granularity [Span]
-        chunks of the orbit-representative stream re-ordered into DFS
-        preorder ({e orbit×splice fusion}: consecutive representatives
-        share maximal prefixes, so each splices from its nearest solved
-        ancestor, while ranks — and therefore counts and the merged
-        report — remain the canonical size-major indices). *)
-
-    val exhaustive :
-      ?budget:int ->
-      ?symmetry:Gdpn_graph.Auto.group ->
-      ?splice:bool ->
-      Gdpn_core.Instance.t ->
-      t
-    (** {!exhaustive_model} over [Fault_model.node inst]. *)
-
-    val nunits : t -> int
-
-    val min_rank : t -> int -> int
-    (** Lower bound on the enumeration ranks unit [u] can emit — lets a
-        scheduler or coordinator skip the whole unit once the early-stop
-        cutoff drops below it. *)
+    include
+      module type of Gdpn_core.Verify.Task
+        with type t = Gdpn_core.Verify.Task.t
 
     val header : t -> max_failures:int -> Checkpoint.header
-    (** The checkpoint header pinning this task's spec. *)
-
-    val processor :
-      t ->
-      record:(rank:int -> Gdpn_core.Verify.failure -> unit) ->
-      cutoff:(unit -> int) ->
-      int ->
-      unit
-    (** [processor t] builds per-domain solver and prefix-chain state
-        once; the returned function processes one unit id per call,
-        reporting rank-tagged failures through [record] and polling
-        [cutoff] for the current early-stop bound.  Unit ids may arrive
-        in any order (the chain re-aligns). *)
-
-    val merge :
-      t ->
-      max_failures:int ->
-      (int * Gdpn_core.Verify.failure) list list ->
-      Gdpn_core.Verify.report
-    (** Deterministic rank merge of per-source entry lists (per-domain
-        buffers, per-unit checkpoint records, per-worker streams — any
-        mix) into the canonical sequential report. *)
+    (** The checkpoint header pinning this task's instance, model, mode,
+        universe, cap and unit count.  Raises [Invalid_argument] on a
+        sampled task. *)
   end
 
   val run_task :
@@ -387,15 +276,15 @@ module Parallel : sig
     ?resumed:(int, Codec.unit_result) Hashtbl.t ->
     Task.t ->
     Gdpn_core.Verify.report
-  (** Drain a task's units over the domain pool (the machinery behind
+  (** Drain a task's units over the domain pool, one
+      {!Gdpn_core.Verify.Task.drain} per domain (the machinery behind
       {!verify_exhaustive_model}).  With [checkpoint], one
       {!Codec.unit_result} frame is appended the moment each unit drains
-      (capped at
-      [max_failures] entries — higher ranks can never reach a merged
-      report); cutoff-skipped units are not recorded, since their
+      (capped at [max_failures] entries — higher ranks can never reach a
+      merged report); cutoff-skipped units are not recorded, since their
       justification may still be in flight.  With [resumed] (from
       {!Checkpoint.load}), recorded units are skipped, their entries seed
       the early-stop cutoff and join the final merge — the resumed report
-      is byte-identical to an uninterrupted run's, under any domain or
-      process count.  Bumps [verify.units_resumed]. *)
+      is identical to an uninterrupted run's, under any domain or process
+      count.  Bumps [verify.units_resumed]. *)
 end

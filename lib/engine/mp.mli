@@ -1,15 +1,15 @@
 (** Multi-process verification: coordinator and worker halves of the
     [gdp verify] [--procs N] mode.
 
-    Work units come from an {!Engine.Parallel.Task} — the same canonical
-    decomposition as the in-process domain scheduler — and messages are
-    {!Codec} frames over plain pipes (length prefix + Adler-32, the same
-    byte shapes as the checkpoint file, reusable by a future [gdpd]
-    daemon).  The coordinator feeds every streamed per-unit result into
-    the deterministic rank merge, so an N-process report is
-    byte-identical to the sequential one; attach a {!Checkpoint.writer}
-    and the run is resumable with the same file format and soundness
-    rules as the in-process scheduler.
+    Work units come from an {!Engine.Parallel.Task} — the same units
+    {!Gdpn_core.Verify} and the in-process domain scheduler drain — and
+    messages are {!Codec} frames over plain pipes (length prefix +
+    Adler-32, the same byte shapes as the checkpoint file, reusable by a
+    future [gdpd] daemon).  The coordinator feeds every streamed
+    per-unit result into the deterministic rank merge, so an N-process
+    report is identical to {!Gdpn_core.Verify}'s; attach a
+    {!Checkpoint.writer} and the run is resumable with the same file
+    format and soundness rules as the in-process scheduler.
 
     IPC volume (both directions, frame overhead included) lands in the
     [engine.ipc_bytes] counter. *)

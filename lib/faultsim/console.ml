@@ -77,9 +77,11 @@ let eval t line =
          whole interactive session replays from one seed; routing through
          the engine keeps stdlib Random out of lib/faultsim entirely. *)
       let seed = Stream.Prng.int t.rng max_int in
+      let engine = Machine.engine t.machine in
       let report =
-        Gdpn_engine.Engine.verify_sampled ~seed ~trials
-          (Machine.engine t.machine)
+        Gdpn_engine.Engine.Parallel.verify_sampled ~seed ~trials ~domains:1
+          ~budget:(Gdpn_engine.Engine.budget engine)
+          (Gdpn_engine.Engine.instance engine)
       in
       `Reply (Format.asprintf "%a" Verify.pp_report report))
   | cmd :: _ -> `Reply (Printf.sprintf "unknown command %S; %s" cmd help_text)

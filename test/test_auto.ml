@@ -491,7 +491,7 @@ let parallel_tests =
         List.iter
           (fun inst ->
             let g = Instance.symmetry inst in
-            let seq = Verify.exhaustive ~symmetry:g inst in
+            let seq = Testutil.reference_exhaustive ~symmetry:g inst in
             let par =
               Engine.Parallel.verify_exhaustive ~domains:3 ~symmetry:g inst
             in
@@ -506,7 +506,9 @@ let parallel_tests =
     tc "parallel early stop matches sequential" (fun () ->
         let bad = overclaimed (Small_n.g1 ~k:2) in
         let g = Instance.symmetry bad in
-        let seq = Verify.exhaustive ~max_failures:2 ~symmetry:g bad in
+        let seq =
+          Testutil.reference_exhaustive ~max_failures:2 ~symmetry:g bad
+        in
         let par =
           Engine.Parallel.verify_exhaustive ~max_failures:2 ~domains:4
             ~symmetry:g bad

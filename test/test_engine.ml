@@ -1,7 +1,9 @@
 (* Tests for the engine layer: plan-cache fidelity (cached solves agree
    with the plain solver over exhaustive fault sets) and domain-sharded
-   verification (parallel reports equal the sequential ones field for
-   field, including failure lists and early-stop counts). *)
+   verification (parallel reports equal the independent reference
+   verifier's, Testutil.reference_exhaustive, field for field, including
+   failure lists and early-stop counts; sampled reports equal Verify's
+   calling-domain drain). *)
 
 open Gdpn_core
 module Bitset = Gdpn_graph.Bitset
@@ -138,7 +140,7 @@ let parallel_tests =
       (fun () ->
         List.iter
           (fun inst ->
-            let expected = Verify.exhaustive inst in
+            let expected = Testutil.reference_exhaustive inst in
             List.iter
               (fun domains ->
                 let actual =
@@ -155,7 +157,9 @@ let parallel_tests =
             let inst = overclaimed inst in
             List.iter
               (fun max_failures ->
-                let expected = Verify.exhaustive ~max_failures inst in
+                let expected =
+                  Testutil.reference_exhaustive ~max_failures inst
+                in
                 check Alcotest.bool "setup produced failures" true
                   (expected.Verify.failures <> []);
                 List.iter
@@ -200,7 +204,7 @@ let parallel_tests =
     tc "forced pool sharding is byte-identical to sequential" (fun () ->
         List.iter
           (fun inst ->
-            let expected = Verify.exhaustive inst in
+            let expected = Testutil.reference_exhaustive inst in
             List.iter
               (fun domains ->
                 let actual =
@@ -217,7 +221,7 @@ let parallel_tests =
         let inst = overclaimed (Small_n.g2 ~k:2) in
         List.iter
           (fun max_failures ->
-            let expected = Verify.exhaustive ~max_failures inst in
+            let expected = Testutil.reference_exhaustive ~max_failures inst in
             check Alcotest.bool "setup produced failures" true
               (expected.Verify.failures <> []);
             let actual =
@@ -233,7 +237,7 @@ let parallel_tests =
         List.iter
           (fun inst ->
             let sym = Instance.symmetry inst in
-            let expected = Verify.exhaustive ~symmetry:sym inst in
+            let expected = Testutil.reference_exhaustive ~symmetry:sym inst in
             List.iter
               (fun (domains, min_items) ->
                 let actual =
@@ -257,14 +261,6 @@ let parallel_tests =
             ~min_items_per_domain:0 inst
         in
         check_report "pooled sampled" expected actual);
-    tc "engine verify entry points agree with Verify" (fun () ->
-        let inst = Special.g62 () in
-        let engine = Engine.create inst in
-        check_report "exhaustive" (Verify.exhaustive inst)
-          (Engine.verify_exhaustive engine);
-        check_report "sampled"
-          (Verify.sampled ~rng:(Random.State.make [| 5 |]) ~trials:200 inst)
-          (Engine.verify_sampled ~seed:5 ~trials:200 engine));
     tc "certificates generated through the engine stay valid" (fun () ->
         let inst = Small_n.g3 ~k:2 in
         let engine = Engine.create inst in

@@ -75,19 +75,6 @@ let test_varint_roundtrip () =
     | () -> false
     | exception Invalid_argument _ -> true)
 
-let test_unit_desc_roundtrip () =
-  List.iter
-    (fun d ->
-      let b = Buffer.create 16 in
-      Codec.put_unit_desc b d;
-      let d', next = Codec.get_unit_desc (Buffer.contents b) 0 in
-      check Alcotest.bool "desc round-trips" true (d = d');
-      check Alcotest.int "consumed" (Buffer.length b) next)
-    [
-      Codec.Shallow; Codec.Rooted [||]; Codec.Rooted [| 0; 3; 17 |];
-      Codec.Span (0, 256); Codec.Span (12345, 99999);
-    ]
-
 let test_unit_result_roundtrip () =
   let r =
     {
@@ -189,6 +176,71 @@ let test_merge_orders_fused () =
         (Task.merge task ~max_failures:5 sources))
     [ ("forward", forward); ("reversed", List.rev forward) ]
 
+(* The processor contract every early stop rests on: a set ranked at or
+   below the cutoff is checked, one ranked above it is skipped.  Rerun
+   each unit with the cutoff at each of its own failures' ranks: exactly
+   the failures up to that rank come back. *)
+let test_unit_cutoff () =
+  List.iter
+    (fun (label, task) ->
+      Array.iter
+        (fun r ->
+          List.iter
+            (fun (cut, _) ->
+              let got = ref [] in
+              Task.processor task
+                ~record:(fun ~rank f -> got := (rank, f) :: !got)
+                ~cutoff:(fun () -> cut)
+                r.Codec.r_unit;
+              check Alcotest.bool
+                (Printf.sprintf "%s unit %d cutoff %d" label r.Codec.r_unit
+                   cut)
+                true
+                (List.sort compare !got
+                = List.filter (fun (rank, _) -> rank <= cut) r.Codec.r_entries))
+            r.Codec.r_entries)
+        (unit_results ~max_failures:1_000_000 task))
+    (let pairs = overclaimed (Small_n.g1 ~k:1) in
+     let g2 = overclaimed (Small_n.g2 ~k:2) in
+     [
+       ("plain", Task.exhaustive pairs);
+       ("plain no-splice", Task.exhaustive ~splice:false pairs);
+       ("plain deep", Task.exhaustive (overclaimed (Small_n.g3 ~k:2)));
+       ("orbit", Task.exhaustive ~symmetry:(Instance.symmetry g2) g2);
+     ])
+
+(* The bounded failure buffer every drain feeds: whatever the insertion
+   order, it holds the [cap] lowest ranks, ascending.  The caps cover a
+   buffer that never grows past its first allocation (16 slots), caps
+   crossed while it doubles, and caps above the number of inserts. *)
+let test_topk_lowest =
+  QCheck.Test.make ~count:300 ~name:"Topk keeps the cap lowest ranks"
+    QCheck.(
+      pair
+        (oneofl [ 1; 2; 5; 15; 16; 17; 31; 33; 100; 1000 ])
+        (list_of_size Gen.(0 -- 300) (int_bound 100_000)))
+    (fun (cap, ranks) ->
+      let ranks =
+        List.rev
+          (List.fold_left
+             (fun acc r -> if List.mem r acc then acc else r :: acc)
+             [] ranks)
+      in
+      let t = Verify.Topk.create cap in
+      List.iter
+        (fun r ->
+          Verify.Topk.insert t ~rank:r
+            { Verify.faults = [ r ]; reason = "no pipeline"; orbit = 1 })
+        ranks;
+      let expected =
+        List.filteri (fun i _ -> i < cap) (List.sort compare ranks)
+      in
+      List.map
+        (fun (rank, f) -> (rank, f.Verify.faults))
+        (Verify.Topk.to_list t)
+      = List.map (fun r -> (r, [ r ])) expected
+      && Verify.Topk.full t = (List.length ranks >= cap))
+
 (* ------------------------------------------------------------------ *)
 (* Checkpoint files                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -272,6 +324,24 @@ let test_header_pinning () =
     (ok
        (Checkpoint.check_header ~expected:h1
           { h1 with Checkpoint.h_nunits = h1.Checkpoint.h_nunits + 1 }));
+  (* the header pins a restricted universe, and it survives the file *)
+  let inst = Family.build ~n:6 ~k:2 in
+  let hu =
+    Task.header
+      (Task.exhaustive ~universe:(Instance.processors inst) inst)
+      ~max_failures:5
+  in
+  check Alcotest.bool "different universe rejected" false
+    (ok
+       (Checkpoint.check_header ~expected:h1
+          { hu with Checkpoint.h_nunits = h1.Checkpoint.h_nunits }));
+  (with_temp @@ fun path ->
+   Checkpoint.close (Checkpoint.create ~path hu);
+   match Checkpoint.load ~path with
+   | Ok l ->
+     check Alcotest.bool "universe round-trips" true
+       (l.Checkpoint.l_header = hu)
+   | Error e -> Alcotest.fail e);
   (* splice changes which solver path runs, not what is enumerated or
      reported — resuming across it is sound and allowed *)
   check Alcotest.bool "splice not pinned" true
@@ -327,7 +397,6 @@ let () =
       ( "codec",
         [
           tc "varint round-trip" test_varint_roundtrip;
-          tc "unit-desc round-trip" test_unit_desc_roundtrip;
           tc "unit-result round-trip" test_unit_result_roundtrip;
           tc "frame round-trip, torn and corrupt frames"
             test_frame_roundtrip;
@@ -337,6 +406,9 @@ let () =
           tc "adversarial completion orders" test_merge_orders;
           tc "adversarial orders under orbit x splice fusion"
             test_merge_orders_fused;
+          tc "a unit checks exactly the sets up to its cutoff"
+            test_unit_cutoff;
+          QCheck_alcotest.to_alcotest test_topk_lowest;
         ] );
       ( "checkpoint",
         [

@@ -2,9 +2,11 @@
    enumeration must report *byte-identically* to from-scratch solving —
    same verdicts, same failure lists in the same order, same counts —
    because positives are revalidated splices and negatives always come
-   from a full solve.  Also pins down the work-stealing scheduler:
-   N-domain forced sharding must reproduce the 1-domain and sequential
-   reports exactly. *)
+   from a full solve.  Both must also equal the independent reference
+   verifier (Testutil.reference_exhaustive), which checks set by set in
+   canonical order with no work units.  Also pins down the work-stealing
+   scheduler: N-domain forced sharding must reproduce the reference
+   report exactly. *)
 
 open Gdpn_core
 module Engine = Gdpn_engine.Engine
@@ -25,8 +27,24 @@ let overclaimed inst =
     ~k:(inst.Instance.k + 2)
     ~name:(inst.Instance.name ^ "+2") ~strategy:Instance.Generic
 
+(* G(1,2) minus a clique edge is not 2-GD (Lemma 3.7): single faults
+   already break it, so the unit holding the singletons must report
+   them. *)
+let broken_g1 () =
+  let module Graph = Gdpn_graph.Graph in
+  let inst = Small_n.g1 ~k:2 in
+  let g = inst.Instance.graph in
+  let b = Graph.builder (Graph.order g) in
+  List.iter
+    (fun (u, v) -> if (u, v) <> (0, 1) then Graph.add_edge b u v)
+    (Graph.edges g);
+  Instance.make ~graph:(Graph.freeze b)
+    ~kind:(Array.init (Instance.order inst) (Instance.kind_of inst))
+    ~n:1 ~k:2 ~name:"G(1,2) minus an edge" ~strategy:Instance.Generic
+
 let frozen_instances () =
   [
+    broken_g1 ();
     Small_n.g1 ~k:1;
     Small_n.g1 ~k:3;
     Small_n.g3 ~k:2;
@@ -53,9 +71,13 @@ let oracle_tests =
                 let spliced =
                   Verify.exhaustive ~max_failures ~splice:true inst
                 in
-                check report_testable
-                  (Printf.sprintf "%s cap=%d" inst.Instance.name max_failures)
-                  scratch spliced)
+                let label =
+                  Printf.sprintf "%s cap=%d" inst.Instance.name max_failures
+                in
+                check report_testable label scratch spliced;
+                check report_testable (label ^ " reference")
+                  (Testutil.reference_exhaustive ~max_failures inst)
+                  spliced)
               [ 1; 2; 5; 1000 ])
           (frozen_instances ()));
     tc "splice respects a restricted (merged-model) universe" (fun () ->
@@ -64,8 +86,25 @@ let oracle_tests =
             let universe = Instance.processors inst in
             let scratch = Verify.exhaustive ~universe ~splice:false inst in
             let spliced = Verify.exhaustive ~universe ~splice:true inst in
-            check report_testable inst.Instance.name scratch spliced)
+            check report_testable inst.Instance.name scratch spliced;
+            check report_testable
+              (inst.Instance.name ^ " reference")
+              (Testutil.reference_exhaustive ~universe inst)
+              spliced)
           [ Small_n.g3 ~k:2; overclaimed (Small_n.g2 ~k:2) ]);
+    tc "a restricted universe reports elements, not positions" (fun () ->
+        let inst = overclaimed (Small_n.g2 ~k:2) in
+        let universe = List.tl (List.init (Instance.order inst) Fun.id) in
+        let expected = Testutil.reference_exhaustive ~universe inst in
+        check Alcotest.bool "has failures" true
+          (expected.Verify.failures <> []);
+        List.iter
+          (fun splice ->
+            check report_testable
+              (Printf.sprintf "splice=%b" splice)
+              expected
+              (Verify.exhaustive ~universe ~splice inst))
+          [ true; false ]);
     tc "orbit-reduced splice equals orbit-reduced from-scratch" (fun () ->
         List.iter
           (fun inst ->
@@ -78,10 +117,14 @@ let oracle_tests =
                 let spliced =
                   Verify.exhaustive ~max_failures ~symmetry ~splice:true inst
                 in
-                check report_testable
-                  (Printf.sprintf "%s orbit cap=%d" inst.Instance.name
-                     max_failures)
-                  scratch spliced)
+                let label =
+                  Printf.sprintf "%s orbit cap=%d" inst.Instance.name
+                    max_failures
+                in
+                check report_testable label scratch spliced;
+                check report_testable (label ^ " reference")
+                  (Testutil.reference_exhaustive ~max_failures ~symmetry inst)
+                  spliced)
               [ 1; 5; 1000 ])
           [ Small_n.g1 ~k:3; Special.g62 (); overclaimed (Small_n.g2 ~k:2) ]);
     tc "splicing actually fires and saves full solves" (fun () ->
@@ -102,8 +145,9 @@ let oracle_props =
       (fun (n, k, max_failures, overclaim) ->
         let inst = Family.build ~n ~k in
         let inst = if overclaim then overclaimed inst else inst in
-        Verify.exhaustive ~max_failures ~splice:false inst
-        = Verify.exhaustive ~max_failures ~splice:true inst);
+        let expected = Testutil.reference_exhaustive ~max_failures inst in
+        Verify.exhaustive ~max_failures ~splice:false inst = expected
+        && Verify.exhaustive ~max_failures ~splice:true inst = expected);
     Test.make
       ~name:"orbit-reduced splice equals from-scratch on random instances"
       ~count:25
@@ -112,8 +156,9 @@ let oracle_props =
         let inst = Family.build ~n ~k in
         let inst = if overclaim then overclaimed inst else inst in
         let symmetry = Instance.symmetry inst in
-        Verify.exhaustive ~symmetry ~splice:false inst
-        = Verify.exhaustive ~symmetry ~splice:true inst);
+        let expected = Testutil.reference_exhaustive ~symmetry inst in
+        Verify.exhaustive ~symmetry ~splice:false inst = expected
+        && Verify.exhaustive ~symmetry ~splice:true inst = expected);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -127,7 +172,7 @@ let scheduler_tests =
           (fun inst ->
             List.iter
               (fun splice ->
-                let sequential = Verify.exhaustive ~splice inst in
+                let sequential = Testutil.reference_exhaustive inst in
                 List.iter
                   (fun domains ->
                     let actual =
@@ -145,7 +190,9 @@ let scheduler_tests =
         let inst = overclaimed (Small_n.g2 ~k:2) in
         List.iter
           (fun max_failures ->
-            let sequential = Verify.exhaustive ~max_failures inst in
+            let sequential =
+              Testutil.reference_exhaustive ~max_failures inst
+            in
             List.iter
               (fun domains ->
                 let actual =
@@ -164,7 +211,9 @@ let scheduler_tests =
             let symmetry = Instance.symmetry inst in
             List.iter
               (fun splice ->
-                let sequential = Verify.exhaustive ~symmetry ~splice inst in
+                let sequential =
+                  Testutil.reference_exhaustive ~symmetry inst
+                in
                 List.iter
                   (fun domains ->
                     let actual =
