@@ -1,5 +1,5 @@
 .PHONY: all build test check bench bench-smoke resume-smoke chaos-smoke \
-  serve-smoke store-smoke clean
+  serve-smoke store-smoke cert-smoke clean
 
 all: build
 
@@ -25,7 +25,8 @@ test:
 # must not exit 3 (crosscheck divergence); --faults checks one explicit
 # mixed node+link set end to end.  --merged restricts the universe to the
 # processors and is crosschecked the same way.  An (n, k) with no
-# construction is an input error: exit 2, not a crash.
+# construction is an input error: exit 2, not a crash — and so is a
+# certificate file that cannot be read or written.
 check: build test
 	GDPN_DOMAINS=2 dune exec bin/gdp.exe -- verify -n 8 -k 2
 	GDPN_DOMAINS=2 dune exec bin/gdp.exe -- verify -n 8 -k 2 --no-splice
@@ -42,10 +43,28 @@ check: build test
 	dune exec bin/gdp.exe -- verify -n 3 -k 5 --procs 2 --symmetry --crosscheck
 	dune exec bin/gdp.exe -- verify -n 4 -k 4; test $$? -eq 2
 	dune exec bin/gdp.exe -- build -n 0 -k 2; test $$? -eq 2
+	dune exec bin/gdp.exe -- check-cert -n 6 -k 2 /nonexistent; test $$? -eq 2
+	dune exec bin/gdp.exe -- check-cert -n 6 -k 2 /tmp; test $$? -eq 2
+	dune exec bin/gdp.exe -- certify -n 6 -k 2 /tmp; test $$? -eq 2
+	$(MAKE) cert-smoke
 	$(MAKE) resume-smoke
 	$(MAKE) chaos-smoke
 	$(MAKE) serve-smoke
 	$(MAKE) store-smoke
+
+# Certificate round-trip: certify and re-check G(6,2) (group order 2),
+# G(1,5) (order 1,440) and G(3,2) (trivial group, so a flat
+# certificate); a truncated copy must be refused with exit 1.
+cert-smoke: build
+	dune exec bin/gdp.exe -- certify -n 6 -k 2 /tmp/gdpn-g62.cert
+	dune exec bin/gdp.exe -- check-cert -n 6 -k 2 /tmp/gdpn-g62.cert
+	dune exec bin/gdp.exe -- certify -n 1 -k 5 /tmp/gdpn-g15.cert
+	dune exec bin/gdp.exe -- check-cert -n 1 -k 5 /tmp/gdpn-g15.cert
+	dune exec bin/gdp.exe -- certify -n 3 -k 2 /tmp/gdpn-g32.cert
+	dune exec bin/gdp.exe -- check-cert -n 3 -k 2 /tmp/gdpn-g32.cert
+	head -c 500 /tmp/gdpn-g62.cert > /tmp/gdpn-g62-cut.cert
+	dune exec bin/gdp.exe -- check-cert -n 6 -k 2 /tmp/gdpn-g62-cut.cert; \
+	  test $$? -eq 1
 
 # Deterministic chaos smoke: seeded multi-year fault storms on G(9,2)
 # through all three rate profiles.  Exit 1 = invariant violation (the

@@ -869,52 +869,44 @@ let certify_cmd =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE"
            ~doc:"Destination certificate file.")
   in
-  let stream_arg =
-    Arg.(value & flag & info [ "stream" ]
-           ~doc:"Stream a compact binary (v4) certificate record by record \
-                 as each fault set is solved, instead of accumulating the \
-                 whole text in memory — O(1) memory for arbitrarily large \
-                 fault spaces.  `gdp check-cert` validates both formats.")
-  in
-  let run n k stream file =
+  let run n k file =
     let inst = build_instance n k false in
     pf "%a@." Instance.pp inst;
     (* Through the engine: size-s witnesses splice from their cached
        size-(s-1) predecessors instead of re-running the solver. *)
     let engine = Engine.create inst in
-    if stream then begin
-      let oc = open_out_bin file in
-      match Engine.certify_to engine oc with
+    match open_out_bin file with
+    | exception Sys_error msg ->
+      pf "error: %s@." msg;
+      2
+    | oc -> (
+      (* A failed run leaves no partial certificate behind — but a
+         device such as /dev/full is not ours to remove. *)
+      let fail code msg =
+        close_out_noerr oc;
+        (match Unix.stat file with
+        | { Unix.st_kind = Unix.S_REG; _ } -> Sys.remove file
+        | _ | (exception Unix.Unix_error _) -> ());
+        pf "%s@." msg;
+        code
+      in
+      match
+        Certify.write
+          ~solve:(fun ~faults -> Engine.solve engine ~faults)
+          ~symmetry:(Instance.symmetry inst) (Fault_model.node inst) oc
+      with
       | () ->
         let size = out_channel_length oc in
         close_out oc;
-        pf "wrote %s (%d bytes, streamed v4); re-check with `gdp \
-            check-cert`@."
-          file size;
+        pf "wrote %s (%d bytes); re-check with `gdp check-cert`@." file size;
         0
-      | exception Failure msg ->
-        close_out oc;
-        (try Sys.remove file with Sys_error _ -> ());
-        pf "cannot certify: %s@." msg;
-        1
-    end
-    else
-      match Engine.certify engine with
-      | cert ->
-        let oc = open_out file in
-        output_string oc cert;
-        close_out oc;
-        pf "wrote %s (%d bytes); re-check with `gdp check-cert`@." file
-          (String.length cert);
-        0
-      | exception Failure msg ->
-        pf "cannot certify: %s@." msg;
-        1
+      | exception Failure msg -> fail 1 ("cannot certify: " ^ msg)
+      | exception Sys_error msg -> fail 2 ("error: " ^ msg))
   in
   Cmd.v
     (Cmd.info "certify"
        ~doc:"Emit a witness certificate of k-graceful-degradability.")
-    Term.(const run $ n_arg $ k_arg $ stream_arg $ file_arg)
+    Term.(const run $ n_arg $ k_arg $ file_arg)
 
 let check_cert_cmd =
   let file_arg =
@@ -923,16 +915,25 @@ let check_cert_cmd =
   in
   let run n k file =
     let inst = build_instance n k false in
-    let ic = open_in file in
-    let text = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    match Certify.check inst text with
-    | Ok count ->
+    let result =
+      match open_in_bin file with
+      | exception Sys_error msg -> Error msg
+      | ic -> (
+        Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
+        (* a directory opens, then fails its first read *)
+        try Ok (Certify.check inst ic)
+        with Sys_error msg -> Error (file ^ ": " ^ msg))
+    in
+    match result with
+    | Ok (Ok count) ->
       pf "certificate valid: %d fault sets witnessed@." count;
       0
-    | Error e ->
+    | Ok (Error e) ->
       pf "certificate INVALID: %s@." e;
       1
+    | Error msg ->
+      pf "error: %s@." msg;
+      2
   in
   Cmd.v
     (Cmd.info "check-cert"
@@ -1337,13 +1338,10 @@ let compile_plans_cmd =
         else None
       in
       let items =
-        match group with
-        | Some g -> Auto.fault_orbits g ~max_size
-        | None ->
-          let acc = ref [] in
-          Combinat.iter_subsets_up_to usize max_size (fun buf len ->
-              acc := { Auto.set = Array.sub buf 0 len; size = 1 } :: !acc);
-          Array.of_list (List.rev !acc)
+        (* the trivial group's orbits are the single sets *)
+        Auto.fault_orbits
+          (Option.value group ~default:(Auto.trivial usize))
+          ~max_size
       in
       let nitems = Array.length items in
       let nunits = Stdlib.max 1 ((nitems + unit_size - 1) / unit_size) in

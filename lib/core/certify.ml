@@ -3,720 +3,223 @@ module Combinat = Gdpn_graph.Combinat
 module Auto = Gdpn_graph.Auto
 module Metrics = Gdpn_obs.Metrics
 
-(* Certificate records streamed to a channel by the v4 writers (one per
-   witness / orbit witness). *)
+(* One per record written. *)
 let m_records_streamed = Metrics.counter "certify.records_streamed"
 
 let digest inst = Digest.to_hex (Digest.string (Serial.to_string inst))
 
-let generate ?solve inst =
-  let order = Instance.order inst in
-  let k = inst.Instance.k in
-  let solve =
-    match solve with
-    | Some f -> f
-    | None ->
-      (* One context for the whole enumeration: certificate generation is
-         exactly the repeated-solve workload the ctx exists for. *)
-      let ctx = Reconfig.make_ctx inst in
-      fun ~faults -> Reconfig.solve ~ctx inst ~faults
-  in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "gdpn-cert 1\n";
-  Buffer.add_string buf (Printf.sprintf "instance %s\n" (digest inst));
-  Buffer.add_string buf
-    (Printf.sprintf "sets %d\n" (Combinat.count_up_to order k));
-  let mask = Bitset.create order in
-  Combinat.iter_subsets_up_to order k (fun set len ->
-      Bitset.clear mask;
-      for i = 0 to len - 1 do
-        Bitset.add mask set.(i)
-      done;
-      match solve ~faults:mask with
-      | Reconfig.Pipeline p ->
-        Buffer.add_string buf
-          (Printf.sprintf "w %s|%s\n"
-             (String.concat ","
-                (List.init len (fun i -> string_of_int set.(i))))
-             (String.concat " "
-                (List.map string_of_int p.Pipeline.nodes)))
-      | Reconfig.No_pipeline | Reconfig.Gave_up ->
-        failwith
-          (Printf.sprintf "Certify.generate: fault set {%s} has no pipeline"
-             (String.concat ","
-                (List.init len (fun i -> string_of_int set.(i))))));
-  Buffer.contents buf
+let magic = "gdpn-cert 5\n"
 
-(* Orbit-compressed certificates: the generators of the symmetry group,
-   then one witness per fault-set orbit with its declared orbit size.
-   The checker re-derives every orbit member itself and transports the
-   witness across, so the compression adds no trust in the generator. *)
-let generate_orbits ?solve ~symmetry inst =
-  if Auto.is_trivial symmetry then generate ?solve inst
+(* lib/core cannot see the engine codec (dependency direction), and a
+   certificate needs nothing but unsigned varints. *)
+let rec put_uint oc n =
+  if n < 0x80 then output_byte oc n
   else begin
-    let order = Instance.order inst in
-    if Auto.degree symmetry <> order then
-      invalid_arg "Certify.generate_orbits: symmetry degree <> order";
-    let k = inst.Instance.k in
-    let solve =
-      match solve with
-      | Some f -> f
-      | None ->
-        let ctx = Reconfig.make_ctx inst in
-        fun ~faults -> Reconfig.solve ~ctx inst ~faults
-    in
-    let reps = Auto.fault_orbits symmetry ~max_size:k in
-    let buf = Buffer.create 4096 in
-    Buffer.add_string buf "gdpn-cert 2\n";
-    Buffer.add_string buf (Printf.sprintf "instance %s\n" (digest inst));
-    Buffer.add_string buf
-      (Printf.sprintf "sets %d\n" (Combinat.count_up_to order k));
-    let gens = Auto.generators symmetry in
-    Buffer.add_string buf (Printf.sprintf "gens %d\n" (List.length gens));
-    List.iter
-      (fun p ->
-        Buffer.add_string buf
-          (Printf.sprintf "p %s\n"
-             (String.concat " "
-                (List.map string_of_int (Array.to_list p)))))
-      gens;
-    Buffer.add_string buf (Printf.sprintf "orbits %d\n" (Array.length reps));
-    let mask = Bitset.create order in
-    Array.iter
-      (fun { Auto.set; size } ->
-        Bitset.clear mask;
-        Array.iter (Bitset.add mask) set;
-        match solve ~faults:mask with
-        | Reconfig.Pipeline p ->
-          Buffer.add_string buf
-            (Printf.sprintf "w %s|%d|%s\n"
-               (String.concat ","
-                  (List.map string_of_int (Array.to_list set)))
-               size
-               (String.concat " " (List.map string_of_int p.Pipeline.nodes)))
-        | Reconfig.No_pipeline | Reconfig.Gave_up ->
-          failwith
-            (Printf.sprintf
-               "Certify.generate_orbits: fault set {%s} has no pipeline"
-               (String.concat ","
-                  (List.map string_of_int (Array.to_list set)))))
-      reps;
-    Buffer.contents buf
+    output_byte oc (n land 0x7f lor 0x80);
+    put_uint oc (n lsr 7)
   end
 
-(* Model-naming (v3) certificates: the flat v1 scheme lifted to a fault
-   model's universe — one witness line per universe subset in canonical
-   order, fault elements rendered in the model's element syntax ("3",
-   "2-5", "c4", "n7").  The checker rebuilds the model from its declared
-   name, so universe indexing is canonical on both sides, and validates
-   each witness against the link-degraded instance — still no search and
-   no trust in the generator. *)
-let generate_model ?solve model =
+let put_string oc s =
+  put_uint oc (String.length s);
+  output_string oc s
+
+let write ?solve ?symmetry model oc =
   let inst = Fault_model.instance model in
-  let usize = Fault_model.size model in
-  let k = Fault_model.max_faults model in
+  let gens, group =
+    match symmetry with
+    | None -> ([], Auto.trivial (Fault_model.size model))
+    | Some g -> (Auto.generators g, Fault_model.induced_symmetry model g)
+  in
   let solve =
     match solve with
     | Some f -> f
     | None ->
+      (* One search context for the whole enumeration: certification is
+         exactly the repeated-solve workload the context exists for. *)
       let ctx = Reconfig.make_ctx inst in
       fun ~faults -> Fault_model.solve ~ctx model ~faults
   in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "gdpn-cert 3\n";
-  Buffer.add_string buf (Printf.sprintf "instance %s\n" (digest inst));
-  Buffer.add_string buf (Printf.sprintf "model %s\n" (Fault_model.name model));
-  Buffer.add_string buf
-    (Printf.sprintf "sets %d\n" (Combinat.count_up_to usize k));
-  let mask = Bitset.create usize in
-  Combinat.iter_subsets_up_to usize k (fun set len ->
-      Bitset.clear mask;
-      for i = 0 to len - 1 do
-        Bitset.add mask set.(i)
-      done;
-      let faults_s =
-        String.concat ","
-          (List.init len (fun i ->
-               Fault_model.elt_to_string (Fault_model.element model set.(i))))
-      in
-      match solve ~faults:mask with
-      | Reconfig.Pipeline p ->
-        Buffer.add_string buf
-          (Printf.sprintf "w %s|%s\n" faults_s
-             (String.concat " " (List.map string_of_int p.Pipeline.nodes)))
-      | Reconfig.No_pipeline | Reconfig.Gave_up ->
-        failwith
-          (Printf.sprintf
-             "Certify.generate_model: fault set {%s} has no pipeline" faults_s));
-  Buffer.contents buf
-
-let check_v3 inst model_line sets_line witnesses =
-  let err fmt = Printf.ksprintf (fun s -> Error s) fmt in
-  let model_name =
-    match String.split_on_char ' ' model_line with
-    | [ "model"; name ] -> Some name
-    | _ -> None
-  in
-  match Option.bind model_name (Fault_model.of_name inst) with
-  | None -> err "bad model line %S" model_line
-  | Some model -> (
-    let usize = Fault_model.size model in
-    let k = Fault_model.max_faults model in
-    let expected = Combinat.count_up_to usize k in
-    let declared =
-      match String.split_on_char ' ' sets_line with
-      | [ "sets"; n ] -> int_of_string_opt n
-      | _ -> None
-    in
-    match declared with
-    | None -> err "bad sets line %S" sets_line
-    | Some declared ->
-      if declared <> expected then
-        err "certificate declares %d fault sets, model needs %d" declared
-          expected
-      else if List.length witnesses <> expected then
-        err "certificate contains %d witnesses, expected %d"
-          (List.length witnesses) expected
-      else begin
-        (* Walk the canonical universe enumeration in lockstep. *)
-        let remaining = ref witnesses in
-        let failure = ref None in
-        let mask = Bitset.create usize in
-        Combinat.iter_subsets_up_to usize k (fun set len ->
-            if !failure = None then begin
-              match !remaining with
-              | [] -> failure := Some "ran out of witness lines"
-              | line :: rest -> (
-                remaining := rest;
-                let expected_faults =
-                  String.concat ","
-                    (List.init len (fun i ->
-                         Fault_model.elt_to_string
-                           (Fault_model.element model set.(i))))
-                in
-                match String.split_on_char '|' line with
-                | [ left; right ]
-                  when left = Printf.sprintf "w %s" expected_faults -> (
-                  let nodes =
-                    List.filter_map int_of_string_opt
-                      (String.split_on_char ' ' right)
-                  in
-                  Bitset.clear mask;
-                  for i = 0 to len - 1 do
-                    Bitset.add mask set.(i)
-                  done;
-                  match Fault_model.validate model ~faults:mask nodes with
-                  | Ok _ -> ()
-                  | Error e ->
-                    failure :=
-                      Some
-                        (Printf.sprintf "witness for {%s} invalid: %s"
-                           expected_faults e))
-                | _ ->
-                  failure :=
-                    Some
-                      (Printf.sprintf "expected witness for {%s}, found %S"
-                         expected_faults line))
-            end);
-        match !failure with
-        | Some msg -> Error msg
-        | None -> Ok expected
-      end)
-
-(* v2 checking.  Soundness argument for completeness: every member the
-   checker derives is validated to be a subset of size <= k (sizes and
-   distinctness are preserved by the verified permutations), duplicates
-   across the whole certificate are rejected, and the grand total must
-   equal [count_up_to order k] — so by counting, the orbits cover every
-   fault set exactly once. *)
-let check_v2 inst rest =
-  let order = Instance.order inst in
-  let k = inst.Instance.k in
-  let expected = Combinat.count_up_to order k in
-  let parse_prefixed prefix line =
-    match String.split_on_char ' ' line with
-    | p :: n :: [] when p = prefix -> int_of_string_opt n
-    | _ -> None
-  in
-  (* Each generator must be solvability-preserving: a graph automorphism
-     that either preserves node kinds or swaps the input and output
-     classes wholesale (a reversal). *)
-  let kind_compatible p =
-    let preserves = ref true in
-    let reverses = ref true in
-    Array.iteri
-      (fun v img ->
-        let kv = Instance.kind_of inst v and ki = Instance.kind_of inst img in
-        if not (Label.equal kv ki) then preserves := false;
-        let swapped =
-          match kv with
-          | Label.Processor -> Label.equal ki Label.Processor
-          | Label.Input -> Label.equal ki Label.Output
-          | Label.Output -> Label.equal ki Label.Input
-        in
-        if not swapped then reverses := false)
-      p;
-    !preserves || !reverses
-  in
-  let exception Bad of string in
-  try
-    let sets_line, rest =
-      match rest with l :: r -> (l, r) | [] -> raise (Bad "truncated")
-    in
-    (match parse_prefixed "sets" sets_line with
-    | Some d when d = expected -> ()
-    | Some d ->
-      raise
-        (Bad
-           (Printf.sprintf "certificate declares %d fault sets, instance needs %d"
-              d expected))
-    | None -> raise (Bad (Printf.sprintf "bad sets line %S" sets_line)));
-    let ngens, rest =
-      match rest with
-      | l :: r -> (
-        match parse_prefixed "gens" l with
-        | Some n when n >= 0 -> (n, r)
-        | _ -> raise (Bad (Printf.sprintf "bad gens line %S" l)))
-      | [] -> raise (Bad "truncated")
-    in
-    let parse_perm line =
-      match String.split_on_char ' ' line with
-      | "p" :: imgs ->
-        let p = Array.of_list (List.filter_map int_of_string_opt imgs) in
-        if
-          Array.length p = order
-          && Auto.is_automorphism inst.Instance.graph p
-          && kind_compatible p
-        then p
-        else raise (Bad (Printf.sprintf "bad generator %S" line))
-      | _ -> raise (Bad (Printf.sprintf "bad generator line %S" line))
-    in
-    let rec take_gens n acc rest =
-      if n = 0 then (List.rev acc, rest)
-      else
-        match rest with
-        | l :: r -> take_gens (n - 1) (parse_perm l :: acc) r
-        | [] -> raise (Bad "truncated generator list")
-    in
-    let gens, rest = take_gens ngens [] rest in
-    let norbits, orbit_lines =
-      match rest with
-      | l :: r -> (
-        match parse_prefixed "orbits" l with
-        | Some n when n >= 0 -> (n, r)
-        | _ -> raise (Bad (Printf.sprintf "bad orbits line %S" l)))
-      | [] -> raise (Bad "truncated")
-    in
-    if List.length orbit_lines <> norbits then
-      raise
-        (Bad
-           (Printf.sprintf "certificate contains %d orbit lines, declares %d"
-              (List.length orbit_lines) norbits));
-    let seen = Hashtbl.create (2 * expected) in
-    let covered = ref 0 in
-    let mask = Bitset.create order in
-    let key_of set = String.concat "," (List.map string_of_int set) in
-    let validate_member name set nodes =
-      if List.exists (fun v -> v < 0 || v >= order) set then
-        raise (Bad (Printf.sprintf "%s: node out of range" name));
-      if List.length (List.sort_uniq compare set) <> List.length set then
-        raise (Bad (Printf.sprintf "%s: repeated fault" name));
-      if List.length set > k then
-        raise (Bad (Printf.sprintf "%s: more than k faults" name));
-      let key = key_of (List.sort compare set) in
-      if Hashtbl.mem seen key then
-        raise (Bad (Printf.sprintf "%s: fault set covered twice" name));
-      Hashtbl.replace seen key ();
-      incr covered;
-      Bitset.clear mask;
-      List.iter (Bitset.add mask) set;
-      match Pipeline.validate inst ~faults:mask nodes with
-      | Ok _ -> ()
-      | Error e ->
-        raise
-          (Bad
-             (Printf.sprintf "witness for {%s} invalid: %s"
-                (key_of (List.sort compare set))
-                e))
-    in
-    List.iter
-      (fun line ->
-        match String.split_on_char '|' line with
-        | [ left; size_s; nodes_s ]
-          when String.length left >= 2 && String.sub left 0 2 = "w " -> (
-          let faults_s = String.sub left 2 (String.length left - 2) in
-          let rep =
-            List.filter_map int_of_string_opt
-              (List.filter
-                 (fun s -> s <> "")
-                 (String.split_on_char ',' faults_s))
-          in
-          let nodes =
-            List.filter_map int_of_string_opt
-              (String.split_on_char ' ' nodes_s)
-          in
-          match int_of_string_opt size_s with
-          | None -> raise (Bad (Printf.sprintf "bad orbit size in %S" line))
-          | Some declared_size ->
-            (* BFS over the orbit, tracking the permutation that maps the
-               representative to each member so the witness can be
-               transported.  The pipeline definition admits both
-               orientations, so reversal images validate as-is. *)
-            let orbit_seen = Hashtbl.create 16 in
-            let queue = Queue.create () in
-            let identity = Array.init order Fun.id in
-            let sorted_img perm = List.sort compare (List.map (fun v -> perm.(v)) rep) in
-            Hashtbl.replace orbit_seen (key_of (List.sort compare rep)) ();
-            Queue.add identity queue;
-            let members = ref 0 in
-            while not (Queue.is_empty queue) do
-              let perm = Queue.pop queue in
-              incr members;
-              validate_member
-                (Printf.sprintf "orbit of {%s}" faults_s)
-                (List.map (fun v -> perm.(v)) rep)
-                (List.map (fun v -> perm.(v)) nodes);
-              List.iter
-                (fun g ->
-                  let composed = Array.map (fun v -> g.(v)) perm in
-                  let k2 = key_of (sorted_img composed) in
-                  if not (Hashtbl.mem orbit_seen k2) then begin
-                    Hashtbl.replace orbit_seen k2 ();
-                    Queue.add composed queue
-                  end)
-                gens
-            done;
-            if !members <> declared_size then
-              raise
-                (Bad
-                   (Printf.sprintf
-                      "orbit of {%s} has %d members, certificate declares %d"
-                      faults_s !members declared_size)))
-        | _ -> raise (Bad (Printf.sprintf "bad orbit line %S" line)))
-      orbit_lines;
-    if !covered <> expected then
-      raise
-        (Bad
-           (Printf.sprintf "orbits cover %d fault sets, instance needs %d"
-              !covered expected));
-    Ok expected
-  with Bad msg -> Error msg
-
-let check_text inst text =
-  let err fmt = Printf.ksprintf (fun s -> Error s) fmt in
-  let lines =
-    List.filter (fun l -> l <> "") (String.split_on_char '\n' text)
-  in
-  match lines with
-  | "gdpn-cert 2" :: digest_line :: rest ->
-    if digest_line <> Printf.sprintf "instance %s" (digest inst) then
-      err "certificate is for a different instance"
-    else check_v2 inst rest
-  | "gdpn-cert 3" :: digest_line :: model_line :: sets_line :: witnesses ->
-    if digest_line <> Printf.sprintf "instance %s" (digest inst) then
-      err "certificate is for a different instance"
-    else check_v3 inst model_line sets_line witnesses
-  | header :: digest_line :: sets_line :: witnesses -> (
-    if header <> "gdpn-cert 1" then err "bad header %S" header
-    else if digest_line <> Printf.sprintf "instance %s" (digest inst) then
-      err "certificate is for a different instance"
-    else begin
-      let declared =
-        match String.split_on_char ' ' sets_line with
-        | [ "sets"; n ] -> int_of_string_opt n
-        | _ -> None
-      in
-      match declared with
-      | None -> err "bad sets line %S" sets_line
-      | Some declared ->
-        let order = Instance.order inst in
-        let k = inst.Instance.k in
-        let expected = Combinat.count_up_to order k in
-        if declared <> expected then
-          err "certificate declares %d fault sets, instance needs %d" declared
-            expected
-        else if List.length witnesses <> expected then
-          err "certificate contains %d witnesses, expected %d"
-            (List.length witnesses) expected
-        else begin
-          (* Walk the canonical enumeration in lockstep with the lines. *)
-          let remaining = ref witnesses in
-          let failure = ref None in
-          let mask = Bitset.create order in
-          Combinat.iter_subsets_up_to order k (fun set len ->
-              if !failure = None then begin
-                match !remaining with
-                | [] -> failure := Some "ran out of witness lines"
-                | line :: rest -> (
-                  remaining := rest;
-                  let expected_faults =
-                    String.concat ","
-                      (List.init len (fun i -> string_of_int set.(i)))
-                  in
-                  match String.split_on_char '|' line with
-                  | [ left; right ]
-                    when left = Printf.sprintf "w %s" expected_faults -> (
-                    let nodes =
-                      List.filter_map int_of_string_opt
-                        (String.split_on_char ' ' right)
-                    in
-                    Bitset.clear mask;
-                    for i = 0 to len - 1 do
-                      Bitset.add mask set.(i)
-                    done;
-                    match Pipeline.validate inst ~faults:mask nodes with
-                    | Ok _ -> ()
-                    | Error e ->
-                      failure :=
-                        Some
-                          (Printf.sprintf "witness for {%s} invalid: %s"
-                             expected_faults e))
-                  | _ ->
-                    failure :=
-                      Some
-                        (Printf.sprintf
-                           "expected witness for {%s}, found %S"
-                           expected_faults line))
-              end);
-          match !failure with
-          | Some msg -> Error msg
-          | None -> Ok expected
-        end
-    end)
-  | _ -> err "truncated certificate"
-
-(* ------------------------------------------------------------------ *)
-(* v4: streamed binary certificates                                    *)
-(* ------------------------------------------------------------------ *)
-
-(* The v1/v2 generators accumulate the whole certificate in a buffer —
-   at G(3,5) scale that is already tens of megabytes, and the scale
-   instances the checkpointed verifier reaches would not fit in memory
-   at all.  The v4 writers stream one compact binary record per witness
-   straight to an out_channel: varint fields, fault sets delta-encoded
-   (they are sorted ascending, so gaps are tiny).  The checker decodes
-   v4 back into the equivalent v1/v2 text and reuses those checkers
-   verbatim, so the binary layer adds no trust surface of its own.
-
-   Layout ("gdpn-cert 4\n" magic, then binary):
-
-     varint inner        1 = flat (v1 semantics), 2 = orbit (v2)
-     string digest       varint length + hex digest bytes
-     varint nsets        total fault sets covered
-     inner 2 only:
-       varint order      permutation degree
-       varint ngens      then [order] varints per generator
-       varint norbits
-     records:            nsets (inner 1) / norbits (inner 2) of:
-       varint len, [len] gap varints     the fault set, delta-encoded
-       inner 2 only: varint orbit size
-       varint nnodes, [nnodes] varints   the witness pipeline *)
-
-let v4_magic = "gdpn-cert 4\n"
-
-(* lib/core cannot see the engine codec (dependency direction), and the
-   record shapes differ anyway; 20 lines of varint beat an inversion. *)
-let v4_put_uint oc n =
-  if n < 0 then invalid_arg "Certify: negative varint";
-  let rec go n =
-    let b = n land 0x7f in
-    let rest = n lsr 7 in
-    if rest = 0 then output_byte oc b
-    else begin
-      output_byte oc (b lor 0x80);
-      go rest
-    end
-  in
-  go n
-
-let v4_put_string oc s =
-  v4_put_uint oc (String.length s);
-  output_string oc s
-
-let v4_put_set oc set len =
-  v4_put_uint oc len;
-  let prev = ref (-1) in
-  for i = 0 to len - 1 do
-    v4_put_uint oc (set.(i) - !prev - 1);
-    prev := set.(i)
-  done
-
-let v4_put_nodes oc nodes =
-  v4_put_uint oc (List.length nodes);
-  List.iter (v4_put_uint oc) nodes
-
-let generate_to ?solve oc inst =
-  let order = Instance.order inst in
-  let k = inst.Instance.k in
-  let solve =
-    match solve with
-    | Some f -> f
-    | None ->
-      let ctx = Reconfig.make_ctx inst in
-      fun ~faults -> Reconfig.solve ~ctx inst ~faults
-  in
-  output_string oc v4_magic;
-  v4_put_uint oc 1;
-  v4_put_string oc (digest inst);
-  v4_put_uint oc (Combinat.count_up_to order k);
-  let mask = Bitset.create order in
-  Combinat.iter_subsets_up_to order k (fun set len ->
+  output_string oc magic;
+  put_string oc (digest inst);
+  put_string oc (Fault_model.name model);
+  put_uint oc (List.length gens);
+  List.iter (Array.iter (put_uint oc)) gens;
+  let mask = Bitset.create (Fault_model.size model) in
+  Auto.iter_fault_orbits group ~max_size:(Fault_model.max_faults model)
+    (fun set len _ ->
       Bitset.clear mask;
       for i = 0 to len - 1 do
         Bitset.add mask set.(i)
       done;
       match solve ~faults:mask with
       | Reconfig.Pipeline p ->
-        v4_put_set oc set len;
-        v4_put_nodes oc p.Pipeline.nodes;
+        put_uint oc len;
+        for i = 0 to len - 1 do
+          put_uint oc (if i = 0 then set.(0) else set.(i) - set.(i - 1) - 1)
+        done;
+        put_uint oc (List.length p.Pipeline.nodes);
+        List.iter (put_uint oc) p.Pipeline.nodes;
         Metrics.incr m_records_streamed
       | Reconfig.No_pipeline | Reconfig.Gave_up ->
         failwith
-          (Printf.sprintf "Certify.generate_to: fault set {%s} has no pipeline"
-             (String.concat ","
-                (List.init len (fun i -> string_of_int set.(i))))));
+          (Printf.sprintf "Certify.write: fault set %s has no pipeline"
+             (Fault_model.describe model (List.init len (Array.get set)))));
   flush oc
 
-let generate_orbits_to ?solve ~symmetry oc inst =
-  if Auto.is_trivial symmetry then generate_to ?solve oc inst
-  else begin
-    let order = Instance.order inst in
-    if Auto.degree symmetry <> order then
-      invalid_arg "Certify.generate_orbits_to: symmetry degree <> order";
-    let k = inst.Instance.k in
-    let solve =
-      match solve with
-      | Some f -> f
-      | None ->
-        let ctx = Reconfig.make_ctx inst in
-        fun ~faults -> Reconfig.solve ~ctx inst ~faults
-    in
-    let reps = Auto.fault_orbits symmetry ~max_size:k in
-    let gens = Auto.generators symmetry in
-    output_string oc v4_magic;
-    v4_put_uint oc 2;
-    v4_put_string oc (digest inst);
-    v4_put_uint oc (Combinat.count_up_to order k);
-    v4_put_uint oc order;
-    v4_put_uint oc (List.length gens);
-    List.iter (fun p -> Array.iter (v4_put_uint oc) p) gens;
-    v4_put_uint oc (Array.length reps);
-    let mask = Bitset.create order in
-    Array.iter
-      (fun { Auto.set; size } ->
-        Bitset.clear mask;
-        Array.iter (Bitset.add mask) set;
-        match solve ~faults:mask with
-        | Reconfig.Pipeline p ->
-          v4_put_set oc set (Array.length set);
-          v4_put_uint oc size;
-          v4_put_nodes oc p.Pipeline.nodes;
-          Metrics.incr m_records_streamed
-        | Reconfig.No_pipeline | Reconfig.Gave_up ->
-          failwith
-            (Printf.sprintf
-               "Certify.generate_orbits_to: fault set {%s} has no pipeline"
-               (String.concat ","
-                  (List.map string_of_int (Array.to_list set)))))
-      reps;
-    flush oc
-  end
+(* ------------------------------------------------------------------ *)
+(* The checker                                                         *)
+(* ------------------------------------------------------------------ *)
 
-(* Decode a v4 certificate back into the equivalent v1/v2 text.  Size
-   guards keep hostile headers from forcing huge allocations before the
-   (truncation-bounded) record loop notices the input is short. *)
-let v4_to_text s =
-  let exception Bad of string in
-  let pos = ref (String.length v4_magic) in
-  let len_s = String.length s in
-  let u () =
-    let v = ref 0 and shift = ref 0 and cont = ref true in
-    while !cont do
-      if !pos >= len_s then raise (Bad "truncated varint");
-      if !shift > 62 then raise (Bad "varint too wide");
-      let b = Char.code s.[!pos] in
-      incr pos;
-      v := !v lor ((b land 0x7f) lsl !shift);
-      shift := !shift + 7;
-      if b land 0x80 = 0 then cont := false
-    done;
-    !v
+exception Bad of string
+
+let bad fmt = Printf.ksprintf (fun s -> raise (Bad s)) fmt
+
+(* The certificate channel, read through a buffer of our own: one
+   [input] per 64 KiB instead of a locked channel call per byte. *)
+type source = {
+  ic : in_channel;
+  buf : Bytes.t;
+  mutable pos : int;
+  mutable len : int;
+}
+
+let at_end src =
+  src.pos = src.len
+  &&
+  (src.len <- input src.ic src.buf 0 (Bytes.length src.buf);
+   src.pos <- 0;
+   src.len = 0)
+
+let byte src =
+  if at_end src then bad "truncated certificate";
+  let b = Bytes.get src.buf src.pos in
+  src.pos <- src.pos + 1;
+  Char.code b
+
+(* A varint in [0, below), in its one shortest encoding. *)
+let get_uint src ~below what =
+  let rec go acc shift =
+    if shift > 56 then bad "%s: varint too long" what;
+    let b = byte src in
+    if b = 0 && shift > 0 then bad "%s: varint not in shortest form" what;
+    let acc = acc lor ((b land 0x7f) lsl shift) in
+    if b land 0x80 = 0 then acc else go acc (shift + 7)
   in
-  let str () =
-    let n = u () in
-    if n > 4096 then raise (Bad "unreasonable string length");
-    if !pos + n > len_s then raise (Bad "truncated string");
-    let r = String.sub s !pos n in
-    pos := !pos + n;
-    r
+  let v = go 0 0 in
+  if v < 0 || v >= below then bad "%s: %d out of range" what v;
+  v
+
+let get_bytes src n = String.init n (fun _ -> Char.chr (byte src))
+
+let get_string src ~max what =
+  get_bytes src (get_uint src ~below:(max + 1) what)
+
+(* A node permutation is solvability-preserving when it is a graph
+   automorphism that either keeps every node's kind or swaps the input
+   and output classes wholesale (a reversal): a pipeline then maps to a
+   pipeline. *)
+let kind_compatible inst p =
+  let kind v = Instance.kind_of inst v in
+  let reversed = function
+    | Label.Input -> Label.Output
+    | Label.Output -> Label.Input
+    | Label.Processor -> Label.Processor
   in
-  let bounded what cap n = if n < 0 || n > cap then raise (Bad ("unreasonable " ^ what)) else n in
-  let set () =
-    let len = bounded "set size" 1_000_000 (u ()) in
-    let prev = ref (-1) in
-    Array.init len (fun _ ->
-        let g = u () in
-        prev := !prev + 1 + g;
-        !prev)
+  let maps f =
+    let ok = ref true in
+    Array.iteri
+      (fun v img -> if not (Label.equal (kind img) (f (kind v))) then ok := false)
+      p;
+    !ok
   in
-  let nodes () =
-    let n = bounded "witness length" 1_000_000 (u ()) in
-    List.init n (fun _ -> u ())
+  maps Fun.id || maps reversed
+
+let check_source inst src =
+  (* formats 1 to 4 began with a header line of the same length *)
+  (match get_bytes src (String.length magic) with
+  | line when line = magic -> ()
+  | line when String.starts_with ~prefix:"gdpn-cert " line ->
+    bad "certificate format %s is no longer accepted: regenerate it with \
+         `gdp certify`"
+      (String.trim (String.sub line 10 (String.length line - 10)))
+  | _ -> bad "not a gdpn certificate");
+  if get_string src ~max:64 "digest" <> digest inst then
+    bad "certificate is for a different instance";
+  let name = get_string src ~max:16 "model" in
+  let model =
+    match Fault_model.of_name inst name with
+    | Some m -> m
+    | None -> bad "unknown fault model %S" name
   in
-  let render_set set =
-    String.concat "," (List.map string_of_int (Array.to_list set))
+  let order = Instance.order inst in
+  let gens =
+    List.init (get_uint src ~below:max_int "generator count") (fun i ->
+        let p =
+          Array.init order (fun _ -> get_uint src ~below:order "generator")
+        in
+        if
+          not
+            (Auto.is_automorphism inst.Instance.graph p && kind_compatible inst p)
+        then bad "generator %d is not a solvability-preserving automorphism" i;
+        p)
   in
-  let render_nodes ns = String.concat " " (List.map string_of_int ns) in
-  try
-    let inner = u () in
-    let dg = str () in
-    let nsets = u () in
-    let buf = Buffer.create 65536 in
-    (match inner with
-    | 1 ->
-      Buffer.add_string buf "gdpn-cert 1\n";
-      Buffer.add_string buf (Printf.sprintf "instance %s\n" dg);
-      Buffer.add_string buf (Printf.sprintf "sets %d\n" nsets);
-      for _ = 1 to bounded "set count" 100_000_000 nsets do
-        let set = set () in
-        let ns = nodes () in
-        Buffer.add_string buf
-          (Printf.sprintf "w %s|%s\n" (render_set set) (render_nodes ns))
-      done
-    | 2 ->
-      Buffer.add_string buf "gdpn-cert 2\n";
-      Buffer.add_string buf (Printf.sprintf "instance %s\n" dg);
-      Buffer.add_string buf (Printf.sprintf "sets %d\n" nsets);
-      let order = bounded "order" 1_000_000 (u ()) in
-      let ngens = bounded "generator count" 10_000 (u ()) in
-      Buffer.add_string buf (Printf.sprintf "gens %d\n" ngens);
-      for _ = 1 to ngens do
-        let imgs = List.init order (fun _ -> u ()) in
-        Buffer.add_string buf
-          (Printf.sprintf "p %s\n"
-             (String.concat " " (List.map string_of_int imgs)))
+  (* The group acts on the model's universe; universe indices below the
+     order are the nodes' own elements, so an element's images of them
+     are its node permutation. *)
+  let group =
+    Fault_model.induced_symmetry model (Auto.of_generators ~degree:order gens)
+  in
+  let usize = Fault_model.size model and k = Fault_model.max_faults model in
+  let mask = Bitset.create usize in
+  let records = ref 0 and covered = ref 0 in
+  Auto.iter_fault_orbits group ~max_size:k (fun set len size ->
+      let expected () =
+        Fault_model.describe model (List.init len (Array.get set))
+      in
+      let rlen = get_uint src ~below:(k + 1) "set size" in
+      if rlen <> len then
+        bad "record %d has %d faults, representative %s has %d" !records rlen
+          (expected ()) len;
+      let prev = ref (-1) in
+      for i = 0 to len - 1 do
+        let e = !prev + 1 + get_uint src ~below:(usize - !prev - 1) "fault" in
+        if e <> set.(i) then
+          bad "record %d is not for representative %s" !records (expected ());
+        prev := e
       done;
-      let norbits = bounded "orbit count" 100_000_000 (u ()) in
-      Buffer.add_string buf (Printf.sprintf "orbits %d\n" norbits);
-      for _ = 1 to norbits do
-        let set = set () in
-        let size = u () in
-        let ns = nodes () in
-        Buffer.add_string buf
-          (Printf.sprintf "w %s|%d|%s\n" (render_set set) size
-             (render_nodes ns))
-      done
-    | v -> raise (Bad (Printf.sprintf "unknown inner version %d" v)));
-    if !pos <> len_s then raise (Bad "trailing bytes")
-    else Ok (Buffer.contents buf)
-  with
-  | Bad m -> Error m
-  | Invalid_argument _ -> Error "malformed v4 payload"
+      let nodes =
+        List.init
+          (get_uint src ~below:(order + 1) "witness length")
+          (fun _ -> get_uint src ~below:order "witness node")
+      in
+      (* The witness, carried by every group element onto the member it
+         maps the representative to: each member of the orbit is checked
+         against the paper's definition alone. *)
+      for e = 0 to Auto.order group - 1 do
+        Bitset.clear mask;
+        for i = 0 to len - 1 do
+          Bitset.add mask (Auto.image group e set.(i))
+        done;
+        match
+          Fault_model.validate model ~faults:mask
+            (List.map (Auto.image group e) nodes)
+        with
+        | Ok _ -> ()
+        | Error why ->
+          bad "witness for %s fails on orbit member %s: %s" (expected ())
+            (Fault_model.describe model (Bitset.elements mask))
+            why
+      done;
+      incr records;
+      covered := !covered + size);
+  if not (at_end src) then bad "trailing bytes after record %d" !records;
+  let total = Combinat.count_up_to usize k in
+  if !covered <> total then
+    bad "orbits cover %d fault sets, the %s model has %d" !covered name total;
+  !covered
 
-let check inst text =
-  let mlen = String.length v4_magic in
-  if String.length text >= mlen && String.sub text 0 mlen = v4_magic then
-    match v4_to_text text with
-    | Ok decoded -> check_text inst decoded
-    | Error e -> Error ("bad v4 certificate: " ^ e)
-  else check_text inst text
+let check inst ic =
+  let src = { ic; buf = Bytes.create 65536; pos = 0; len = 0 } in
+  match check_source inst src with
+  | count -> Ok count
+  | exception Bad msg -> Error msg

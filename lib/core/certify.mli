@@ -3,119 +3,85 @@
     [Verify.exhaustive] proves the property by running the solver over the
     whole fault space — trusting the solver's completeness on the negative
     side.  A {e certificate} removes that trust for the positive claim: it
-    records one explicit pipeline witness per fault set, and a third party
-    can check the claim by validating each witness against the paper's
-    pipeline definition alone (no search, no solver).  Checking costs
-    O(witness length) per fault set.
+    records explicit pipeline witnesses, and a third party can check the
+    claim by validating them against the paper's pipeline definition
+    alone (no search, no solver).
 
-    Format (line-oriented; instance identity is pinned by a digest of its
-    serialized form):
+    {b Layout.}  One format, written and read as a stream:
 
     {v
-    gdpn-cert 1
-    instance <hex digest>
-    sets <count>
-    w <f1,f2,..>|<n1 n2 n3 ..>      one line per fault set
+    gdpn-cert 5\n                      the header line
+    string  digest                      Certify.digest of the instance
+    string  model                       node | mixed | colored | neighbor
+    varint  g, then g generators        each [order] varints: the images
+                                        of nodes 0..order-1
+    records, one per orbit representative of the group the generators
+    induce on the model's universe, in Auto.iter_fault_orbits order:
+      varint len, len gaps              the representative, delta-encoded
+                                        (first element, then each next
+                                        element minus its predecessor
+                                        minus one)
+      varint m, m node ids              the witness pipeline
     v}
 
-    Certificates enumerate every fault set of size [0..k] in the standard
-    order, so completeness is checkable by counting.
+    Strings are a varint length then the bytes; varints are unsigned
+    LEB128 in their shortest form.  With no generators the group is
+    trivial, every fault set is its own representative, and the
+    certificate is flat: one record per set, in
+    {!Gdpn_graph.Combinat.iter_subsets_up_to} order.
 
-    The {e orbit-compressed} v2 format instead records the generators of a
-    solvability-preserving symmetry group and one witness per fault-set
-    orbit:
+    {b Why the checker is sound.}  {!check} trusts nothing it reads:
 
-    {v
-    gdpn-cert 2
-    instance <hex digest>
-    sets <count>
-    gens <g>
-    p <img of 0> <img of 1> ...     one line per generator
-    orbits <count>
-    w <f1,f2,..>|<orbit size>|<n1 n2 ..>
-    v}
+    - the digest must be this instance's, and the model name must be one
+      {!Fault_model.of_name} builds over it;
+    - each generator must be a graph automorphism that keeps every
+      node's kind or swaps inputs and outputs wholesale, so every element
+      of the group they generate maps pipelines to pipelines;
+    - the checker rebuilds that group ({!Gdpn_graph.Auto.of_generators},
+      then {!Fault_model.induced_symmetry}) and enumerates the orbit
+      representatives itself, reading one record per representative in
+      lockstep: a record for any other set, a missing, extra, duplicated
+      or reordered record, and any trailing byte are errors;
+    - each witness is carried by every group element onto the orbit
+      member that element maps the representative to, and validated
+      there ({!Fault_model.validate}), so every member has a valid
+      pipeline checked by the definition alone;
+    - the orbit sizes the checker computed must sum to
+      {!Gdpn_graph.Combinat.count_up_to} of the universe and k, so the
+      orbits cover every fault set.
 
-    The checker validates each generator (graph automorphism, node kinds
-    preserved or input/output classes swapped wholesale), re-derives every
-    orbit member itself, transports the witness along the permutation, and
-    validates it for the member — so compression adds no trust.
-    Completeness again reduces to counting: members are distinct valid
-    fault sets and their grand total must equal the full count. *)
+    Neither side holds more than one record: the writer streams each as
+    it is solved, the checker reads each as its walk reaches the
+    representative. *)
 
-val generate :
+val write :
   ?solve:(faults:Gdpn_graph.Bitset.t -> Reconfig.outcome) ->
-  Instance.t ->
-  string
-(** Solve every fault set and record the witnesses.  By default a single
-    reusable search context ({!Reconfig.make_ctx}) serves the whole
-    enumeration; [solve] overrides the solver — the engine layer passes its
-    plan-cached solver, which splices most witnesses from their
-    one-fault-smaller predecessors instead of re-searching.
-    Raises [Failure] if any fault set has no pipeline (the instance is not
-    k-GD, so no certificate exists). *)
-
-val generate_orbits :
-  ?solve:(faults:Gdpn_graph.Bitset.t -> Reconfig.outcome) ->
-  symmetry:Gdpn_graph.Auto.group ->
-  Instance.t ->
-  string
-(** Orbit-compressed (v2) certificate: solve one representative per orbit
-    of [symmetry] (typically [Instance.symmetry inst]) and record the
-    generators alongside the witnesses.  Falls back to {!generate} when
-    the group is trivial.  Raises [Failure] if a representative has no
-    pipeline. *)
-
-val generate_model :
-  ?solve:(faults:Gdpn_graph.Bitset.t -> Reconfig.outcome) ->
+  ?symmetry:Gdpn_graph.Auto.group ->
   Fault_model.t ->
-  string
-(** Model-naming (v3) certificate: the flat enumeration lifted to a fault
-    model's universe, fault elements in the model's element syntax
-    (node ["3"], link ["2-5"], colour class ["c4"], neighborhood ["n7"]):
-
-    {v
-    gdpn-cert 3
-    instance <hex digest>
-    model <node|mixed|colored|neighbor>
-    sets <count>
-    w <e1,e2,..>|<n1 n2 ..>
-    v}
-
-    The checker rebuilds the model from its declared name (universe
-    indexing is canonical), so witnesses are validated against the
-    link-degraded instance with no search and no trust in the generator.
-    Raises [Failure] if some fault set has no pipeline. *)
-
-val generate_to :
-  ?solve:(faults:Gdpn_graph.Bitset.t -> Reconfig.outcome) ->
   out_channel ->
-  Instance.t ->
   unit
-(** Streamed (v4, flat) certificate: like {!generate} but one compact
-    binary record per witness written straight to the channel — varint
-    fields, fault sets delta-encoded — so memory stays O(1) regardless of
-    fault-space size (the buffer-accumulating v1/v2 generators stop
-    scaling exactly where the checkpointed verifier starts).  Each record
-    bumps [certify.records_streamed].  Raises [Failure] as {!generate}. *)
+(** [write model oc] solves one fault set per orbit representative and
+    writes the certificate to [oc], record by record, then flushes.
+    [symmetry] is a group of solvability-preserving node permutations
+    (typically [Instance.symmetry]); its generators go in the header and
+    its action on the model's universe picks the representatives.
+    Without it the certificate is flat.  By default one reusable search
+    context serves the whole enumeration; [solve] overrides the solver
+    over universe masks — the engine's plan-cached [solve_model] splices
+    most witnesses from their one-fault-smaller predecessors.  Each record
+    bumps [certify.records_streamed].  Raises [Failure] if a
+    representative has no pipeline (the instance does not tolerate the
+    model, so no certificate exists), after writing the records before
+    it; raises [Invalid_argument] if [symmetry]'s degree is not the
+    instance order. *)
 
-val generate_orbits_to :
-  ?solve:(faults:Gdpn_graph.Bitset.t -> Reconfig.outcome) ->
-  symmetry:Gdpn_graph.Auto.group ->
-  out_channel ->
-  Instance.t ->
-  unit
-(** Streamed (v4, orbit-compressed) certificate: {!generate_orbits}
-    semantics, one binary record per orbit witness.  Falls back to
-    {!generate_to} when the group is trivial. *)
-
-val check : Instance.t -> string -> (int, string) result
-(** Validate a certificate (any format, dispatched on the header) against
-    an instance: digest match, complete enumeration — directly in v1 and
-    v3, by orbit expansion and counting in v2 — and every witness valid
-    for its fault set (against the link-degraded instance in v3).
-    v4 certificates are decoded back into the equivalent v1/v2 text and
-    checked by the same code, so the binary layer adds no trust surface.
-    Returns the number of fault sets certified. *)
+val check : Instance.t -> in_channel -> (int, string) result
+(** Read a certificate from the channel and check it against the
+    instance, as argued above.  Returns the number of fault sets it
+    covers, or an error naming the first problem found.  Every malformed,
+    truncated or forged input, and every older format (named by its
+    version in the error), gives [Error]; only a failing read of the
+    channel itself raises ([Sys_error]). *)
 
 val digest : Instance.t -> string
 (** Hex digest of the instance's canonical serialization. *)

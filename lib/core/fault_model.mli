@@ -89,7 +89,7 @@ val index_of : t -> elt -> int option
 
 val elt_to_string : elt -> string
 (** Canonical element syntax: node ["3"], link ["2-5"], colour class
-    ["c4"], neighborhood ["n7"].  Used by certificates and [--faults]. *)
+    ["c4"], neighborhood ["n7"].  Used by {!describe} and [--faults]. *)
 
 val parse_elt : string -> elt option
 

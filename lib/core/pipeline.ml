@@ -17,15 +17,15 @@ let validate inst ~faults nodes =
   | first :: _ -> (
     let final = last nodes in
     let kind v = Instance.kind_of inst v in
-    let endpoint_kinds_ok =
+    let endpoint_kinds_ok () =
       match (kind first, kind final) with
       | Label.Input, Label.Output | Label.Output, Label.Input -> true
       | _ -> false
     in
-    if not endpoint_kinds_ok then
-      err "endpoints must be one input terminal and one output terminal"
-    else if List.exists (fun v -> v < 0 || v >= order) nodes then
+    if List.exists (fun v -> v < 0 || v >= order) nodes then
       err "node id out of range"
+    else if not (endpoint_kinds_ok ()) then
+      err "endpoints must be one input terminal and one output terminal"
     else if List.exists (Bitset.mem faults) nodes then err "uses a faulty node"
     else begin
       let seen = Bitset.create order in

@@ -172,12 +172,15 @@ let output_frame oc payload =
   output_string oc (le32 (adler32 payload));
   flush oc
 
-let input_frame ic =
+let input_frame ?(max_len = Sys.max_string_length) ic =
   match really_input_string ic 4 with
   | exception End_of_file -> None
   | hdr -> (
     let len = read_le32 hdr 0 in
-    if len < 0 then raise (Corrupt "negative frame length");
+    if len > max_len then
+      raise
+        (Corrupt
+           (Printf.sprintf "frame of %d bytes over the %d-byte cap" len max_len));
     match really_input_string ic len with
     | exception End_of_file -> None
     | payload -> (

@@ -56,6 +56,8 @@ val output_frame : out_channel -> string -> unit
 (** Write one frame and flush — a single buffered write, so a record is
     either fully in the OS pipe/file or detectably absent. *)
 
-val input_frame : in_channel -> string option
+val input_frame : ?max_len:int -> in_channel -> string option
 (** Blocking read of one frame; [None] on clean EOF, raises {!Corrupt}
-    on a checksum mismatch. *)
+    on a checksum mismatch, or before allocating anything when the
+    header declares a payload longer than [max_len] bytes (default: no
+    cap beyond [Sys.max_string_length]). *)

@@ -387,31 +387,6 @@ let solve ?cache t ~faults = solve_model ?cache t t.node ~faults
 let solve_list ?cache t ~faults =
   solve ?cache t ~faults:(Bitset.of_list (Instance.order t.inst) faults)
 
-(* ------------------------------------------------------------------ *)
-(* Certification through the cached solver                             *)
-(* ------------------------------------------------------------------ *)
-
-let certify ?(symmetry = true) t =
-  let solve ~faults = solve t ~faults in
-  if symmetry then
-    Certify.generate_orbits ~solve ~symmetry:(Instance.symmetry t.inst) t.inst
-  else Certify.generate ~solve t.inst
-
-let certify_model t model =
-  require_same_instance t model "Engine.certify_model";
-  Certify.generate_model
-    ~solve:(fun ~faults -> solve_model t model ~faults)
-    model
-
-(* Streamed v4 certification: witnesses leave the process as they are
-   found, so certification is bounded by disk, not memory. *)
-let certify_to ?(symmetry = true) t oc =
-  let solve ~faults = solve t ~faults in
-  if symmetry then
-    Certify.generate_orbits_to ~solve ~symmetry:(Instance.symmetry t.inst) oc
-      t.inst
-  else Certify.generate_to ~solve oc t.inst
-
 let pp_stats ppf s =
   Format.fprintf ppf "lookups=%d hits=%d splices=%d solves=%d" s.lookups
     s.cache_hits s.splices s.full_solves

@@ -152,29 +152,6 @@ val crash_restart : t -> unit
     ([Gdpn_faultsim.Scenario]) injects this to check plan-cache coherence
     across cold restarts. *)
 
-val certify : ?symmetry:bool -> t -> string
-(** Certificate generation through the cached solver: witnesses for
-    size-[s] fault sets are spliced from their cached size-[s-1]
-    predecessors whenever the local patch applies.  By default the
-    instance's symmetry group is computed and, when nontrivial, the
-    orbit-compressed v2 format is emitted
-    ({!Gdpn_core.Certify.generate_orbits}); pass [~symmetry:false] to
-    force the flat v1 enumeration. *)
-
-val certify_model : t -> Gdpn_core.Fault_model.t -> string
-(** Model-naming (v3) certificate through the cached model solver
-    ({!Gdpn_core.Certify.generate_model}): witnesses splice from cached
-    one-element-smaller predecessors whenever the model's local repair
-    rule applies. *)
-
-val certify_to : ?symmetry:bool -> t -> out_channel -> unit
-(** Streamed (v4) certification through the cached solver: one compact
-    binary record per witness written to the channel as it is found
-    ({!Gdpn_core.Certify.generate_orbits_to} /
-    {!Gdpn_core.Certify.generate_to}), so memory stays O(1) at fault-space
-    sizes where the string-returning {!certify} cannot allocate its
-    buffer.  Each record bumps [certify.records_streamed]. *)
-
 val pp_stats : Format.formatter -> stats -> unit
 
 (** Multicore and out-of-core verification: the scheduling half of

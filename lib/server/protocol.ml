@@ -11,6 +11,14 @@ module Codec = Gdpn_engine.Codec
 let version = 1
 let max_batch = 1 lsl 16
 
+let max_request_len ~order =
+  let rec width n = if n < 0x80 then 1 else 1 + width (n lsr 7) in
+  (* 'B', an instance id, the count, then [max_batch] masks of a length
+     and at most [order] distinct elements below [order]; 10 bytes is
+     the widest varint *)
+  1 + 10 + width max_batch
+  + (max_batch * (width order + (order * width (max 0 (order - 1)))))
+
 (* Error codes (code 0 is reserved / never sent). *)
 let err_bad_request = 1
 let err_unknown_instance = 2

@@ -15,6 +15,12 @@ val max_batch : int
     {!err_batch_too_large} server-side and {!Bad_message}
     decoder-side. *)
 
+val max_request_len : order:int -> int
+(** The longest request payload a client sends to a fleet whose largest
+    instance has [order] nodes: a [Batch] of {!max_batch} masks, each of
+    at most [order] distinct elements.  [gdpd] refuses a longer frame
+    from its header alone and drops the connection. *)
+
 (** {1 Error codes}
 
     1 [err_bad_request] — malformed or unknown message;

@@ -143,6 +143,7 @@ type shared_state = {
   not_full : Condition.t;
   max_queue : int;
   allow_shutdown : bool;
+  max_frame : int;  (* the longest request payload the fleet can need *)
 }
 
 let request_stop st =
@@ -276,7 +277,7 @@ let serve_connection st readers scratches fd =
   (try
      let continue = ref true in
      while !continue do
-       match Codec.input_frame ic with
+       match Codec.input_frame ~max_len:st.max_frame ic with
        | None -> continue := false
        | Some payload ->
          let start = Gdpn_obs.Mclock.now_ns () in
@@ -385,6 +386,12 @@ let run ?(ready = fun () -> ()) cfg =
       not_full = Condition.create ();
       max_queue = max 1 cfg.max_queue;
       allow_shutdown = cfg.allow_shutdown;
+      max_frame =
+        Protocol.max_request_len
+          ~order:
+            (Array.fold_left
+               (fun m e -> max m (Instance.order (Engine.instance e)))
+               0 engines);
     }
   in
   let workers =

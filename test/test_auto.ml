@@ -5,7 +5,7 @@
    1,440), orbit-reduced verification (verdicts, counts and
    orbit-expanded failure sets must agree with full enumeration,
    including on instances that genuinely fail), domain-sharded orbit
-   verification, and orbit-compressed (v2) certificates. *)
+   verification, and orbit-compressed certificates. *)
 
 open Gdpn_core
 module Graph = Gdpn_graph.Graph
@@ -362,6 +362,37 @@ let orbit_tests =
           (Invalid_argument "Auto.orbit_of_set: point out of range")
           (fun () -> ignore (Auto.orbit_of_set g [| Auto.degree g |])));
     QCheck_alcotest.to_alcotest test_scans_vs_reference;
+    tc "image lists every element of the group once" (fun () ->
+        List.iter
+          (fun s ->
+            let g = s.group and d = Auto.degree s.group in
+            let elems =
+              Array.init (Auto.order g) (fun e -> Array.init d (Auto.image g e))
+            in
+            check Alcotest.bool (s.label ^ ": element 0 is the identity") true
+              (elems.(0) = Array.init d Fun.id);
+            let table = Hashtbl.create (Array.length elems) in
+            Array.iter
+              (fun p ->
+                if not (s.is_element p) then
+                  Alcotest.failf "%s: an element is not a symmetry" s.label;
+                if Hashtbl.mem table p then
+                  Alcotest.failf "%s: an element is listed twice" s.label;
+                Hashtbl.replace table p ())
+              elems;
+            (* closed under the generators, so the table is the group *)
+            Array.iter
+              (fun p ->
+                List.iter
+                  (fun q ->
+                    if not (Hashtbl.mem table (Array.map (fun v -> q.(v)) p))
+                    then Alcotest.failf "%s: table not closed" s.label)
+                  (Auto.generators g))
+              elems;
+            Alcotest.check_raises "element out of range"
+              (Invalid_argument "Auto.image: element or point out of range")
+              (fun () -> ignore (Auto.image g (Auto.order g) 0)))
+          (Lazy.force subjects));
     tc "trivial group enumerates every subset" (fun () ->
         let reps = Auto.fault_orbits (Auto.trivial 6) ~max_size:2 in
         check Alcotest.int "rep count" (Combinat.count_up_to 6 2)
@@ -520,70 +551,186 @@ let parallel_tests =
 (* Orbit-compressed certificates                                       *)
 (* ------------------------------------------------------------------ *)
 
+(* A certificate through the engine's cached solver, with the
+   instance's own group or none. *)
+let certificate ?(symmetry = true) inst =
+  let engine = Engine.create inst in
+  Testutil.certificate
+    ~solve:(fun ~faults -> Engine.solve engine ~faults)
+    ?symmetry:(if symmetry then Some (Instance.symmetry inst) else None)
+    (Fault_model.node inst)
+
+let rejects label inst text =
+  match Testutil.check_certificate inst text with
+  | Ok _ -> Alcotest.failf "%s: accepted" label
+  | Error e -> e
+
+(* A certificate whose header carries [gens] in place of a group the
+   writer computed: the writer trusts its group, the checker must not. *)
+let with_generators inst gens =
+  Testutil.certificate
+    ~symmetry:(Auto.of_generators ~degree:(Instance.order inst) gens)
+    (Fault_model.node inst)
+
+(* A header and records joined back into a certificate. *)
+let join header records = String.concat "" (header :: records)
+
 let cert_tests =
   [
-    tc "v2 certificate round-trips and counts the full space" (fun () ->
+    tc "orbit certificate round-trips and counts the full space" (fun () ->
         List.iter
           (fun inst ->
-            let engine = Engine.create inst in
-            let cert = Engine.certify engine in
-            check Alcotest.bool "v2 header" true
-              (String.length cert >= 11 && String.sub cert 0 11 = "gdpn-cert 2");
-            match Certify.check inst cert with
+            match Testutil.check_certificate inst (certificate inst) with
             | Ok n ->
               check Alcotest.int "covers every fault set"
                 (Combinat.count_up_to (Instance.order inst) inst.Instance.k)
                 n
             | Error e -> Alcotest.failf "%s: %s" inst.Instance.name e)
           [ Small_n.g1 ~k:3; Small_n.g3 ~k:3; Special.g62 () ]);
-    tc "v2 compresses the witness list" (fun () ->
+    tc "orbit certificate is smaller than flat" (fun () ->
         let inst = Small_n.g1 ~k:3 in
-        let engine = Engine.create inst in
-        let v2 = Engine.certify engine in
-        let v1 = Engine.certify ~symmetry:false engine in
-        let lines s =
-          List.length (String.split_on_char '\n' s)
+        let orbit = certificate inst in
+        let flat = certificate ~symmetry:false inst in
+        check Alcotest.bool "fewer bytes" true
+          (String.length orbit < String.length flat);
+        let _, records =
+          Testutil.certificate_records ~order:(Instance.order inst) orbit
         in
-        check Alcotest.bool "fewer lines" true (lines v2 < lines v1));
-    tc "trivial group falls back to v1" (fun () ->
+        check Alcotest.int "one record per orbit"
+          (Array.length
+             (Auto.fault_orbits (Instance.symmetry inst) ~max_size:3))
+          (List.length records));
+    tc "trivial group is written flat" (fun () ->
         let inst = Small_n.g3 ~k:2 in
-        let cert = Engine.certify (Engine.create inst) in
-        check Alcotest.bool "v1 header" true
-          (String.sub cert 0 11 = "gdpn-cert 1");
-        match Certify.check inst cert with
-        | Ok _ -> ()
+        check Alcotest.bool "trivial group" true
+          (Auto.is_trivial (Instance.symmetry inst));
+        let cert = certificate inst in
+        check Alcotest.string "same bytes as no group"
+          (certificate ~symmetry:false inst)
+          cert;
+        match Testutil.check_certificate inst cert with
+        | Ok n ->
+          check Alcotest.int "every set"
+            (Combinat.count_up_to (Instance.order inst) 2)
+            n
         | Error e -> Alcotest.fail e);
-    tc "tampered v2 certificates are rejected" (fun () ->
+    tc "tampered orbit certificates are rejected" (fun () ->
         let inst = Small_n.g1 ~k:2 in
-        let cert = Engine.certify (Engine.create inst) in
-        let expect_error label cert' =
-          match Certify.check inst cert' with
-          | Ok _ -> Alcotest.failf "%s: accepted" label
-          | Error _ -> ()
+        let order = Instance.order inst in
+        let cert = certificate inst in
+        let header, records = Testutil.certificate_records ~order cert in
+        (* {0} (one fault, gap 0) with the empty set's witness, which
+           runs through node 0 *)
+        let r0 = List.hd records in
+        let forged = "\001\000" ^ String.sub r0 1 (String.length r0 - 1) in
+        let e =
+          rejects "forged witness" inst
+            (join header
+               (List.mapi (fun i r -> if i = 1 then forged else r) records))
         in
-        (* Swap two nodes inside the first witness line. *)
-        let lines = String.split_on_char '\n' cert in
-        let tamper f =
-          String.concat "\n"
-            (List.map
-               (fun l -> if String.length l > 2 && f l then "w 0|1|0" else l)
-               lines)
+        check Alcotest.bool "names the witness" true
+          (Testutil.contains_substring e "witness for {0}");
+        (* every generator replaced by the identity (node ids below 128
+           are one byte each): the group is trivial, so the checker
+           expects a flat certificate *)
+        let ngens = List.length (Auto.generators (Instance.symmetry inst)) in
+        let identities =
+          String.sub header 0 (String.length header - (ngens * order))
+          ^ String.concat ""
+              (List.init ngens (fun _ -> String.init order Char.chr))
         in
-        expect_error "forged witness"
-          (tamper (fun l -> String.sub l 0 2 = "w "));
-        expect_error "forged generator"
-          (String.concat "\n"
-             (List.map
-                (fun l ->
-                  if String.length l > 2 && String.sub l 0 2 = "p " then
-                    "p "
-                    ^ String.concat " "
-                        (List.init (Instance.order inst) string_of_int)
-                  else l)
-                lines));
-        match Certify.check (Small_n.g2 ~k:2) cert with
-        | Ok _ -> Alcotest.fail "cross-instance cert accepted"
-        | Error _ -> ());
+        ignore (rejects "forged generator" inst (join identities records));
+        let e = rejects "cross-instance" (Small_n.g2 ~k:2) cert in
+        check Alcotest.bool "names the mismatch" true
+          (Testutil.contains_substring e "different instance"));
+    tc "generators must be solvability-preserving automorphisms" (fun () ->
+        let inst = Small_n.g1 ~k:2 in
+        let g = inst.Instance.graph in
+        let swap a b =
+          Array.init (Instance.order inst) (fun v ->
+              if v = a then b else if v = b then a else v)
+        in
+        let input = List.hd (Instance.inputs inst) in
+        let proc = List.hd (Instance.processors inst) in
+        (* the input and the output hanging off the same processor: an
+           automorphism, but it swaps one pair, not the classes *)
+        let output =
+          List.find
+            (fun o -> Graph.adjacent g o (Graph.neighbours g input).(0))
+            (Instance.outputs inst)
+        in
+        check Alcotest.bool "the swap is an automorphism" true
+          (Auto.is_automorphism g (swap input output));
+        List.iter
+          (fun (label, p) ->
+            let e = rejects label inst (with_generators inst [ p ]) in
+            check Alcotest.bool (label ^ ": names the generator") true
+              (Testutil.contains_substring e "generator"))
+          [
+            ("not an automorphism", swap input proc);
+            ("mixes node kinds", swap input output);
+          ]);
+    tc "records dropped, repeated or swapped are rejected" (fun () ->
+        let inst = Special.g62 () in
+        let cert = certificate inst in
+        let header, records =
+          Testutil.certificate_records ~order:(Instance.order inst) cert
+        in
+        let records = Array.of_list records in
+        let n = Array.length records in
+        (* the records at positions [f 0 .. f (len-1)] *)
+        let pick len f = join header (List.init len (fun j -> records.(f j))) in
+        check Alcotest.string "the split is lossless" cert (pick n Fun.id);
+        for i = 0 to n - 1 do
+          ignore
+            (rejects "dropped" inst
+               (pick (n - 1) (fun j -> if j < i then j else j + 1)));
+          ignore
+            (rejects "repeated" inst
+               (pick (n + 1) (fun j -> if j <= i then j else j - 1)))
+        done;
+        for i = 0 to n - 2 do
+          ignore
+            (rejects "swapped" inst
+               (pick n (fun j ->
+                    if j = i then i + 1 else if j = i + 1 then i else j)))
+        done;
+        ignore (rejects "trailing bytes" inst (cert ^ "\000")));
+    tc "every truncation and bit flip of G(6,2) is rejected" (fun () ->
+        let inst = Special.g62 () in
+        let cert = certificate inst in
+        (match Testutil.check_certificate inst cert with
+        | Ok n -> check Alcotest.int "the intact certificate" 106 n
+        | Error e -> Alcotest.fail e);
+        for len = 0 to String.length cert - 1 do
+          ignore
+            (rejects (Printf.sprintf "prefix of %d bytes" len) inst
+               (String.sub cert 0 len))
+        done;
+        String.iteri
+          (fun i c ->
+            for bit = 0 to 7 do
+              let b = Bytes.of_string cert in
+              Bytes.set b i (Char.chr (Char.code c lxor (1 lsl bit)));
+              ignore
+                (rejects (Printf.sprintf "byte %d bit %d flipped" i bit) inst
+                   (Bytes.to_string b))
+            done)
+          cert);
+    tc "older formats are refused by version" (fun () ->
+        let inst = Small_n.g3 ~k:2 in
+        let digest = Certify.digest inst in
+        List.iter
+          (fun (version, text) ->
+            let e = rejects ("format " ^ version) inst text in
+            check Alcotest.bool ("names format " ^ version) true
+              (Testutil.contains_substring e ("format " ^ version)))
+          [
+            ( "1",
+              Printf.sprintf "gdpn-cert 1\ninstance %s\nsets 67\nw |5 0 3 4\n"
+                digest );
+            ("4", "gdpn-cert 4\n\001\032" ^ digest ^ "\067");
+          ]);
   ]
 
 let () =

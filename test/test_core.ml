@@ -134,6 +134,15 @@ let pipeline_tests =
           check Alcotest.bool "mentions endpoints" true
             (Testutil.contains_substring e "endpoint")
         | Ok _ -> Alcotest.fail "expected error");
+        (* an endpoint outside the graph is reported, not looked up *)
+        List.iter
+          (fun nodes ->
+            match Pipeline.validate inst ~faults nodes with
+            | Error e ->
+              check Alcotest.bool "mentions the range" true
+                (Testutil.contains_substring e "out of range")
+            | Ok _ -> Alcotest.fail "expected error")
+          [ [ 99; 0; 1; 3 ]; [ 2; 0; 1; -1 ] ];
         match Pipeline.validate inst ~faults [ 2; 1; 0; 5 ] with
         | Error e ->
           (* 2 is attached to 0, not 1: adjacency violated. *)

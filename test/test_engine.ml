@@ -264,7 +264,12 @@ let parallel_tests =
     tc "certificates generated through the engine stay valid" (fun () ->
         let inst = Small_n.g3 ~k:2 in
         let engine = Engine.create inst in
-        match Certify.check inst (Engine.certify engine) with
+        let cert =
+          Testutil.certificate
+            ~solve:(fun ~faults -> Engine.solve engine ~faults)
+            ~symmetry:(Instance.symmetry inst) (Fault_model.node inst)
+        in
+        match Testutil.check_certificate inst cert with
         | Ok count ->
           check Alcotest.int "covers the fault space"
             (Combinat.count_up_to (Instance.order inst) inst.Instance.k)

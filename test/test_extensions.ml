@@ -526,12 +526,17 @@ let image_props =
 (* ------------------------------------------------------------------ *)
 
 let certify_tests =
+  let flat inst = Testutil.certificate (Fault_model.node inst) in
+  let rejects label inst text =
+    match Testutil.check_certificate inst text with
+    | Ok _ -> Alcotest.failf "%s must be rejected" label
+    | Error e -> e
+  in
   [
     tc "generate then check succeeds and counts the space" (fun () ->
         List.iter
           (fun inst ->
-            let cert = Certify.generate inst in
-            match Certify.check inst cert with
+            match Testutil.check_certificate inst (flat inst) with
             | Ok n ->
               check Alcotest.int inst.Instance.name
                 (Gdpn_graph.Combinat.count_up_to (Instance.order inst)
@@ -541,41 +546,45 @@ let certify_tests =
           [ Small_n.g1 ~k:1; Small_n.g2 ~k:2; Small_n.g3 ~k:2 ]);
     tc "tampered witnesses are rejected" (fun () ->
         let inst = Small_n.g1 ~k:2 in
-        let cert = Certify.generate inst in
-        (* Corrupt a node id near the end of the certificate. *)
+        let cert = flat inst in
+        (* Swap the last two nodes of the last witness: its output
+           terminal moves inside the pipeline. *)
+        let n = String.length cert in
         let bad =
           String.mapi
-            (fun i c -> if i = String.length cert - 3 then 'x' else c)
+            (fun i c ->
+              if i = n - 1 then cert.[n - 2]
+              else if i = n - 2 then cert.[n - 1]
+              else c)
             cert
         in
-        match Certify.check inst bad with
-        | Ok _ -> Alcotest.fail "tampering must be detected"
-        | Error _ -> ());
+        ignore (rejects "a swapped witness" inst bad));
     tc "certificates pin the instance" (fun () ->
-        let cert = Certify.generate (Small_n.g1 ~k:2) in
-        match Certify.check (Small_n.g2 ~k:2) cert with
-        | Ok _ -> Alcotest.fail "wrong instance must be rejected"
-        | Error e ->
-          check Alcotest.bool "names the mismatch" true
-            (Testutil.contains_substring e "different instance"));
+        let e =
+          rejects "a wrong instance" (Small_n.g2 ~k:2) (flat (Small_n.g1 ~k:2))
+        in
+        check Alcotest.bool "names the mismatch" true
+          (Testutil.contains_substring e "different instance"));
     tc "truncated and malformed certificates are rejected" (fun () ->
         let inst = Small_n.g1 ~k:1 in
-        List.iter
-          (fun text ->
-            match Certify.check inst text with
-            | Ok _ -> Alcotest.failf "%S must be rejected" text
-            | Error _ -> ())
-          [ ""; "gdpn-cert 1"; "nonsense\nlines\nhere\nand more" ];
-        (* Dropping one witness line breaks the count. *)
-        let cert = Certify.generate inst in
-        let lines = String.split_on_char '\n' cert in
-        let shorter =
-          String.concat "\n"
-            (List.filteri (fun i _ -> i <> List.length lines - 2) lines)
+        let cert = flat inst in
+        let header, _ =
+          Testutil.certificate_records ~order:(Instance.order inst) cert
         in
-        match Certify.check inst shorter with
-        | Ok _ -> Alcotest.fail "missing witness must be detected"
-        | Error _ -> ());
+        let h = String.length header in
+        List.iter
+          (fun text -> ignore (rejects (Printf.sprintf "%S" text) inst text))
+          [
+            "";
+            "gdpn-cert 5";
+            "gdpn-cert 5\n";
+            "nonsense\nlines\nhere\nand more";
+            (* the last witness cut short, one byte too many *)
+            String.sub cert 0 (String.length cert - 1);
+            cert ^ "\000";
+            (* the first record's length, 0, padded to two bytes *)
+            String.sub cert 0 h ^ "\128" ^ String.sub cert h (String.length cert - h);
+          ]);
     tc "a non-k-GD instance cannot be certified" (fun () ->
         let inst = Small_n.g1 ~k:2 in
         let g = inst.Instance.graph in
@@ -588,7 +597,7 @@ let certify_tests =
             ~kind:(Array.init (Instance.order inst) (Instance.kind_of inst))
             ~n:1 ~k:2 ~name:"broken" ~strategy:Instance.Generic
         in
-        match Certify.generate broken with
+        match flat broken with
         | (_ : string) -> Alcotest.fail "expected Failure"
         | exception Failure _ -> ());
   ]

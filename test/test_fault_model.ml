@@ -346,17 +346,16 @@ let mixed_frozen_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Certificates (v3)                                                   *)
+(* Certificates name their model                                       *)
 (* ------------------------------------------------------------------ *)
 
 let certificate_tests =
   [
-    tc "v3 node-model certificate roundtrips" (fun () ->
+    tc "node-model certificate roundtrips" (fun () ->
         List.iter
           (fun inst ->
-            let model = Fault_model.node inst in
-            let cert = Certify.generate_model model in
-            match Certify.check inst cert with
+            let cert = Testutil.certificate (Fault_model.node inst) in
+            match Testutil.check_certificate inst cert with
             | Ok count ->
               check Alcotest.int inst.Instance.name
                 (Gdpn_graph.Combinat.count_up_to (Instance.order inst)
@@ -364,38 +363,62 @@ let certificate_tests =
                 count
             | Error e -> Alcotest.fail e)
           [ Small_n.g1 ~k:2; Small_n.g3 ~k:2 ]);
-    tc "v3 certificate through the engine's cached model solver" (fun () ->
+    tc "certificate through the engine's cached model solver" (fun () ->
         let inst = Small_n.g1 ~k:2 in
         let engine = Engine.create inst in
-        let cert = Engine.certify_model engine (Fault_model.node inst) in
-        match Certify.check inst cert with
+        let model = Fault_model.node inst in
+        let cert =
+          Testutil.certificate
+            ~solve:(fun ~faults -> Engine.solve_model engine model ~faults)
+            ~symmetry:(Instance.symmetry inst) model
+        in
+        match Testutil.check_certificate inst cert with
         | Ok _ -> ()
         | Error e -> Alcotest.fail e);
-    tc "tampered v3 certificates are rejected" (fun () ->
+    tc "tampered model certificates are rejected" (fun () ->
         let inst = Small_n.g1 ~k:2 in
-        let cert = Certify.generate_model (Fault_model.node inst) in
+        let cert = Testutil.certificate (Fault_model.node inst) in
         let reject name cert' =
-          match Certify.check inst cert' with
+          match Testutil.check_certificate inst cert' with
           | Ok _ -> Alcotest.fail (name ^ ": accepted a tampered certificate")
           | Error _ -> ()
         in
-        (* Drop one witness line. *)
-        let lines = String.split_on_char '\n' cert in
-        let dropped =
-          List.filteri (fun i _ -> i <> List.length lines - 2) lines
+        (* Drop the last witness. *)
+        let header, records =
+          Testutil.certificate_records ~order:(Instance.order inst) cert
         in
-        reject "dropped witness" (String.concat "\n" dropped);
-        (* Declare a different model so universe indexing shifts. *)
+        let last = List.length records - 1 in
+        reject "dropped witness"
+          (String.concat ""
+             (header :: List.filteri (fun i _ -> i < last) records));
+        (* Declare a different model so universe indexing shifts: the
+           model name is a length byte then the name. *)
+        let at = Testutil.find_substring cert "\004node" in
         reject "wrong model"
-          (String.concat "\n"
-             (List.map
-                (fun l -> if l = "model node" then "model mixed" else l)
-                lines)));
-    tc "generate_model refuses an untolerated universe" (fun () ->
+          (String.sub cert 0 at ^ "\005mixed"
+          ^ String.sub cert (at + 5) (String.length cert - at - 5)));
+    tc "mixed-model orbit certificate roundtrips" (fun () ->
+        (* G(2,1) tolerates every single node or link fault, and its
+           order-2 group acts on the links as well as the nodes *)
+        let inst = Family.build ~n:2 ~k:1 in
+        let model = Fault_model.mixed inst in
+        let orbit =
+          Testutil.certificate ~symmetry:(Instance.symmetry inst) model
+        in
+        let flat = Testutil.certificate model in
+        check Alcotest.bool "orbits shrink it" true
+          (String.length orbit < String.length flat);
+        List.iter
+          (fun cert ->
+            match Testutil.check_certificate inst cert with
+            | Ok count -> check Alcotest.int "every mixed set" 15 count
+            | Error e -> Alcotest.fail e)
+          [ orbit; flat ]);
+    tc "the writer refuses an untolerated universe" (fun () ->
         (* G(1,3) mixed has genuine counterexamples, so no certificate
            exists. *)
         let inst = Family.build ~n:1 ~k:3 in
-        match Certify.generate_model (Fault_model.mixed inst) with
+        match Testutil.certificate (Fault_model.mixed inst) with
         | _ -> Alcotest.fail "expected Failure"
         | exception Failure _ -> ());
   ]

@@ -353,8 +353,26 @@ let fuzz_props =
       (fun text -> match Workload.parse text with Ok _ | Error _ -> true);
     Test.make ~name:"Certify.check never raises on arbitrary text" ~count:300
       string (fun text ->
-        match Certify.check (Small_n.g1 ~k:1) text with
+        match Testutil.check_certificate (Small_n.g1 ~k:1) text with
         | Ok _ | Error _ -> true);
+    (let inst = Small_n.g1 ~k:1 in
+     let header, records =
+       Testutil.certificate_records ~order:(Instance.order inst)
+         (Testutil.certificate ~symmetry:(Instance.symmetry inst)
+            (Fault_model.node inst))
+     in
+     Test.make
+       ~name:"Certify.check never raises on random bytes after a valid header"
+       ~count:300
+       (pair (int_bound (List.length records)) string)
+       (fun (kept, junk) ->
+         let prefix = List.filteri (fun i _ -> i < kept) records in
+         match
+           Testutil.check_certificate inst
+             (String.concat "" ((header :: prefix) @ [ junk ]))
+         with
+         | Ok _ -> junk = "" && kept = List.length records
+         | Error _ -> true));
     Test.make ~name:"Graph6.decode never succeeds wrongly on junk" ~count:300
       string (fun text ->
         match Gdpn_graph.Graph6.decode text with

@@ -268,11 +268,48 @@ let test_torn_and_corrupt_frames () =
       else Alcotest.failf "corrupt frame (byte %d) accepted" i
   done
 
+(* A frame's length header: 4 bytes, little-endian. *)
+let le32 n = String.init 4 (fun i -> Char.chr ((n lsr (8 * i)) land 0xff))
+
+(* Whatever bytes arrive, the frame reader answers with a frame, a
+   clean [None] or [Corrupt] — and, capped, allocates nothing a header
+   alone asks for. *)
+let test_frame_reader_total =
+  let cap = 1 lsl 12 in
+  QCheck.Test.make ~count:500 ~name:"frame reader: a frame, None or Corrupt"
+    QCheck.(
+      oneof
+        [
+          string;
+          (* a plausible length header, then arbitrary bytes *)
+          map
+            (fun (len, rest) -> le32 len ^ rest)
+            (pair (int_bound (2 * cap)) string);
+          (* a real frame with one byte replaced *)
+          map
+            (fun (payload, i, c) ->
+              let f = Bytes.of_string (Codec.frame payload) in
+              Bytes.set f (i mod Bytes.length f) c;
+              Bytes.to_string f)
+            (triple string small_nat char);
+        ])
+    (fun bytes ->
+      Testutil.with_temp_file (fun path ->
+          Out_channel.with_open_bin path (fun oc -> output_string oc bytes);
+          In_channel.with_open_bin path (fun ic ->
+              match Codec.input_frame ~max_len:cap ic with
+              | Some _ | None -> true
+              | exception Codec.Corrupt _ -> true)))
+
 (* ------------------------------------------------------------------ *)
 (* End-to-end daemon                                                   *)
 (* ------------------------------------------------------------------ *)
 
 let with_daemon ?(workers = 2) instances f =
+  (* A write to a connection the other side has closed — the daemon's
+     to a client, or the best-effort shutdown's to a daemon already gone
+     — must fail with EPIPE, not kill the test process. *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let path = Filename.temp_file "gdpd_test" ".sock" in
   Sys.remove path;
   let listen = Server.Unix_sock path in
@@ -409,6 +446,48 @@ let test_two_clients () =
   Client.shutdown client;
   Client.close client
 
+(* A header that declares one byte more than the fleet's longest
+   request must not pin the only worker: the daemon drops that
+   connection unread and answers the next client's Hello. *)
+let test_frame_cap () =
+  with_daemon ~workers:1 [ (3, 2) ] @@ fun listen ->
+  let path =
+    match listen with Server.Unix_sock p -> p | Server.Tcp _ -> assert false
+  in
+  let connect () =
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    let rec go n =
+      match Unix.connect fd (Unix.ADDR_UNIX path) with
+      | () -> fd
+      | exception Unix.Unix_error ((Unix.ECONNREFUSED | Unix.ENOENT), _, _)
+        when n > 0 ->
+        Unix.sleepf 0.05;
+        go (n - 1)
+    in
+    go 100
+  in
+  let send fd s = ignore (Unix.write_substring fd s 0 (String.length s)) in
+  let cap =
+    Protocol.max_request_len ~order:(Instance.order (Family.build ~n:3 ~k:2))
+  in
+  let hog = connect () in
+  Fun.protect ~finally:(fun () -> Unix.close hog) @@ fun () ->
+  send hog (le32 (cap + 1));
+  let fd = connect () in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  send fd (Codec.frame (Protocol.encode_request Protocol.Hello));
+  match Unix.select [ fd ] [] [] 10.0 with
+  | [], _, _ -> Alcotest.fail "Hello not answered within 10 s"
+  | _ ->
+    let ic = Unix.in_channel_of_descr fd in
+    (match Codec.input_frame ic with
+    | Some payload -> (
+      match Protocol.decode_response payload with
+      | Protocol.Welcome { instances; _ } ->
+        check Alcotest.int "fleet size" 1 (List.length instances)
+      | _ -> Alcotest.fail "expected Welcome")
+    | None -> Alcotest.fail "connection closed before Welcome")
+
 let () =
   Alcotest.run "server"
     [
@@ -430,11 +509,13 @@ let () =
           tc "response round-trips" test_response_roundtrip;
           tc "malformed payloads rejected" test_bad_payloads;
           tc "torn and corrupt frames rejected" test_torn_and_corrupt_frames;
+          QCheck_alcotest.to_alcotest test_frame_reader_total;
         ] );
       ( "daemon",
         [
           tc "end-to-end: solve, batch, errors, metrics, shutdown"
             test_end_to_end;
           tc "two concurrent clients crosscheck green" test_two_clients;
+          tc "a header over the frame cap frees the worker" test_frame_cap;
         ] );
     ]
