@@ -1,5 +1,5 @@
-.PHONY: all build test check bench bench-smoke resume-smoke chaos-smoke \
-  serve-smoke store-smoke cert-smoke clean
+.PHONY: all build test check resume-smoke chaos-smoke serve-smoke \
+  store-smoke cert-smoke clean
 
 all: build
 
@@ -22,11 +22,14 @@ test:
 # JSONL output must end with the metrics snapshot.  The fault-model lines
 # run the same crosschecks over the mixed node+link universe: it exits 1
 # (the constructions are not link-GD — that is the honest verdict) but
-# must not exit 3 (crosscheck divergence); --faults checks one explicit
-# mixed node+link set end to end.  --merged restricts the universe to the
-# processors and is crosschecked the same way.  An (n, k) with no
-# construction is an input error: exit 2, not a crash — and so is a
-# certificate file that cannot be read or written.
+# must not exit 3 (crosscheck divergence); mixed G(6,2) and G(3,4) and the
+# colored and neighborhood universes of G(3,2) are crosschecked with
+# --symmetry too; --faults checks one explicit mixed node+link set end to
+# end.  --merged restricts the universe to the processors and is
+# crosschecked the same way.  An (n, k) with no construction is an input
+# error: exit 2, not a crash — and so is a certificate file that cannot be
+# read or written.  Last, the E1-E17 reproduction matrix
+# (bin/experiments.exe) exits 1 on any failing row.
 check: build test
 	GDPN_DOMAINS=2 dune exec bin/gdp.exe -- verify -n 8 -k 2
 	GDPN_DOMAINS=2 dune exec bin/gdp.exe -- verify -n 8 -k 2 --no-splice
@@ -36,6 +39,10 @@ check: build test
 	dune exec bin/gdp.exe -- verify -n 1 -k 5 --symmetry --crosscheck
 	dune exec bin/gdp.exe -- verify -n 2 -k 5 --symmetry --crosscheck
 	GDPN_DOMAINS=2 dune exec bin/gdp.exe -- verify -n 5 -k 2 --model mixed --crosscheck; test $$? -ne 3
+	dune exec bin/gdp.exe -- verify -n 6 -k 2 --model mixed --symmetry --crosscheck; test $$? -ne 3
+	dune exec bin/gdp.exe -- verify -n 3 -k 4 --model mixed --symmetry --crosscheck; test $$? -ne 3
+	dune exec bin/gdp.exe -- verify -n 3 -k 2 --model colored --symmetry --crosscheck; test $$? -ne 3
+	dune exec bin/gdp.exe -- verify -n 3 -k 2 --model neighbor --symmetry --crosscheck; test $$? -ne 3
 	GDPN_DOMAINS=2 dune exec bin/gdp.exe -- verify -n 5 -k 2 --faults "3,7,2-5"; test $$? -ne 2
 	GDPN_DOMAINS=2 dune exec bin/gdp.exe -- verify -n 8 -k 2 --symmetry --trace-out /tmp/gdpn-check-trace.jsonl
 	tail -1 /tmp/gdpn-check-trace.jsonl | grep -q '"snapshot"'
@@ -51,6 +58,7 @@ check: build test
 	$(MAKE) chaos-smoke
 	$(MAKE) serve-smoke
 	$(MAKE) store-smoke
+	dune exec bin/experiments.exe
 
 # Certificate round-trip: certify and re-check G(6,2) (group order 2),
 # G(1,5) (order 1,440) and G(3,2) (trivial group, so a flat
@@ -99,20 +107,6 @@ serve-smoke: build
 # lap to show engine.store_hits in the metrics snapshot.
 store-smoke: build
 	sh scripts/store_smoke.sh 30 4 3 0.5
-
-bench:
-	dune exec bench/main.exe
-
-# Fast bench sanity: one group per recent PR, with the JSON emitter
-# (the committed BENCH_PR6.json is regenerated the same way, minus the
-# temp path and the group filter).
-bench-smoke:
-	dune exec bench/main.exe -- --only B12 --json /tmp/gdpn-bench-smoke.json
-	dune exec bench/main.exe -- --only B13 --json /tmp/gdpn-bench-smoke-kernel.json
-	dune exec bench/main.exe -- --only B14 --json /tmp/gdpn-bench-smoke-splice.json
-	dune exec bench/main.exe -- --only B15 --json /tmp/gdpn-bench-smoke-fault-model.json
-	dune exec bench/main.exe -- --only B17 --json /tmp/gdpn-bench-smoke-server.json
-	dune exec bench/main.exe -- --only B18 --json /tmp/gdpn-bench-smoke-store.json
 
 clean:
 	dune clean

@@ -1,15 +1,16 @@
 (** Adversarial fault-set search: how bad can reconfiguration cost get?
 
-    Average-case benchmarks (B2/B3) hide the tail; this module searches for
-    the fault sets that maximise the {e generic} backtracking solver's work,
-    measured in node expansions — a deterministic, hardware-independent
-    cost.  The search is steepest-ascent hill climbing with restarts over
-    size-[k] fault sets (swap one fault for one non-fault per step).
+    Average-case timings over random fault sets hide the tail; this
+    module searches for the fault sets that maximise the {e generic}
+    backtracking solver's work, measured in node expansions — a
+    deterministic, hardware-independent cost.  The search is
+    steepest-ascent hill climbing with restarts over size-[k] fault sets
+    (swap one fault for one non-fault per step).
 
     The findings motivate the constructive strategies: on the circulant
     family the adversarial sets cost the generic solver orders of magnitude
     more than random sets, while the region-decomposition solver stays
-    flat (see the B7 ablation and EXPERIMENTS.md E14). *)
+    flat (EXPERIMENTS.md E16). *)
 
 type finding = {
   faults : int list;

@@ -67,7 +67,8 @@ val solve_generic :
   Instance.t ->
   faults:Gdpn_graph.Bitset.t ->
   outcome
-(** The generic solver regardless of strategy (ablation baseline B7).
+(** The generic solver regardless of strategy (the baseline that
+    EXPERIMENTS.md E16 holds the constructive solvers against).
     [expansions] accumulates the backtracker's node-expansion count — the
     deterministic work measure {!Attack} maximises.  [reference] as in
     {!solve}. *)

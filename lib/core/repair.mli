@@ -15,9 +15,9 @@
     Each splice preserves the pipeline invariant (the failed processor was
     the only node removed from the healthy set, and it was removed from the
     path).  When no local rule applies, [repair] falls back to the full
-    strategy solver.  The B8 benchmark quantifies the gap; the splice rules
-    fire on the large majority of single faults in the paper's
-    constructions (see the repair tests). *)
+    strategy solver.  The splice rules fire on the large majority of
+    single faults in the paper's constructions (see the repair tests and
+    EXPERIMENTS.md E14). *)
 
 type result =
   | Unchanged of Pipeline.t

@@ -8,8 +8,9 @@ open Gdpn_core
 
 (* Observability instruments (process-wide, see Gdpn_obs.Metrics).
    The cache-hit path deliberately stays clock-free: a hit is a hashtable
-   probe measured in nanoseconds, and even one [Mclock.now_ns] pair would
-   dominate it (the B11 bench row).  Only misses get a latency sample. *)
+   probe measured in nanoseconds (perfbench's [engine.l1_hit_ns]), and
+   even one [Mclock.now_ns] pair would dominate it.  Only misses get a
+   latency sample. *)
 let m_cache_hits = Metrics.counter "engine.cache_hits"
 let m_cache_misses = Metrics.counter "engine.cache_misses"
 let m_splices = Metrics.counter "engine.splices"

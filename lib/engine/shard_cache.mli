@@ -6,12 +6,12 @@
     lists published through [Atomic] cells plus a FIFO ring of resident
     keys.  The read path is {e lock-free and allocation-free}: a probe is
     one atomic load (a plain load on x86) and an immutable-list walk —
-    the same work as the old single-domain [Hashtbl] probe, so the B11
-    ~36ns cache-hit figure carries over.  Writers serialize on a
-    per-shard mutex and publish with compare-and-swap, so K domains can
-    read while one inserts into the same shard; readers concurrent with
-    an eviction may still return the evicted value, which is sound for a
-    plan cache (every resident plan was revalidated before insertion).
+    the same work as the old single-domain [Hashtbl] probe.  Writers
+    serialize on a per-shard mutex and publish with compare-and-swap, so
+    K domains can read while one inserts into the same shard; readers
+    concurrent with an eviction may still return the evicted value, which
+    is sound for a plan cache (every resident plan was revalidated before
+    insertion).
 
     Size is bounded: each shard holds at most [capacity / shards]
     entries and evicts its oldest resident (insertion order) to admit a

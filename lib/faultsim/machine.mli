@@ -28,7 +28,7 @@ val create :
     building a fresh one — it must wrap the same instance.  [local_repair]
     (default true) enables the cached path in {!inject} (plan cache plus
     O(degree) splice); disable it to force full reconfiguration on every
-    fault (the B8/E14 ablation baseline).  [model] (built over [inst] —
+    fault (the E14 ablation baseline).  [model] (built over [inst] —
     [Invalid_argument] otherwise; default [Fault_model.node inst]) fixes
     the fault universe: {!inject} takes universe indices (nodes, links,
     colour classes, neighborhoods — see {!Gdpn_core.Fault_model}) and

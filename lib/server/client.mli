@@ -1,7 +1,7 @@
 (** Blocking client for the [gdpd] protocol: one connection, lockstep
     request/response.  Throughput comes from batching
     ({!solve_batch}), not overlapping frames.  Used by
-    [gdp bench-client], the B17 benchmark and the server tests. *)
+    [gdp bench-client] and the server tests. *)
 
 type t
 

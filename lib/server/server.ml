@@ -371,6 +371,10 @@ let bind_listen = function
     fd
 
 let run ?(ready = fun () -> ()) cfg =
+  (* A peer that hangs up before reading its answer must end only its own
+     connection: the write then fails with EPIPE, which serve_connection
+     handles, instead of raising SIGPIPE, which kills the process. *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let engines = build_fleet cfg in
   if cfg.warm > 0 then Array.iter (warm_engine ~warm:cfg.warm) engines;
   let listen_fd = bind_listen cfg.listen in

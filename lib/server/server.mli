@@ -44,5 +44,7 @@ val run : ?ready:(unit -> unit) -> config -> unit
     [run] returns (the Unix socket path is unlinked on the way out).
     [ready] fires once the socket is listening — the daemon prints its
     ready line from it, tests use it to connect without polling.
+    [run] ignores SIGPIPE for the whole process, so a peer that hangs up
+    before reading its answer ends only its own connection.
     [Invalid_argument] on an empty fleet or on a plan store no fleet
     engine accepts; [Unix.Unix_error] if the socket cannot be bound. *)

@@ -10,8 +10,8 @@
 #      against a direct Engine.solve replay (--check exits 3 on any
 #      divergence — a stale or transported-wrong plan is CI-fatal);
 #   4. require the metrics snapshot to show the cold lap was served
-#      from the store (store_hits > 0) and the store counters to be
-#      present.
+#      from the store (store_hits > 0, zero full solves) and the store
+#      counters to be present.
 #
 # Exit 3 on response divergence, 2 on setup failure, 1 on any other
 # smoke failure.
@@ -146,6 +146,11 @@ if [ -z "$hits" ] || [ "$hits" -eq 0 ]; then
   grep 'engine\.store' "$TMP/client.out" >&2 || true
   exit 1
 fi
+solves=$(sed -n 's/.*"engine\.full_solves": \([0-9]*\).*/\1/p' "$TMP/client.out" | head -1)
+if [ "$solves" != 0 ]; then
+  echo "store-smoke: the store-backed cold lap ran ${solves:-unknown} full solves" >&2
+  exit 1
+fi
 
 i=0
 while kill -0 "$DAEMON_PID" 2>/dev/null; do
@@ -162,5 +167,5 @@ if [ "$daemon_status" -ne 0 ]; then
   exit 1
 fi
 
-echo "store-smoke: kill+resume byte-identical, cold-start crosschecked ($hits store hits), clean shutdown"
+echo "store-smoke: kill+resume byte-identical, cold-start crosschecked ($hits store hits, no full solves), clean shutdown"
 exit 0

@@ -51,7 +51,7 @@ let family_tests =
   [
     theorem_table 1 16;
     theorem_table 2 14;
-    theorem_table 3 12;
+    theorem_table 3 14;
     tc "theorem 3.13 degree pattern: k+2 odd n, k+3 even n" (fun () ->
         for n = 1 to 20 do
           let expected = if n mod 2 = 1 then 3 else 4 in
@@ -324,7 +324,10 @@ let circulant_tests =
             assert_k_gd_sampled
               (Printf.sprintf "G(%d,%d)" n k)
               ~seed:(n + k) ~trials inst)
-          [ (40, 4, 2000); (50, 6, 1000); (60, 7, 500); (100, 8, 200) ]);
+          [
+            (27, 5, 2000); (40, 4, 2000); (50, 6, 1000); (60, 7, 500);
+            (100, 8, 200);
+          ]);
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -306,10 +306,8 @@ let test_frame_reader_total =
 (* ------------------------------------------------------------------ *)
 
 let with_daemon ?(workers = 2) instances f =
-  (* A write to a connection the other side has closed — the daemon's
-     to a client, or the best-effort shutdown's to a daemon already gone
-     — must fail with EPIPE, not kill the test process. *)
-  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  (* Server.run ignores SIGPIPE for the whole process before it listens,
+     so no write in here can die of a closed peer. *)
   let path = Filename.temp_file "gdpd_test" ".sock" in
   Sys.remove path;
   let listen = Server.Unix_sock path in
@@ -446,6 +444,41 @@ let test_two_clients () =
   Client.shutdown client;
   Client.close client
 
+(* A raw client socket, for peers that misbehave below the Client API. *)
+let raw_connect path =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let rec go n =
+    match Unix.connect fd (Unix.ADDR_UNIX path) with
+    | () -> fd
+    | exception Unix.Unix_error ((Unix.ECONNREFUSED | Unix.ENOENT), _, _)
+      when n > 0 ->
+      Unix.sleepf 0.05;
+      go (n - 1)
+  in
+  go 100
+
+let rec send fd s pos =
+  if pos < String.length s then
+    send fd s (pos + Unix.write_substring fd s pos (String.length s - pos))
+
+(* Send Hello on a fresh connection; the Welcome must come back within
+   [timeout] seconds and list [fleet] instances. *)
+let expect_welcome path ~timeout ~fleet =
+  let fd = raw_connect path in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  send fd (Codec.frame (Protocol.encode_request Protocol.Hello)) 0;
+  match Unix.select [ fd ] [] [] timeout with
+  | [], _, _ -> Alcotest.failf "Hello not answered within %.0f s" timeout
+  | _ ->
+    let ic = Unix.in_channel_of_descr fd in
+    (match Codec.input_frame ic with
+    | Some payload -> (
+      match Protocol.decode_response payload with
+      | Protocol.Welcome { instances; _ } ->
+        check Alcotest.int "fleet size" fleet (List.length instances)
+      | _ -> Alcotest.fail "expected Welcome")
+    | None -> Alcotest.fail "connection closed before Welcome")
+
 (* A header that declares one byte more than the fleet's longest
    request must not pin the only worker: the daemon drops that
    connection unread and answers the next client's Hello. *)
@@ -454,39 +487,99 @@ let test_frame_cap () =
   let path =
     match listen with Server.Unix_sock p -> p | Server.Tcp _ -> assert false
   in
-  let connect () =
-    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    let rec go n =
-      match Unix.connect fd (Unix.ADDR_UNIX path) with
-      | () -> fd
-      | exception Unix.Unix_error ((Unix.ECONNREFUSED | Unix.ENOENT), _, _)
-        when n > 0 ->
-        Unix.sleepf 0.05;
-        go (n - 1)
-    in
-    go 100
-  in
-  let send fd s = ignore (Unix.write_substring fd s 0 (String.length s)) in
   let cap =
     Protocol.max_request_len ~order:(Instance.order (Family.build ~n:3 ~k:2))
   in
-  let hog = connect () in
+  let hog = raw_connect path in
   Fun.protect ~finally:(fun () -> Unix.close hog) @@ fun () ->
-  send hog (le32 (cap + 1));
-  let fd = connect () in
-  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
-  send fd (Codec.frame (Protocol.encode_request Protocol.Hello));
-  match Unix.select [ fd ] [] [] 10.0 with
-  | [], _, _ -> Alcotest.fail "Hello not answered within 10 s"
-  | _ ->
-    let ic = Unix.in_channel_of_descr fd in
-    (match Codec.input_frame ic with
-    | Some payload -> (
-      match Protocol.decode_response payload with
-      | Protocol.Welcome { instances; _ } ->
-        check Alcotest.int "fleet size" 1 (List.length instances)
-      | _ -> Alcotest.fail "expected Welcome")
-    | None -> Alcotest.fail "connection closed before Welcome")
+  send hog (le32 (cap + 1)) 0;
+  expect_welcome path ~timeout:10.0 ~fleet:1
+
+(* ------------------------------------------------------------------ *)
+(* The built gdpd as a child process                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* The in-process daemon above shares this process, which ignores
+   SIGPIPE, so it cannot see what a deployed gdpd does when a peer hangs
+   up early.  [with_gdpd] starts the executable dune built next to this
+   one, with SIGPIPE at its default disposition, as a deployment would. *)
+let gdpd_exe =
+  Filename.concat (Filename.dirname Sys.executable_name) "../bin/gdpd.exe"
+
+let with_gdpd args f =
+  let path = Filename.temp_file "gdpd_child" ".sock" in
+  Sys.remove path;
+  let out_r, out_w = Unix.pipe ~cloexec:true () in
+  (* An ignored signal stays ignored across exec: reset it for the child. *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_default;
+  let pid =
+    Fun.protect
+      ~finally:(fun () -> Sys.set_signal Sys.sigpipe Sys.Signal_ignore)
+      (fun () ->
+        Unix.create_process gdpd_exe
+          (Array.of_list ((gdpd_exe :: args) @ [ "--socket"; path ]))
+          Unix.stdin out_w Unix.stderr)
+  in
+  Unix.close out_w;
+  Fun.protect
+    ~finally:(fun () ->
+      (* [f] may already have reaped a daemon that died. *)
+      (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+      (try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ());
+      Unix.close out_r;
+      try Sys.remove path with Sys_error _ -> ())
+  @@ fun () ->
+  (* gdpd prints its ready line once the socket listens. *)
+  let seen = Buffer.create 128 and chunk = Bytes.create 256 in
+  let rec wait_ready () =
+    let out = Buffer.contents seen in
+    let ready =
+      List.exists
+        (String.starts_with ~prefix:"gdpd: serving")
+        (String.split_on_char '\n' out)
+    in
+    if not ready then
+      match Unix.select [ out_r ] [] [] 60.0 with
+      | [], _, _ -> Alcotest.fail "gdpd printed no ready line within 60 s"
+      | _ ->
+        let n = Unix.read out_r chunk 0 (Bytes.length chunk) in
+        if n = 0 then Alcotest.failf "gdpd exited before ready: %s" out;
+        Buffer.add_subbytes seen chunk 0 n;
+        wait_ready ()
+  in
+  wait_ready ();
+  f ~pid ~path
+
+(* Three large Batch frames, each on a connection closed right after
+   sending: every answer meets a closed peer.  Each must end only its
+   own connection; the daemon must keep serving. *)
+let test_peer_hangs_up () =
+  with_gdpd [ "--instances"; "30:4"; "--workers"; "1" ] @@ fun ~pid ~path ->
+  let order = Instance.order (Family.build ~n:30 ~k:4) in
+  let rng = Random.State.make [| 141 |] in
+  let masks =
+    List.init 4_000 (fun _ ->
+        List.init (Random.State.int rng 5) (fun _ ->
+            Random.State.int rng order))
+  in
+  let frame =
+    Codec.frame (Protocol.encode_request (Protocol.Batch { inst = 0; masks }))
+  in
+  for _ = 1 to 3 do
+    let fd = raw_connect path in
+    send fd frame 0;
+    Unix.close fd
+  done;
+  let check_alive () =
+    match Unix.waitpid [ Unix.WNOHANG ] pid with
+    | 0, _ -> ()
+    | _, Unix.WSIGNALED s when s = Sys.sigpipe ->
+      Alcotest.fail "gdpd died of SIGPIPE"
+    | _, _ -> Alcotest.fail "gdpd is gone"
+  in
+  (try expect_welcome path ~timeout:60.0 ~fleet:1
+   with e -> check_alive (); raise e);
+  check_alive ()
 
 let () =
   Alcotest.run "server"
@@ -518,4 +611,7 @@ let () =
           tc "two concurrent clients crosscheck green" test_two_clients;
           tc "a header over the frame cap frees the worker" test_frame_cap;
         ] );
+      ( "gdpd",
+        [ tc "a peer that hangs up early ends only its connection"
+            test_peer_hangs_up ] );
     ]
