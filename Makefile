@@ -99,8 +99,9 @@ resume-smoke: build
 serve-smoke: build
 	sh scripts/serve_smoke.sh 9:2,6:2 2048 128
 
-# Plan-warehouse smoke: compile a G(30,4) store, SIGKILL the compiler
-# mid-run and resume from its journal (the resumed store must be
+# Plan-warehouse smoke: compile a G(30,4) store on one domain and on
+# two (the stores must be byte-identical), SIGKILL the compiler mid-run
+# and resume from its checkpoint (the resumed store must be
 # byte-identical to an uninterrupted compile), then cold-start gdpd
 # with a G(9,2) --store and crosscheck a bench-client burst against a
 # store-backed local replay (exit 3 on divergence), requiring the cold

@@ -279,10 +279,6 @@ let verify_run inst model ~model_name ~n ~k ~merged ~sample ~domains ~seed
     refuse
       "--merged runs in process only; it cannot be checkpointed or farmed \
        over processes"
-  else if ckpt_path <> None && resume_path <> None then
-    refuse
-      "--resume already appends to its own file; give one of \
-       --checkpoint/--resume"
   else begin
     let max_failures = 5 in
     pf "%a@." Instance.pp inst;
@@ -327,48 +323,17 @@ let verify_run inst model ~model_name ~n ~k ~merged ~sample ~domains ~seed
         (group, task)
     in
     let nunits = Task.nunits task in
-    let resume_state =
-      match resume_path with
-      | None -> Ok None
-      | Some path -> (
-        match Checkpoint.load ~path with
-        | Error e -> Error e
-        | Ok l -> (
-          match
-            Checkpoint.check_header
-              ~expected:(Task.header task ~max_failures)
-              l.Checkpoint.l_header
-          with
-          | Error e -> Error e
-          | Ok () -> Ok (Some l)))
-    in
-    match resume_state with
+    match
+      Checkpoint.start ?create:ckpt_path ?resume:resume_path
+        (lazy (Task.header task ~max_failures))
+    with
     | Error e ->
       pf "error: cannot resume: %s@." e;
       2
-    | Ok loaded -> (
-      let resumed = Option.map (fun l -> l.Checkpoint.l_results) loaded in
-      Option.iter
-        (fun l ->
-          pf "resume: %d/%d units already recorded%s%s@."
-            (Hashtbl.length l.Checkpoint.l_results)
-            nunits
-            (if l.Checkpoint.l_duplicates > 0 then
-               Printf.sprintf ", %d duplicate records dropped"
-                 l.Checkpoint.l_duplicates
-             else "")
-            (if l.Checkpoint.l_torn_bytes > 0 then
-               Printf.sprintf ", %d torn trailing bytes discarded"
-                 l.Checkpoint.l_torn_bytes
-             else ""))
-        loaded;
-      let writer =
-        match (ckpt_path, resume_path) with
-        | Some path, _ ->
-          Some (Checkpoint.create ~path (Task.header task ~max_failures))
-        | None, Some path -> Some (Checkpoint.open_append ~path)
-        | None, None -> None
-      in
+    | Ok session -> (
+      Option.iter (pf "%a@." Checkpoint.pp_resumed) session.loaded;
+      let writer = session.writer
+      and resumed = Option.map (fun l -> l.Checkpoint.l_results) session.loaded in
       let run_report () =
         Fun.protect ~finally:(fun () -> Option.iter Checkpoint.close writer)
         @@ fun () ->
@@ -872,9 +837,6 @@ let certify_cmd =
   let run n k file =
     let inst = build_instance n k false in
     pf "%a@." Instance.pp inst;
-    (* Through the engine: size-s witnesses splice from their cached
-       size-(s-1) predecessors instead of re-running the solver. *)
-    let engine = Engine.create inst in
     match open_out_bin file with
     | exception Sys_error msg ->
       pf "error: %s@." msg;
@@ -891,9 +853,8 @@ let certify_cmd =
         code
       in
       match
-        Certify.write
-          ~solve:(fun ~faults -> Engine.solve engine ~faults)
-          ~symmetry:(Instance.symmetry inst) (Fault_model.node inst) oc
+        Certify.write ~symmetry:(Instance.symmetry inst)
+          (Fault_model.node inst) oc
       with
       | () ->
         let size = out_channel_length oc in
@@ -1283,21 +1244,15 @@ let stats_cmd =
 
 (* -------------------- compile-plans -------------------- *)
 
-(* Offline plan-warehouse compiler: enumerate the fault universe (one
-   representative per automorphism orbit when the node model has a
-   nontrivial symmetry group), solve every representative with the plain
-   deterministic solver — no cache, no splice, so an interrupted and
-   resumed compile still emits a byte-identical store — and write the
-   mmap-ready Plan_store file.  Work is journaled per unit in the
-   Checkpoint discipline, so a SIGKILL mid-compile loses at most the
-   units in flight. *)
+(* Offline plan-warehouse compiler: Engine.compile_plans drains the
+   fault space (one representative per automorphism orbit when the node
+   model has a nontrivial symmetry group), solving every representative
+   from scratch, and writes the mmap-ready Plan_store file.  With
+   --checkpoint each drained unit is recorded in the Checkpoint
+   discipline, so a SIGKILL mid-compile loses at most the units in
+   flight. *)
 let compile_plans_cmd =
-  let module Auto = Gdpn_graph.Auto in
-  let module Bitset = Gdpn_graph.Bitset in
-  let module Combinat = Gdpn_graph.Combinat in
   let module Plan_store = Gdpn_engine.Plan_store in
-  let module Journal = Gdpn_engine.Plan_store.Journal in
-  let unit_size = 256 in
   let run n k model_name out max_size flat domains budget ckpt_path
       resume_path =
     let inst = build_instance n k false in
@@ -1305,173 +1260,34 @@ let compile_plans_cmd =
     | Error e ->
       pf "error: %s@." e;
       2
-    | Ok _ when ckpt_path <> None && resume_path <> None ->
-      pf "error: --resume already appends to its own file; give one of \
-          --checkpoint/--resume@.";
-      2
-    | Ok model ->
-      let is_node = Fault_model.is_node model in
-      let usize = Fault_model.size model in
-      let order = Instance.order inst in
-      let max_size =
-        match max_size with
-        | Some s -> Stdlib.min s usize
-        | None -> Fault_model.max_faults model
-      in
+    | Ok model -> (
       pf "%a@." Instance.pp inst;
-      if not is_node then
-        pf "fault model: %s (universe %d elements)@." (Fault_model.name model)
-          usize;
-      let group =
-        (* Orbit compression covers only the node model: plan transport
-           needs node permutations, which the induced action on a
-           generalized universe has already forgotten. *)
-        if is_node && not flat then begin
-          let g = Instance.symmetry inst in
-          if Auto.is_trivial g then None
-          else begin
-            pf "symmetry: group order %d — storing one plan per orbit@."
-              (Auto.order g);
-            Some g
-          end
-        end
-        else None
-      in
-      let items =
-        (* the trivial group's orbits are the single sets *)
-        Auto.fault_orbits
-          (Option.value group ~default:(Auto.trivial usize))
-          ~max_size
-      in
-      let nitems = Array.length items in
-      let nunits = Stdlib.max 1 ((nitems + unit_size - 1) / unit_size) in
-      let digest = Certify.digest inst in
-      let header =
-        {
-          Journal.j_digest = digest;
-          j_model = Fault_model.id model;
-          j_orbit = group <> None;
-          j_usize = usize;
-          j_order = order;
-          j_max_size = max_size;
-          j_nunits = nunits;
-        }
-      in
-      let resume_state =
-        match resume_path with
-        | None -> Ok None
-        | Some path -> (
-          match Journal.load ~path with
-          | Error e -> Error e
-          | Ok l -> (
-            match Journal.check_header ~expected:header l.Journal.l_header with
-            | Error e -> Error e
-            | Ok () -> Ok (Some l)))
-      in
-      (match resume_state with
+      if not (Fault_model.is_node model) then print_model model;
+      match
+        Engine.compile_plans ~budget ~domains ~flat ?max_size
+          ?checkpoint:ckpt_path ?resume:resume_path model ~path:out
+      with
       | Error e ->
         pf "error: cannot resume: %s@." e;
         2
-      | Ok loaded ->
-        let results = Array.make nunits None in
-        Option.iter
-          (fun l ->
-            Hashtbl.iter
-              (fun u outs ->
-                if u >= 0 && u < nunits then results.(u) <- Some outs)
-              l.Journal.l_units;
-            pf "resume: %d/%d units already journaled%s%s@."
-              (Hashtbl.length l.Journal.l_units)
-              nunits
-              (if l.Journal.l_duplicates > 0 then
-                 Printf.sprintf ", %d duplicate records dropped"
-                   l.Journal.l_duplicates
-               else "")
-              (if l.Journal.l_torn_bytes > 0 then
-                 Printf.sprintf ", %d torn trailing bytes discarded"
-                   l.Journal.l_torn_bytes
-               else ""))
-          loaded;
-        let journal =
-          match (ckpt_path, resume_path) with
-          | Some path, _ -> Some (Journal.create ~path header)
-          | None, Some path -> Some (Journal.open_append ~path)
-          | None, None -> None
-        in
-        pf "compiling %d representatives (%d units, %d domains)@." nitems
-          nunits domains;
-        Fun.protect ~finally:(fun () -> Option.iter Journal.close journal)
-        @@ fun () ->
-        let next = Atomic.make 0 in
-        (* Units are drained off one atomic counter; solves are
-           history-free (fresh plain solver per set), so assignment
-           order cannot influence any outcome and the assembled store
-           is deterministic under any domain count. *)
-        let worker () =
-          let ctx = Reconfig.make_ctx inst in
-          let mask = Bitset.create usize in
-          let rec loop () =
-            let u = Atomic.fetch_and_add next 1 in
-            if u < nunits then begin
-              (match results.(u) with
-              | Some _ -> ()
-              | None ->
-                let lo = u * unit_size in
-                let hi = Stdlib.min nitems (lo + unit_size) in
-                let outcomes =
-                  Array.init (hi - lo) (fun i ->
-                      Bitset.clear mask;
-                      Array.iter (Bitset.add mask)
-                        items.(lo + i).Auto.set;
-                      Fault_model.solve ~budget ~ctx model ~faults:mask)
-                in
-                results.(u) <- Some outcomes;
-                Option.iter
-                  (fun w -> Journal.append w ~unit_id:u outcomes)
-                  journal);
-              loop ()
-            end
-          in
-          loop ()
-        in
-        let helpers =
-          List.init (Stdlib.max 0 (domains - 1)) (fun _ ->
-              Domain.spawn worker)
-        in
-        worker ();
-        List.iter Domain.join helpers;
-        let w =
-          Plan_store.writer ~digest ~model_id:(Fault_model.id model)
-            ~orbit:(group <> None) ~usize ~order ~max_size
-        in
-        Array.iteri
-          (fun u outs ->
-            let outs = Option.get outs in
-            Array.iteri
-              (fun i o ->
-                let item = items.((u * unit_size) + i) in
-                Plan_store.add w ~set:item.Auto.set ~count:item.Auto.size o)
-              outs)
-          results;
-        Plan_store.write w ~path:out;
-        (match ckpt_path with
-        | Some p -> pf "journal: %s@." p
-        | None -> ());
-        if Plan_store.gave_up w > 0 then
+      | Ok c -> (
+        Option.iter (pf "%a@." Gdpn_engine.Checkpoint.pp_resumed) c.c_resumed;
+        Option.iter (pf "checkpoint: %s@.") ckpt_path;
+        if c.c_gave_up > 0 then
           pf "warning: %d representatives hit the solver budget and were \
               left out of the store (they will re-solve at serve time)@."
-            (Plan_store.gave_up w);
+            c.c_gave_up;
         (* Self-check: reopen what we just published and audit every
            slot, so a compile never hands the daemon a store it would
            refuse or mis-serve. *)
-        (match Plan_store.open_path ~path:out with
+        match Plan_store.open_path ~path:out with
         | Error e ->
           pf "error: written store fails to open: %s@." e;
           2
-        | Ok store ->
+        | Ok store -> (
           let r = Plan_store.validate store in
           Plan_store.close store;
-          (match r with
+          match r with
           | Error e ->
             pf "error: written store fails validation: %s@." e;
             2
@@ -1517,13 +1333,13 @@ let compile_plans_cmd =
   let ckpt_arg =
     Arg.(value & opt (some string) None
          & info [ "checkpoint" ] ~docv:"FILE"
-             ~doc:"Journal each solved unit to $(docv) so an interrupted \
-                   compile can resume.")
+             ~doc:"Record each solved unit in the checkpoint $(docv) so an \
+                   interrupted compile can resume.")
   in
   let resume_arg =
     Arg.(value & opt (some string) None
          & info [ "resume" ] ~docv:"FILE"
-             ~doc:"Resume from (and keep appending to) the journal at \
+             ~doc:"Resume from (and keep appending to) the checkpoint at \
                    $(docv); solved units are not re-solved and the final \
                    store is byte-identical to an uninterrupted run's.")
   in

@@ -34,7 +34,8 @@ val worst_case :
     expansions.  [restarts] (default 5) independent climbs from random
     seeds; [budget] (default 500_000) caps each probe so a pathological
     candidate cannot stall the search — a probe that exhausts the budget
-    scores as the budget value.  The search runs best-response over the
+    scores [budget + 1], the expansion that crossed it (E16 prints
+    30,001 for a 30,000 budget).  The search runs best-response over the
     whole universe of [model] (built over this instance —
     [Invalid_argument] otherwise; default [Fault_model.node inst]):
     candidates mix nodes, links, colour classes or neighborhoods, and

@@ -8,7 +8,7 @@ let m_records_streamed = Metrics.counter "certify.records_streamed"
 
 let digest inst = Digest.to_hex (Digest.string (Serial.to_string inst))
 
-let magic = "gdpn-cert 5\n"
+let magic = "gdpn-cert 6\n"
 
 (* lib/core cannot see the engine codec (dependency direction), and a
    certificate needs nothing but unsigned varints. *)
@@ -23,47 +23,39 @@ let put_string oc s =
   put_uint oc (String.length s);
   output_string oc s
 
+(* The writer is a drain of the verification task, splicing, on the
+   calling domain: the witness sink streams each record as the task
+   checks its set, so memory is the task and its chain, never the
+   records. *)
 let write ?solve ?symmetry model oc =
   let inst = Fault_model.instance model in
-  let gens, group =
-    match symmetry with
-    | None -> ([], Auto.trivial (Fault_model.size model))
-    | Some g -> (Auto.generators g, Fault_model.induced_symmetry model g)
-  in
-  let solve =
-    match solve with
-    | Some f -> f
-    | None ->
-      (* One search context for the whole enumeration: certification is
-         exactly the repeated-solve workload the context exists for. *)
-      let ctx = Reconfig.make_ctx inst in
-      fun ~faults -> Fault_model.solve ~ctx model ~faults
-  in
+  let gens = match symmetry with None -> [] | Some g -> Auto.generators g in
+  let task = Verify.Task.exhaustive_model ?solve ?symmetry model in
   output_string oc magic;
   put_string oc (digest inst);
   put_string oc (Fault_model.name model);
   put_uint oc (List.length gens);
   List.iter (Array.iter (put_uint oc)) gens;
-  let mask = Bitset.create (Fault_model.size model) in
-  Auto.iter_fault_orbits group ~max_size:(Fault_model.max_faults model)
-    (fun set len _ ->
-      Bitset.clear mask;
+  let witness { Verify.w_set = set; w_outcome; _ } =
+    match w_outcome with
+    | Reconfig.Pipeline p ->
+      let len = Array.length set in
+      put_uint oc len;
       for i = 0 to len - 1 do
-        Bitset.add mask set.(i)
+        put_uint oc (if i = 0 then set.(0) else set.(i) - set.(i - 1) - 1)
       done;
-      match solve ~faults:mask with
-      | Reconfig.Pipeline p ->
-        put_uint oc len;
-        for i = 0 to len - 1 do
-          put_uint oc (if i = 0 then set.(0) else set.(i) - set.(i - 1) - 1)
-        done;
-        put_uint oc (List.length p.Pipeline.nodes);
-        List.iter (put_uint oc) p.Pipeline.nodes;
-        Metrics.incr m_records_streamed
-      | Reconfig.No_pipeline | Reconfig.Gave_up ->
-        failwith
-          (Printf.sprintf "Certify.write: fault set %s has no pipeline"
-             (Fault_model.describe model (List.init len (Array.get set)))));
+      put_uint oc (List.length p.Pipeline.nodes);
+      List.iter (put_uint oc) p.Pipeline.nodes;
+      Metrics.incr m_records_streamed
+    | Reconfig.No_pipeline | Reconfig.Gave_up ->
+      failwith
+        (Printf.sprintf "Certify.write: fault set %s has no pipeline"
+           (Fault_model.describe model (Array.to_list set)))
+  in
+  let process = Verify.Task.processor task in
+  for u = 0 to Verify.Task.nunits task - 1 do
+    process ~witness ~record:(fun ~rank:_ _ -> ()) ~cutoff:(fun () -> max_int) u
+  done;
   flush oc
 
 (* ------------------------------------------------------------------ *)
@@ -135,7 +127,7 @@ let kind_compatible inst p =
   maps Fun.id || maps reversed
 
 let check_source inst src =
-  (* formats 1 to 4 began with a header line of the same length *)
+  (* formats 1 to 5 began with a header line of the same length *)
   (match get_bytes src (String.length magic) with
   | line when line = magic -> ()
   | line when String.starts_with ~prefix:"gdpn-cert " line ->
@@ -170,50 +162,56 @@ let check_source inst src =
     Fault_model.induced_symmetry model (Auto.of_generators ~degree:order gens)
   in
   let usize = Fault_model.size model and k = Fault_model.max_faults model in
-  let mask = Bitset.create usize in
-  let records = ref 0 and covered = ref 0 in
-  Auto.iter_fault_orbits group ~max_size:k (fun set len size ->
-      let expected () =
-        Fault_model.describe model (List.init len (Array.get set))
-      in
-      let rlen = get_uint src ~below:(k + 1) "set size" in
-      if rlen <> len then
-        bad "record %d has %d faults, representative %s has %d" !records rlen
-          (expected ()) len;
-      let prev = ref (-1) in
-      for i = 0 to len - 1 do
-        let e = !prev + 1 + get_uint src ~below:(usize - !prev - 1) "fault" in
-        if e <> set.(i) then
-          bad "record %d is not for representative %s" !records (expected ());
-        prev := e
-      done;
-      let nodes =
-        List.init
-          (get_uint src ~below:(order + 1) "witness length")
-          (fun _ -> get_uint src ~below:order "witness node")
-      in
-      (* The witness, carried by every group element onto the member it
-         maps the representative to: each member of the orbit is checked
-         against the paper's definition alone. *)
-      for e = 0 to Auto.order group - 1 do
-        Bitset.clear mask;
-        for i = 0 to len - 1 do
-          Bitset.add mask (Auto.image group e set.(i))
-        done;
-        match
-          Fault_model.validate model ~faults:mask
-            (List.map (Auto.image group e) nodes)
-        with
-        | Ok _ -> ()
-        | Error why ->
-          bad "witness for %s fails on orbit member %s: %s" (expected ())
-            (Fault_model.describe model (Bitset.elements mask))
-            why
-      done;
-      incr records;
-      covered := !covered + size);
-  if not (at_end src) then bad "trailing bytes after record %d" !records;
   let total = Combinat.count_up_to usize k in
+  let seen = Bitset.create total in
+  let buf = Array.make k 0 and mask = Bitset.create usize in
+  let records = ref 0 and covered = ref 0 in
+  while not (at_end src) do
+    let len = get_uint src ~below:(k + 1) "set size" in
+    let prev = ref (-1) in
+    for i = 0 to len - 1 do
+      let e = !prev + 1 + get_uint src ~below:(usize - !prev - 1) "fault" in
+      buf.(i) <- e;
+      prev := e
+    done;
+    let set = Array.sub buf 0 len in
+    let describe () = Fault_model.describe model (Array.to_list set) in
+    if Auto.canonical_set group set <> set then
+      bad "record %d: %s is not the least member of its orbit" !records
+        (describe ());
+    let rank = Combinat.rank_of_subset usize set len in
+    if Bitset.mem seen rank then
+      bad "record %d: %s is certified twice" !records (describe ());
+    Bitset.add seen rank;
+    let nodes =
+      List.init
+        (get_uint src ~below:(order + 1) "witness length")
+        (fun _ -> get_uint src ~below:order "witness node")
+    in
+    (* The witness, carried by every group element onto the member it
+       maps the set to: each member of the orbit is checked against the
+       paper's definition alone.  The elements fixing the set are its
+       stabilizer, whose size gives the orbit's. *)
+    let fixing = ref 0 in
+    for e = 0 to Auto.order group - 1 do
+      Bitset.clear mask;
+      for i = 0 to len - 1 do
+        Bitset.add mask (Auto.image group e set.(i))
+      done;
+      if Array.for_all (Bitset.mem mask) set then incr fixing;
+      match
+        Fault_model.validate model ~faults:mask
+          (List.map (Auto.image group e) nodes)
+      with
+      | Ok _ -> ()
+      | Error why ->
+        bad "witness for %s fails on orbit member %s: %s" (describe ())
+          (Fault_model.describe model (Bitset.elements mask))
+          why
+    done;
+    incr records;
+    covered := !covered + (Auto.order group / !fixing)
+  done;
   if !covered <> total then
     bad "orbits cover %d fault sets, the %s model has %d" !covered name total;
   !covered

@@ -7,6 +7,13 @@ type census = {
   solutions_found : int;
 }
 
+(* Largest sets first, stopping at the first failure: a census candidate
+   that is not k-GD almost always fails at size k, and the Task's walk
+   would check every smaller set before reaching one.  As a Task drain
+   (Verify.exhaustive ~max_failures:1) `gdp census -n 5 -k 2` took
+   1.48 s against 0.40 s, and `gdp impossibility` 1.62 s against 0.54 s
+   (medians of six alternated runs on a 2-vCPU host), so this loop
+   stays. *)
 let is_k_gd_quick inst =
   let order = Instance.order inst in
   let k = inst.Instance.k in

@@ -6,7 +6,7 @@ module Metrics = Gdpn_obs.Metrics
 (* Observability instruments (process-wide, see Gdpn_obs.Metrics).
    [verify.solver_calls] matches the report's [solver_calls] whenever no
    early stop cut the enumeration short: sampled and single-set checks
-   count in {!check_mask_model}, orbit units per representative, and
+   count per solve, orbit units per representative, and
    plain units settle it against the merged report. *)
 let m_solver_calls = Metrics.counter "verify.solver_calls"
 let m_orbits_checked = Metrics.counter "verify.orbits_checked"
@@ -29,6 +29,13 @@ type report = {
   solver_calls : int;
   failures : failure list;
   gave_up : int;
+}
+
+type witness = {
+  w_rank : int;
+  w_set : int array;
+  w_orbit : int;
+  w_outcome : Reconfig.outcome;
 }
 
 (* A recorded failure tagged with the global rank of its fault set in the
@@ -135,15 +142,18 @@ let solve_checked_model ?budget ?solve model mask =
   | Reconfig.No_pipeline -> Error "no pipeline"
   | Reconfig.Gave_up -> Error "solver gave up"
 
-let check_mask_model ?budget ?solve model mask =
-  Metrics.incr m_solver_calls;
-  Result.map ignore (solve_checked_model ?budget ?solve model mask)
+(* A checked result as a witness sink's outcome: an invalid witness
+   decides nothing, so it reads as undecided. *)
+let outcome_of = function
+  | Ok p -> Reconfig.Pipeline p
+  | Error "no pipeline" -> Reconfig.No_pipeline
+  | Error _ -> Reconfig.Gave_up
 
 (* Splice-first check of [mask] = parent's faults ∪ {failed}: repair the
    parent's pipeline around [failed] first ({!Fault_model.splice}
    revalidates, so a positive verdict is always genuine), full solve on
    splice failure.  Negatives always come from a full solve, so failure
-   reasons are exactly {!check_mask_model}'s.  [reported:false] marks
+   reasons are exactly {!solve_checked_model}'s.  [reported:false] marks
    scaffold pushes (prefix rebuilding whose set is reported elsewhere). *)
 let splice_checked_model ~solve ~reported model ~parent ~mask ~failed =
   match parent with
@@ -219,15 +229,14 @@ module Task = struct
       let ctx = Reconfig.cached_ctx (Fault_model.instance model) in
       fun ~faults -> Fault_model.solve ?budget ~ctx model ~faults
 
-  let chain_make ?budget ?solve ~splice model =
-    let k = Fault_model.max_faults model in
+  let chain_make ?budget ?solve ~splice ~depth model =
     {
       c_model = model;
       c_solve = domain_solver ?budget ?solve model;
       c_splice = splice;
       c_mask = Bitset.create (Fault_model.size model);
-      c_elts = Array.make (Stdlib.max 1 k) (-1);
-      c_res = Array.make (k + 1) (Error "unsolved");
+      c_elts = Array.make (Stdlib.max 1 depth) (-1);
+      c_res = Array.make (depth + 1) (Error "unsolved");
       c_len = -1;
     }
 
@@ -245,6 +254,13 @@ module Task = struct
       ch.c_len <- 0
     end
 
+  (* Push [e] with its outcome [r] already known. *)
+  let chain_set ch e r =
+    Bitset.add ch.c_mask e;
+    ch.c_elts.(ch.c_len) <- e;
+    ch.c_res.(ch.c_len + 1) <- r;
+    ch.c_len <- ch.c_len + 1
+
   let chain_push ch ~reported e =
     Bitset.add ch.c_mask e;
     let r =
@@ -254,9 +270,7 @@ module Task = struct
       else if reported then chain_solve ch
       else Error "unsolved"
     in
-    ch.c_elts.(ch.c_len) <- e;
-    ch.c_res.(ch.c_len + 1) <- r;
-    ch.c_len <- ch.c_len + 1;
+    chain_set ch e r;
     r
 
   let chain_pop ch =
@@ -264,8 +278,9 @@ module Task = struct
     Bitset.remove ch.c_mask ch.c_elts.(ch.c_len)
 
   (* Align the chain to the prefix [target.(0..m-1)]: pop to the longest
-     common prefix, scaffold-push the rest. *)
-  let chain_align ch target m =
+     common prefix, scaffold-push the rest — the first element with the
+     outcome [first] when it is known. *)
+  let chain_align ?first ch target m =
     chain_root ch;
     let lcp = ref 0 in
     while !lcp < ch.c_len && !lcp < m && ch.c_elts.(!lcp) = target.(!lcp) do
@@ -275,7 +290,9 @@ module Task = struct
       chain_pop ch
     done;
     for i = !lcp to m - 1 do
-      ignore (chain_push ch ~reported:false target.(i))
+      match first with
+      | Some r when i = 0 -> chain_set ch target.(0) r
+      | Some _ | None -> ignore (chain_push ch ~reported:false target.(i))
     done
 
   type spec = {
@@ -283,10 +300,15 @@ module Task = struct
     s_orbit : bool;
     s_splice : bool;
     s_universe : int list option;
+    s_max_size : int;
   }
 
   type processor =
-    record:(rank:int -> failure -> unit) -> cutoff:(unit -> int) -> int -> unit
+    ?witness:(witness -> unit) ->
+    record:(rank:int -> failure -> unit) ->
+    cutoff:(unit -> int) ->
+    int ->
+    unit
 
   type t = {
     t_min_rank : int array;
@@ -305,10 +327,12 @@ module Task = struct
      unit u > 0 the DFS subtree of the u-th size-d prefix in lexicographic
      order — C(|elts|, d) + 1 units of comparable weight.  The walk runs
      over positions in [elts], so ranks are the positions' canonical
-     ranks and failures name the elements. *)
+     ranks and failures name the elements.  A later unit rooted at an
+     element starts its chain from the outcome unit 0 reported for it,
+     instead of splicing (and maybe solving) that singleton again. *)
   let plain_task ?budget ?solve ~spec ~elts model =
     let u = Array.length elts in
-    let k = Stdlib.min (Fault_model.max_faults model) u in
+    let k = Stdlib.min spec.s_max_size u in
     let total = Combinat.count_up_to u k in
     let d = Stdlib.min k 2 in
     let roots =
@@ -320,28 +344,40 @@ module Task = struct
     in
     let rank buf len = Combinat.rank_of_subset u buf len in
     let mk_processor () =
-      let ch = chain_make ?budget ?solve ~splice:spec.s_splice model in
-      fun ~record ~cutoff unit_id ->
-        let fail buf len reason =
-          let faults = List.init len (fun i -> elts.(buf.(i))) in
-          record ~rank:(rank buf len) { faults; reason; orbit = 1 }
-        in
-        let report_outcome buf len = function
+      let ch =
+        chain_make ?budget ?solve ~splice:spec.s_splice ~depth:k model
+      in
+      let singles = Array.make u None in
+      fun ?witness ~record ~cutoff unit_id ->
+        let report buf len r =
+          (match witness with
+          | None -> ()
+          | Some sink ->
+            sink
+              {
+                w_rank = rank buf len;
+                w_set = Array.init len (fun i -> elts.(buf.(i)));
+                w_orbit = 1;
+                w_outcome = outcome_of r;
+              });
+          match r with
           | Ok _ -> ()
-          | Error reason -> fail buf len reason
+          | Error reason ->
+            let faults = List.init len (fun i -> elts.(buf.(i))) in
+            record ~rank:(rank buf len) { faults; reason; orbit = 1 }
         in
         if unit_id = 0 then begin
           chain_root ch;
           while ch.c_len > 0 do
             chain_pop ch
           done;
-          report_outcome [||] 0
-            (if ch.c_splice then ch.c_res.(0) else chain_solve ch);
+          report [||] 0 (if ch.c_splice then ch.c_res.(0) else chain_solve ch);
           if d >= 2 then
             for v = 0 to u - 1 do
               if 1 + v <= cutoff () then begin
-                report_outcome [| v |] 1
-                  (chain_push ch ~reported:true elts.(v));
+                let r = chain_push ch ~reported:true elts.(v) in
+                singles.(v) <- Some r;
+                report [| v |] 1 r;
                 chain_pop ch
               end
             done
@@ -350,7 +386,9 @@ module Task = struct
           let prefix = roots.(unit_id - 1) in
           let dd = Array.length prefix in
           if rank prefix dd <= cutoff () then begin
-            chain_align ch (Array.map (fun p -> elts.(p)) prefix) (dd - 1);
+            chain_align ?first:singles.(prefix.(0)) ch
+              (Array.map (fun p -> elts.(p)) prefix)
+              (dd - 1);
             Combinat.iter_subsets_dfs ~root:prefix u k
               ~enter:(fun buf len ->
                 let e = elts.(buf.(len - 1)) in
@@ -358,14 +396,11 @@ module Task = struct
                 if co < max_int && rank buf len > co then begin
                   (* Pruned: push a placeholder so [leave]'s pop pairs up;
                      no child ever reads it. *)
-                  Bitset.add ch.c_mask e;
-                  ch.c_elts.(ch.c_len) <- e;
-                  ch.c_res.(ch.c_len + 1) <- Error "pruned";
-                  ch.c_len <- ch.c_len + 1;
+                  chain_set ch e (Error "pruned");
                   false
                 end
                 else begin
-                  report_outcome buf len (chain_push ch ~reported:true e);
+                  report buf len (chain_push ch ~reported:true e);
                   true
                 end)
               ~leave:(fun _ _ -> chain_pop ch)
@@ -435,8 +470,11 @@ module Task = struct
     Array.sort (fun i j -> preorder reps.(i).Auto.set reps.(j).Auto.set) dfs;
     let nunits, span = span_units nreps in
     let mk_processor () =
-      let ch = chain_make ?budget ?solve ~splice:spec.s_splice model in
-      fun ~record ~cutoff u ->
+      let ch =
+        chain_make ?budget ?solve ~splice:spec.s_splice ~depth:spec.s_max_size
+          model
+      in
+      fun ?witness ~record ~cutoff u ->
         let lo, hi = span u in
         for pos = lo to hi - 1 do
           let i = dfs.(pos) in
@@ -465,6 +503,10 @@ module Task = struct
                 chain_push ch ~reported:true set.(m - 1)
               end
             in
+            (match witness with
+            | None -> ()
+            | Some sink ->
+              sink { w_rank = i; w_set = set; w_orbit = size; w_outcome = outcome_of r });
             match r with
             | Ok _ -> ()
             | Error reason ->
@@ -505,15 +547,21 @@ module Task = struct
     let mk_processor () =
       let solve = domain_solver ?budget ?solve model in
       let mask = Bitset.create usize in
-      fun ~record ~cutoff u ->
+      fun ?witness ~record ~cutoff u ->
         let lo, hi = span u in
         for i = lo to hi - 1 do
           if i <= cutoff () then begin
             let buf = sets.(i) in
             Bitset.clear mask;
             Array.iter (Bitset.add mask) buf;
-            match check_mask_model ~solve model mask with
-            | Ok () -> ()
+            Metrics.incr m_solver_calls;
+            let r = solve_checked_model ~solve model mask in
+            (match witness with
+            | None -> ()
+            | Some sink ->
+              sink { w_rank = i; w_set = buf; w_orbit = 1; w_outcome = outcome_of r });
+            match r with
+            | Ok _ -> ()
             | Error reason ->
               record ~rank:i { faults = Array.to_list buf; reason; orbit = 1 }
           end
@@ -529,18 +577,23 @@ module Task = struct
     }
 
   let exhaustive_model ?budget ?solve ?universe ?symmetry ?(splice = true)
-      model =
+      ?max_size model =
     (match symmetry with
     | Some group
       when Auto.degree group <> Instance.order (Fault_model.instance model) ->
       invalid_arg "Verify.exhaustive: symmetry group degree <> instance order"
     | Some _ | None -> ());
+    let max_size =
+      Option.value max_size ~default:(Fault_model.max_faults model)
+    in
+    if max_size < 0 then invalid_arg "Verify.Task: negative max_size";
     let spec orbit =
       {
         s_model = model;
         s_orbit = orbit;
         s_splice = splice;
         s_universe = universe;
+        s_max_size = max_size;
       }
     in
     let elts = Option.map Array.of_list universe in
@@ -549,8 +602,7 @@ module Task = struct
     match Option.map (Fault_model.induced_symmetry model) symmetry with
     | Some group when not (Auto.is_trivial group) ->
       orbit_task ?budget ?solve ~spec:(spec true) model
-        (Auto.fault_orbits ?universe:elts group
-           ~max_size:(Fault_model.max_faults model))
+        (Auto.fault_orbits ?universe:elts group ~max_size)
     | Some _ | None ->
       let elts =
         match elts with
@@ -559,8 +611,8 @@ module Task = struct
       in
       plain_task ?budget ?solve ~spec:(spec false) ~elts model
 
-  let exhaustive ?budget ?solve ?universe ?symmetry ?splice inst =
-    exhaustive_model ?budget ?solve ?universe ?symmetry ?splice
+  let exhaustive ?budget ?solve ?universe ?symmetry ?splice ?max_size inst =
+    exhaustive_model ?budget ?solve ?universe ?symmetry ?splice ?max_size
       (Fault_model.node inst)
 
   let nunits t = Array.length t.t_min_rank
@@ -574,7 +626,7 @@ module Task = struct
     t.t_settle report;
     report
 
-  let drain t ~max_failures ~next ~cutoff ~tighten ~on_unit =
+  let drain ?witness t ~max_failures ~next ~cutoff ~tighten ~on_unit =
     let cap = Stdlib.max 1 max_failures in
     let process = processor t in
     let kept = Topk.create cap in
@@ -584,7 +636,7 @@ module Task = struct
       | Some u ->
         if min_rank t u <= cutoff () then begin
           let own = Topk.create cap in
-          process
+          process ?witness
             ~record:(fun ~rank failure ->
               Topk.insert own ~rank failure;
               Topk.insert kept ~rank failure;
@@ -641,25 +693,16 @@ let sampled ~rng ~trials ?budget ?solve ?max_failures inst =
 
 let is_k_gd r = r.failures = [] && r.gave_up = 0
 
+(* The plain task's first failure is the lowest-ranked one: the smallest
+   breaking size, lexicographically first within it. *)
 let breaking_fault_set ?budget ?max_size inst =
-  let order = Instance.order inst in
   let max_size = Option.value max_size ~default:(inst.Instance.k + 1) in
-  let model = Fault_model.node inst in
-  let mask = Bitset.create order in
-  let found = ref None in
-  (try
-     for size = 0 to min max_size order do
-       Combinat.iter_choose order size (fun buf ->
-           Bitset.clear mask;
-           Array.iter (Bitset.add mask) buf;
-           match check_mask_model ?budget model mask with
-           | Ok () -> ()
-           | Error _ ->
-             found := Some (Array.to_list buf);
-             raise Exit)
-     done
-   with Exit -> ());
-  !found
+  match
+    (Task.run ~max_failures:1 (Task.exhaustive ?budget ~max_size inst))
+      .failures
+  with
+  | f :: _ -> Some f.faults
+  | [] -> None
 
 let tolerance ?budget ?cap inst =
   let cap = Option.value cap ~default:(inst.Instance.k + 1) in

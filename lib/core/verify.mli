@@ -41,6 +41,16 @@ type report = {
   gave_up : int;  (** fault sets where the solver exhausted its budget *)
 }
 
+type witness = {
+  w_rank : int;  (** the item's rank, as a failure's *)
+  w_set : int array;  (** sorted universe indices; a sink must not mutate it *)
+  w_orbit : int;  (** fault sets it stands for: its orbit size, else 1 *)
+  w_outcome : Reconfig.outcome;
+      (** a revalidated [Pipeline], [No_pipeline], or [Gave_up] (also for
+          a witness that failed revalidation, which decides nothing) *)
+}
+(** One checked item, as a {!Task} witness sink receives it. *)
+
 val exhaustive :
   ?budget:int ->
   ?solve:(faults:Gdpn_graph.Bitset.t -> Reconfig.outcome) ->
@@ -107,9 +117,11 @@ val is_k_gd : report -> bool
 val breaking_fault_set :
   ?budget:int -> ?max_size:int -> Instance.t -> int list option
 (** The lexicographically-first smallest fault set that defeats the
-    instance, searching sizes [0..max_size] (default [k + 1]).  For a
-    node-optimal k-GD graph the answer always has size exactly [k+1]
-    (e.g. all [k+1] input terminals), which {!tolerance} exploits. *)
+    instance, searching sizes [0..max_size] (default [k + 1]): the first
+    failure of the plain {!Task} over those sizes, drained with a cap of
+    one.  For a node-optimal k-GD graph the answer always has size
+    exactly [k+1] (e.g. all [k+1] input terminals), which {!tolerance}
+    exploits. *)
 
 val tolerance : ?budget:int -> ?cap:int -> Instance.t -> int
 (** The exact structural fault tolerance: the largest [t] such that every
@@ -210,7 +222,8 @@ val check_model_set :
     resumes under any other.
 
     - Plain units: one unit for the sets of size [< min k 2], then one
-      DFS subtree per size-[min k 2] prefix of the universe.
+      DFS subtree per size-[min k 2] prefix of the universe; a later
+      unit starts its chain from the singleton outcome unit 0 reported.
     - Orbit units: fixed-size spans of the orbit representatives in DFS
       preorder ({e orbit×splice fusion}: consecutive representatives
       share prefixes, so each splices from its nearest solved ancestor).
@@ -218,7 +231,10 @@ val check_model_set :
 
     Every failure carries its rank in the canonical order (the subset's
     size-major rank, the representative's index, the trial index), so
-    {!merge} rebuilds the canonical report from any drain order. *)
+    {!merge} rebuilds the canonical report from any drain order.  An
+    optional witness sink sees every checked item, uncapped, in drain
+    order: [Certify.write] streams them, [Engine.compile_plans] stores
+    them. *)
 module Task : sig
   type t
 
@@ -227,6 +243,7 @@ module Task : sig
     s_orbit : bool;  (** orbit-reduced *)
     s_splice : bool;  (** splice-first chains *)
     s_universe : int list option;  (** the [universe] restriction *)
+    s_max_size : int;  (** largest fault-set size enumerated *)
   }
   (** What an exhaustive task enumerates: everything a checkpoint header
       must pin besides the unit count. *)
@@ -237,9 +254,12 @@ module Task : sig
     ?universe:int list ->
     ?symmetry:Gdpn_graph.Auto.group ->
     ?splice:bool ->
+    ?max_size:int ->
     Fault_model.t ->
     t
-  (** The units behind {!exhaustive_model}, with the same arguments. *)
+  (** The units behind {!exhaustive_model}, with the same arguments, over
+      the sets of size [0..max_size] (default
+      {!Fault_model.max_faults}; it may exceed it). *)
 
   val exhaustive :
     ?budget:int ->
@@ -247,6 +267,7 @@ module Task : sig
     ?universe:int list ->
     ?symmetry:Gdpn_graph.Auto.group ->
     ?splice:bool ->
+    ?max_size:int ->
     Instance.t ->
     t
   (** {!exhaustive_model} over [Fault_model.node inst]. *)
@@ -274,16 +295,20 @@ module Task : sig
 
   val processor :
     t ->
+    ?witness:(witness -> unit) ->
     record:(rank:int -> failure -> unit) ->
     cutoff:(unit -> int) ->
     int ->
     unit
   (** [processor t] builds one domain's solver chain; the result checks
       one unit id per call, reporting rank-tagged failures through
-      [record] and skipping sets ranked above [cutoff ()].  Unit ids may
-      arrive in any order (the chain re-aligns). *)
+      [record] and skipping sets ranked above [cutoff ()].  [witness]
+      receives every checked item of the unit, in drain order, each
+      negative one just before [record] does.  Unit ids may arrive in
+      any order (the chain re-aligns). *)
 
   val drain :
+    ?witness:(witness -> unit) ->
     t ->
     max_failures:int ->
     next:(unit -> int option) ->
@@ -296,7 +321,8 @@ module Task : sig
       [cutoff ()], and keep the lowest-ranked [max_failures] failures,
       passing their highest rank to [tighten] whenever the buffer is
       full.  [on_unit u entries] receives each processed unit's own
-      capped failures (a checkpoint record).  Returns the kept failures,
+      capped failures (a checkpoint record), after [witness] has seen
+      the unit's items.  Returns the kept failures,
       rank-ascending.  {!exhaustive_model} drains every unit in order on
       the calling domain; [Engine.Parallel.run_task] runs one drain per
       domain. *)

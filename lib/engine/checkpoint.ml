@@ -1,9 +1,11 @@
-(* Out-of-core checkpointing for exhaustive verification.
+(* Out-of-core checkpointing for every drain of a Verify.Task: exhaustive
+   verification, and plan compiles, whose unit records also carry each
+   unit's witnesses.
 
    File layout:
 
-     "gdpn-ckpt 1\n"
-     [frame: header]          pins the verification spec
+     "gdpn-ckpt 2\n"
+     [frame: header]          pins the task and whether it records witnesses
      [frame: unit_result]*    one appended per drained work unit
 
    Every frame is length-prefixed and checksummed (Codec.frame), and each
@@ -27,12 +29,14 @@ type header = {
   h_splice : bool;  (** splice-first chains (informational) *)
   h_max_failures : int;  (** per-unit entry cap; the merge's cap *)
   h_usize : int;  (** fault universe size *)
-  h_k : int;  (** max fault-set size *)
+  h_max_size : int;  (** largest fault-set size enumerated *)
   h_nunits : int;  (** canonical unit count *)
   h_universe : int list option;  (** restricted universe, if any *)
+  h_witnesses : bool;  (** unit records carry witnesses *)
 }
 
-let magic = "gdpn-ckpt 1\n"
+(* Version 1 had the same header line length and no witnesses. *)
+let magic = "gdpn-ckpt 2\n"
 
 let encode_header h =
   let buf = Buffer.create 64 in
@@ -42,7 +46,7 @@ let encode_header h =
   Codec.put_uint buf (if h.h_splice then 1 else 0);
   Codec.put_uint buf h.h_max_failures;
   Codec.put_uint buf h.h_usize;
-  Codec.put_uint buf h.h_k;
+  Codec.put_uint buf h.h_max_size;
   Codec.put_uint buf h.h_nunits;
   (* 0 for the whole universe, else 1 + the length, then the elements. *)
   (match h.h_universe with
@@ -50,6 +54,7 @@ let encode_header h =
   | Some l ->
     Codec.put_uint buf (List.length l + 1);
     List.iter (Codec.put_uint buf) l);
+  Codec.put_uint buf (if h.h_witnesses then 1 else 0);
   Buffer.contents buf
 
 let decode_header s =
@@ -60,7 +65,7 @@ let decode_header s =
   let splice, p = Codec.get_uint s p in
   let h_max_failures, p = Codec.get_uint s p in
   let h_usize, p = Codec.get_uint s p in
-  let h_k, p = Codec.get_uint s p in
+  let h_max_size, p = Codec.get_uint s p in
   let h_nunits, p = Codec.get_uint s p in
   let n, p = Codec.get_uint s p in
   let p = ref p in
@@ -73,6 +78,7 @@ let decode_header s =
              p := next;
              v))
   in
+  let witnesses, _ = Codec.get_uint s !p in
   {
     h_digest;
     h_model;
@@ -80,9 +86,10 @@ let decode_header s =
     h_splice = splice <> 0;
     h_max_failures;
     h_usize;
-    h_k;
+    h_max_size;
     h_nunits;
     h_universe;
+    h_witnesses = witnesses <> 0;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -93,17 +100,6 @@ let decode_header s =
    one [output_string] + [flush], so records never interleave and the
    file grows frame-atomically. *)
 type writer = { w_oc : out_channel; w_lock : Mutex.t }
-
-let create ~path header =
-  let oc = open_out_bin path in
-  output_string oc magic;
-  output_string oc (Codec.frame (encode_header header));
-  flush oc;
-  { w_oc = oc; w_lock = Mutex.create () }
-
-let open_append ~path =
-  let oc = open_out_gen [ Open_append; Open_binary ] 0o644 path in
-  { w_oc = oc; w_lock = Mutex.create () }
 
 let append w (r : Codec.unit_result) =
   let buf = Buffer.create 64 in
@@ -139,10 +135,11 @@ let load ~path =
   | exception End_of_file -> Error "checkpoint truncated"
   | contents -> (
     let mlen = String.length magic in
-    if
-      String.length contents < mlen
-      || String.sub contents 0 mlen <> magic
-    then Error "not a gdpn checkpoint file"
+    let line = String.sub contents 0 (Stdlib.min mlen (String.length contents)) in
+    if String.starts_with ~prefix:"gdpn-ckpt 1" line then
+      Error "checkpoint format 1 is no longer accepted: run again without \
+             resuming"
+    else if line <> magic then Error "not a gdpn checkpoint file"
     else
       match Codec.read_frame contents mlen with
       | None -> Error "checkpoint header truncated"
@@ -179,7 +176,11 @@ let load ~path =
 
 let check_header ~expected (h : header) =
   let err fmt = Printf.ksprintf (fun s -> Error s) fmt in
-  if h.h_digest <> expected.h_digest then
+  let writer w = if w then "a plan compile" else "a verification" in
+  if h.h_witnesses <> expected.h_witnesses then
+    err "checkpoint was written by %s, this run is %s" (writer h.h_witnesses)
+      (writer expected.h_witnesses)
+  else if h.h_digest <> expected.h_digest then
     err "checkpoint is for a different instance"
   else if h.h_model <> expected.h_model then
     err "checkpoint is for fault model %d, run uses %d" h.h_model
@@ -191,12 +192,55 @@ let check_header ~expected (h : header) =
   else if h.h_max_failures <> expected.h_max_failures then
     err "checkpoint max_failures %d, run uses %d" h.h_max_failures
       expected.h_max_failures
-  else if h.h_usize <> expected.h_usize || h.h_k <> expected.h_k then
-    err "checkpoint universe (%d, k=%d) does not match run (%d, k=%d)"
-      h.h_usize h.h_k expected.h_usize expected.h_k
+  else if h.h_usize <> expected.h_usize || h.h_max_size <> expected.h_max_size
+  then
+    err "checkpoint universe (%d, sets up to %d) does not match run (%d, sets \
+         up to %d)"
+      h.h_usize h.h_max_size expected.h_usize expected.h_max_size
   else if h.h_universe <> expected.h_universe then
     err "checkpoint restricts the fault universe differently from the run"
   else if h.h_nunits <> expected.h_nunits then
     err "checkpoint has %d work units, run decomposes into %d" h.h_nunits
       expected.h_nunits
   else Ok ()
+
+(* ------------------------------------------------------------------ *)
+(* Sessions: one run's checkpoint                                      *)
+(* ------------------------------------------------------------------ *)
+
+type session = { writer : writer option; loaded : loaded option }
+
+let start ?create:create_path ?resume header =
+  match (create_path, resume) with
+  | Some _, Some _ ->
+    Error "a resumed run appends to its own file: give a new checkpoint or \
+           a resume, not both"
+  | None, None -> Ok { writer = None; loaded = None }
+  | Some path, None ->
+    let oc = open_out_bin path in
+    output_string oc magic;
+    output_string oc (Codec.frame (encode_header (Lazy.force header)));
+    flush oc;
+    Ok { writer = Some { w_oc = oc; w_lock = Mutex.create () }; loaded = None }
+  | None, Some path -> (
+    match load ~path with
+    | Error _ as e -> e
+    | Ok l -> (
+      match check_header ~expected:(Lazy.force header) l.l_header with
+      | Error _ as e -> e
+      | Ok () ->
+        (* A torn tail would hide every record appended after it. *)
+        if l.l_torn_bytes > 0 then
+          Unix.truncate path ((Unix.stat path).Unix.st_size - l.l_torn_bytes);
+        let oc = open_out_gen [ Open_append; Open_binary ] 0o644 path in
+        Ok { writer = Some { w_oc = oc; w_lock = Mutex.create () }; loaded = Some l }))
+
+let pp_resumed ppf l =
+  Format.fprintf ppf "resume: %d/%d units already recorded%s%s"
+    (Hashtbl.length l.l_results) l.l_header.h_nunits
+    (if l.l_duplicates > 0 then
+       Printf.sprintf ", %d duplicate records dropped" l.l_duplicates
+     else "")
+    (if l.l_torn_bytes > 0 then
+       Printf.sprintf ", %d torn trailing bytes discarded" l.l_torn_bytes
+     else "")

@@ -4,18 +4,24 @@
 
    Everything here is deliberately dependency-free and stream-oriented:
    the same byte shapes serve the checkpoint file (appended record by
-   record, torn tails detected by frame checksums) and the
-   coordinator/worker pipe protocol (length-prefixed frames the future
-   gdpd daemon will reuse).  Integers are LEB128 varints — fault element
-   ids, unit ids and orbit sizes are tiny, while enumeration ranks can
-   approach int63, and varints serve both ends without a fixed-width
-   compromise. *)
+   record, torn tails detected by frame checksums), the
+   coordinator/worker pipe protocol, and gdpd's request frames (the same
+   length-prefixed, checksummed frames).  Integers are LEB128 varints —
+   fault element ids, unit ids and orbit sizes are tiny, while
+   enumeration ranks can approach int63, and varints serve both ends
+   without a fixed-width compromise. *)
+
+module Reconfig = Gdpn_core.Reconfig
+module Verify = Gdpn_core.Verify
 
 type unit_result = {
   r_unit : int;  (** unit id: index in the canonical unit array *)
-  r_entries : (int * Gdpn_core.Verify.failure) list;
+  r_entries : (int * Verify.failure) list;
       (** rank-tagged failures found in this unit, capped at the run's
           [max_failures] (higher ranks can never reach a merged report) *)
+  r_witnesses : Verify.witness list;
+      (** every item the unit checked, in drain order, when the run
+          records witnesses; [] otherwise *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -60,50 +66,91 @@ let get_string s pos =
   if pos + len > String.length s then raise (Corrupt "truncated string");
   (String.sub s pos len, pos + len)
 
+(* A list: its length, then its elements. *)
+let put_list put buf l =
+  put_uint buf (List.length l);
+  List.iter (put buf) l
+
+let get_list get s pos =
+  let n, pos = get_uint s pos in
+  if n > String.length s then raise (Corrupt "bad list length");
+  let pos = ref pos in
+  let l =
+    List.init n (fun _ ->
+        let v, p = get !pos in
+        pos := p;
+        v)
+  in
+  (l, !pos)
+
 (* ------------------------------------------------------------------ *)
 (* Unit results                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let put_failure buf (f : Gdpn_core.Verify.failure) =
-  put_uint buf (List.length f.faults);
-  List.iter (put_uint buf) f.faults;
+let put_failure buf (f : Verify.failure) =
+  put_list put_uint buf f.faults;
   put_string buf f.reason;
   put_uint buf f.orbit
 
 let get_failure s pos =
-  let nf, pos = get_uint s pos in
-  let pos = ref pos in
-  let faults =
-    List.init nf (fun _ ->
-        let v, p = get_uint s !pos in
-        pos := p;
-        v)
-  in
-  let reason, p = get_string s !pos in
+  let faults, p = get_list (get_uint s) s pos in
+  let reason, p = get_string s p in
   let orbit, p = get_uint s p in
-  ({ Gdpn_core.Verify.faults; reason; orbit }, p)
+  ({ Verify.faults; reason; orbit }, p)
+
+(* An outcome: tag 0 = No_pipeline, 1 = Pipeline (then its node list),
+   2 = Gave_up.  Plan store records hold the same bytes. *)
+let put_outcome buf = function
+  | Reconfig.No_pipeline -> put_uint buf 0
+  | Reconfig.Pipeline p ->
+    put_uint buf 1;
+    put_list put_uint buf p.Gdpn_core.Pipeline.nodes
+  | Reconfig.Gave_up -> put_uint buf 2
+
+let get_outcome s pos =
+  let tag, pos = get_uint s pos in
+  match tag with
+  | 0 -> (Reconfig.No_pipeline, pos)
+  | 1 ->
+    let nodes, pos = get_list (get_uint s) s pos in
+    (Reconfig.Pipeline { Gdpn_core.Pipeline.nodes }, pos)
+  | 2 -> (Reconfig.Gave_up, pos)
+  | _ -> raise (Corrupt "bad outcome tag")
+
+let put_witness buf (w : Verify.witness) =
+  put_uint buf w.w_rank;
+  put_list put_uint buf (Array.to_list w.w_set);
+  put_uint buf w.w_orbit;
+  put_outcome buf w.w_outcome
+
+let get_witness s pos =
+  let w_rank, pos = get_uint s pos in
+  let set, pos = get_list (get_uint s) s pos in
+  let w_orbit, pos = get_uint s pos in
+  let w_outcome, pos = get_outcome s pos in
+  ({ Verify.w_rank; w_set = Array.of_list set; w_orbit; w_outcome }, pos)
 
 let put_unit_result buf r =
   put_uint buf r.r_unit;
-  put_uint buf (List.length r.r_entries);
-  List.iter
-    (fun (rank, f) ->
+  put_list
+    (fun buf (rank, f) ->
       put_uint buf rank;
       put_failure buf f)
-    r.r_entries
+    buf r.r_entries;
+  put_list put_witness buf r.r_witnesses
 
 let get_unit_result s pos =
   let u, pos = get_uint s pos in
-  let n, pos = get_uint s pos in
-  let pos = ref pos in
-  let entries =
-    List.init n (fun _ ->
-        let rank, p = get_uint s !pos in
+  let entries, pos =
+    get_list
+      (fun pos ->
+        let rank, p = get_uint s pos in
         let f, p = get_failure s p in
-        pos := p;
-        (rank, f))
+        ((rank, f), p))
+      s pos
   in
-  ({ r_unit = u; r_entries = entries }, !pos)
+  let witnesses, pos = get_list (get_witness s) s pos in
+  ({ r_unit = u; r_entries = entries; r_witnesses = witnesses }, pos)
 
 (* ------------------------------------------------------------------ *)
 (* Frames: length prefix + checksum                                    *)

@@ -3,13 +3,14 @@
     checkpoint rebuild the canonical unit array, and only unit ids
     travel).
 
-    One byte vocabulary serves two transports: the {e checkpoint file}
-    (one checksummed frame appended per drained unit, torn tails from a
-    killed process detected and skipped on resume) and the
-    {e coordinator/worker pipe protocol} (the same length-prefixed frames,
-    reusable by a future [gdpd] daemon).  Integers are LEB128 varints:
-    fault ids and unit ids are tiny, enumeration ranks approach int63,
-    and varints serve both without a fixed-width compromise. *)
+    One byte vocabulary serves three transports: the {e checkpoint
+    file} (one checksummed frame appended per drained unit, torn tails
+    from a killed process detected and skipped on resume), the
+    {e coordinator/worker pipe protocol}, and [gdpd]'s request and
+    response frames (the same length-prefixed frames).  Integers are
+    LEB128 varints: fault ids and unit ids are tiny, enumeration ranks
+    approach int63, and varints serve both without a fixed-width
+    compromise. *)
 
 type unit_result = {
   r_unit : int;  (** unit id: index in the canonical unit array *)
@@ -17,6 +18,9 @@ type unit_result = {
       (** rank-tagged failures found in this unit, capped at the run's
           [max_failures] — by the Topk argument, higher-ranked entries
           can never reach a merged report *)
+  r_witnesses : Gdpn_core.Verify.witness list;
+      (** every item the unit checked, in drain order, when the run
+          records witnesses ([gdp compile-plans]); [] otherwise *)
 }
 
 exception Corrupt of string
@@ -35,6 +39,12 @@ val put_string : Buffer.t -> string -> unit
 val get_string : string -> int -> string * int
 val put_unit_result : Buffer.t -> unit_result -> unit
 val get_unit_result : string -> int -> unit_result * int
+
+val put_outcome : Buffer.t -> Gdpn_core.Reconfig.outcome -> unit
+(** Tag 0 [No_pipeline], 1 [Pipeline] then its node list, 2 [Gave_up]:
+    the bytes of a witness's outcome and of a plan store record's. *)
+
+val get_outcome : string -> int -> Gdpn_core.Reconfig.outcome * int
 
 val adler32 : string -> int
 (** Adler-32 checksum (pure OCaml; frames are small). *)

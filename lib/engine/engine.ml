@@ -539,7 +539,7 @@ module Parallel = struct
   module Task = struct
     include Verify.Task
 
-    let header t ~max_failures =
+    let header ?(witnesses = false) t ~max_failures =
       match spec t with
       | None -> invalid_arg "Engine.Parallel.Task.header: sampled task"
       | Some s ->
@@ -550,9 +550,10 @@ module Parallel = struct
           h_splice = s.s_splice;
           h_max_failures = Stdlib.max 1 max_failures;
           h_usize = Fault_model.size s.s_model;
-          h_k = Fault_model.max_faults s.s_model;
+          h_max_size = s.s_max_size;
           h_nunits = nunits t;
           h_universe = s.s_universe;
+          h_witnesses = witnesses;
         }
   end
 
@@ -573,9 +574,13 @@ module Parallel = struct
      feeds the recorded entry lists into the same deterministic rank
      merge as live per-domain buffers — so an interrupted-and-resumed run
      reproduces the uninterrupted report byte for byte, under any domain
-     or process count. *)
+     or process count.
+
+     A witness sink sees every item, so its run never stops early: the
+     recorded units' witnesses first, then each drained unit's, with its
+     checkpoint record, under one lock. *)
   let run_task ?(max_failures = 5) ?domains ?min_items_per_domain
-      ?checkpoint ?resumed task =
+      ?checkpoint ?resumed ?witness task =
     let cap = Stdlib.max 1 max_failures in
     let domains = resolve_domains domains in
     let min_items = resolve_min_items min_items_per_domain in
@@ -597,8 +602,9 @@ module Parallel = struct
        nothing ranked above the cap-th lowest can reach the report. *)
     let init_cutoff =
       let ranks = List.concat_map (List.map fst) resumed_sources in
-      Option.value ~default:max_int
-        (List.nth_opt (List.sort compare ranks) (cap - 1))
+      match List.nth_opt (List.sort compare ranks) (cap - 1) with
+      | Some r when witness = None -> r
+      | Some _ | None -> max_int
     in
     let domains =
       if domains > 1 && Task.items task / domains < min_items then 1
@@ -614,13 +620,18 @@ module Parallel = struct
       if r < current && not (Atomic.compare_and_set cutoff current r) then
         tighten r
     in
-    let on_unit =
-      match checkpoint with
-      | None -> fun _ _ -> ()
-      | Some w ->
-        fun u entries ->
-          Checkpoint.append w { Codec.r_unit = u; r_entries = entries }
+    let tighten = if witness = None then tighten else ignore in
+    let sink_lock = Mutex.create () in
+    let deliver ws =
+      Option.iter
+        (fun sink -> Mutex.protect sink_lock (fun () -> List.iter sink ws))
+        witness
     in
+    for u = 0 to nunits - 1 do
+      Option.iter
+        (fun r -> deliver r.Codec.r_witnesses)
+        (Hashtbl.find_opt done_tbl u)
+    done;
     let run_domain me () =
       let shard_start = Mclock.now_ns () in
       let steals = ref 0 in
@@ -631,8 +642,23 @@ module Parallel = struct
             pending.(idx))
           (Steal.take steal ~me)
       in
+      let unit_witnesses = ref [] in
+      let on_unit u entries =
+        let ws = List.rev !unit_witnesses in
+        unit_witnesses := [];
+        Option.iter
+          (fun w ->
+            Checkpoint.append w
+              { Codec.r_unit = u; r_entries = entries; r_witnesses = ws })
+          checkpoint;
+        deliver ws
+      in
       let kept =
         Task.drain task ~max_failures:cap ~next
+          ?witness:
+            (Option.map
+               (fun _ w -> unit_witnesses := w :: !unit_witnesses)
+               witness)
           ~cutoff:(fun () -> Atomic.get cutoff)
           ~tighten ~on_unit
       in
@@ -664,24 +690,68 @@ module Parallel = struct
     let per_domain = List.map (fun (kept, _, _, _) -> kept) timed in
     Task.merge task ~max_failures:cap (per_domain @ resumed_sources)
 
-  let verify_exhaustive_model ?budget ?max_failures ?domains
-      ?min_items_per_domain ?symmetry ?splice model =
-    run_task ?max_failures ?domains ?min_items_per_domain
-      (Task.exhaustive_model ?budget ?symmetry ?splice model)
-
   let verify_exhaustive ?budget ?max_failures ?domains ?min_items_per_domain
       ?symmetry ?splice inst =
-    verify_exhaustive_model ?budget ?max_failures ?domains
-      ?min_items_per_domain ?symmetry ?splice (Fault_model.node inst)
-
-  let verify_sampled_model ~seed ~trials ?budget ?max_failures ?domains
-      ?min_items_per_domain model =
     run_task ?max_failures ?domains ?min_items_per_domain
-      (Task.sampled_model ~rng:(Random.State.make [| seed |]) ~trials ?budget
-         model)
+      (Task.exhaustive ?budget ?symmetry ?splice inst)
 
   let verify_sampled ~seed ~trials ?budget ?max_failures ?domains
       ?min_items_per_domain inst =
-    verify_sampled_model ~seed ~trials ?budget ?max_failures ?domains
-      ?min_items_per_domain (Fault_model.node inst)
+    run_task ?max_failures ?domains ?min_items_per_domain
+      (Task.sampled_model ~rng:(Random.State.make [| seed |]) ~trials ?budget
+         (Fault_model.node inst))
 end
+
+(* ------------------------------------------------------------------ *)
+(* Plan compiles: the warehouse as a drain                             *)
+(* ------------------------------------------------------------------ *)
+
+type compiled = { c_resumed : Checkpoint.loaded option; c_gave_up : int }
+
+(* Splicing off, every representative is solved from scratch by the
+   plain solver, so no outcome depends on the schedule; the sink files
+   outcomes by rank, and the writer takes them in rank order. *)
+let compile_plans ?(budget = default_budget) ?domains ?(flat = false)
+    ?max_size ?checkpoint ?resume model ~path =
+  let inst = Fault_model.instance model in
+  let usize = Fault_model.size model in
+  let max_size =
+    Option.fold max_size ~none:(Fault_model.max_faults model)
+      ~some:(Stdlib.min usize)
+  in
+  (* Transporting a plan needs a node permutation, which the group's
+     action on a generalized universe has forgotten. *)
+  let symmetry =
+    if Fault_model.is_node model && not flat then Some (Instance.symmetry inst)
+    else None
+  in
+  let task =
+    Parallel.Task.exhaustive_model ~budget ?symmetry ~splice:false ~max_size
+      model
+  in
+  let header = lazy (Parallel.Task.header ~witnesses:true task ~max_failures:5) in
+  Result.map
+    (fun (session : Checkpoint.session) ->
+      let found = Array.make (Parallel.Task.items task) None in
+      Fun.protect
+        ~finally:(fun () -> Option.iter Checkpoint.close session.writer)
+        (fun () ->
+          ignore
+            (Parallel.run_task ~max_failures:5 ?domains ?checkpoint:session.writer
+               ?resumed:(Option.map (fun l -> l.Checkpoint.l_results) session.loaded)
+               ~witness:(fun w -> found.(w.Verify.w_rank) <- Some w)
+               task));
+      let store =
+        Plan_store.writer ~digest:(Certify.digest inst)
+          ~model_id:(Fault_model.id model)
+          ~orbit:(Option.get (Parallel.Task.spec task)).s_orbit ~usize
+          ~order:(Instance.order inst) ~max_size
+      in
+      Array.iter
+        (fun w ->
+          let { Verify.w_set; w_orbit; w_outcome; _ } = Option.get w in
+          Plan_store.add store ~set:w_set ~count:w_orbit w_outcome)
+        found;
+      Plan_store.write store ~path;
+      { c_resumed = session.loaded; c_gave_up = Plan_store.gave_up store })
+    (Checkpoint.start ?create:checkpoint ?resume header)

@@ -4,7 +4,7 @@
     {b Why it exists.}  Everything expensive in this repository reduces to
     "solve the reconfiguration problem for one fault set", repeated at
     scale: exhaustive verification enumerates [C(order, <=k)] fault sets,
-    certification witnesses each of them, the simulator re-solves on every
+    a plan compile stores each of them, the simulator re-solves on every
     mid-run fault, and the adversarial search probes thousands of candidate
     sets.  The seed implementation re-ran {!Gdpn_core.Reconfig.solve} from
     scratch each time, allocating fresh search state per call and using one
@@ -32,7 +32,8 @@
     same shared cache; {!Parallel} builds per-domain state internally.
 
     Every job has one body, written over a {!Gdpn_core.Fault_model.t}:
-    {!solve_model} and the {!Parallel} verifiers.  The node entry points
+    {!solve_model}, {!Parallel.run_task} and {!compile_plans}.  The node
+    entry points
     ({!solve}, {!Parallel.verify_exhaustive}, ...) pass the node model
     ({!Gdpn_core.Fault_model.node}), whose universe is the node set. *)
 
@@ -166,35 +167,6 @@ module Parallel : sig
   (** [GDPN_DOMAINS] when set to a positive integer, otherwise
       [Domain.recommended_domain_count () - 1], at least 1. *)
 
-  val verify_exhaustive_model :
-    ?budget:int ->
-    ?max_failures:int ->
-    ?domains:int ->
-    ?min_items_per_domain:int ->
-    ?symmetry:Gdpn_graph.Auto.group ->
-    ?splice:bool ->
-    Gdpn_core.Fault_model.t ->
-    Gdpn_core.Verify.report
-  (** {!run_task} over [Task.exhaustive_model ?budget ?symmetry ?splice
-      model]: {!Gdpn_core.Verify.exhaustive_model}'s report, with the
-      units drained over [domains] workers (the calling domain
-      included).  Each worker owns a contiguous span of the unit array
-      with its own atomic index, visits it in order — so its chain of
-      solved prefix plans pops and re-grows by a few elements per unit —
-      and steals from the other spans when its own runs dry.  Steal
-      counts land in [engine.parallel_steals] and on each shard's trace
-      span.  The model's degraded-instance cache is mutex-protected, so
-      all domains share one model.
-
-      Worker domains come from a process-wide persistent pool: they are
-      spawned lazily on first use, parked on a condition variable between
-      calls, and joined at process exit — repeated verifications pay no
-      per-call [Domain.spawn].  When the task divides out to fewer than
-      [min_items_per_domain] items per domain (default 512), the call
-      drains on the calling domain alone: same report, none of the
-      fan-out cost.  Pass [~min_items_per_domain:0] to force real
-      sharding regardless of size (benchmarks, tests). *)
-
   val verify_exhaustive :
     ?budget:int ->
     ?max_failures:int ->
@@ -204,21 +176,8 @@ module Parallel : sig
     ?splice:bool ->
     Gdpn_core.Instance.t ->
     Gdpn_core.Verify.report
-  (** {!verify_exhaustive_model} over [Fault_model.node inst]. *)
-
-  val verify_sampled_model :
-    seed:int ->
-    trials:int ->
-    ?budget:int ->
-    ?max_failures:int ->
-    ?domains:int ->
-    ?min_items_per_domain:int ->
-    Gdpn_core.Fault_model.t ->
-    Gdpn_core.Verify.report
-  (** {!Gdpn_core.Verify.sampled_model} with [rng] seeded from [seed]
-      alone (never from instance parameters, which would correlate the
-      fault-sample sequences of same-order instances), its units drained
-      as in {!verify_exhaustive_model}. *)
+  (** {!run_task} over [Task.exhaustive ?budget ?symmetry ?splice inst]:
+      {!Gdpn_core.Verify.exhaustive}'s report, drained over [domains]. *)
 
   val verify_sampled :
     seed:int ->
@@ -229,7 +188,10 @@ module Parallel : sig
     ?min_items_per_domain:int ->
     Gdpn_core.Instance.t ->
     Gdpn_core.Verify.report
-  (** {!verify_sampled_model} over [Fault_model.node inst]. *)
+  (** {!Gdpn_core.Verify.sampled} with [rng] seeded from [seed] alone
+      (never from instance parameters, which would correlate the
+      fault-sample sequences of same-order instances), its units drained
+      by {!run_task}. *)
 
   (** {!Gdpn_core.Verify.Task} plus the checkpoint header that pins a
       task.  An out-of-process worker ({!Mp}) rebuilds the identical
@@ -239,10 +201,12 @@ module Parallel : sig
       module type of Gdpn_core.Verify.Task
         with type t = Gdpn_core.Verify.Task.t
 
-    val header : t -> max_failures:int -> Checkpoint.header
+    val header :
+      ?witnesses:bool -> t -> max_failures:int -> Checkpoint.header
     (** The checkpoint header pinning this task's instance, model, mode,
-        universe, cap and unit count.  Raises [Invalid_argument] on a
-        sampled task. *)
+        universe, max size, cap and unit count, and whether its records
+        carry witnesses (default [false]).  Raises [Invalid_argument] on
+        a sampled task. *)
   end
 
   val run_task :
@@ -251,11 +215,22 @@ module Parallel : sig
     ?min_items_per_domain:int ->
     ?checkpoint:Checkpoint.writer ->
     ?resumed:(int, Codec.unit_result) Hashtbl.t ->
+    ?witness:(Gdpn_core.Verify.witness -> unit) ->
     Task.t ->
     Gdpn_core.Verify.report
-  (** Drain a task's units over the domain pool, one
-      {!Gdpn_core.Verify.Task.drain} per domain (the machinery behind
-      {!verify_exhaustive_model}).  With [checkpoint], one
+  (** Drain a task's units over [domains] workers (the calling domain
+      included), one {!Gdpn_core.Verify.Task.drain} each.  Each worker
+      owns a contiguous span of the unit array with its own atomic
+      index, visits it in order — so its chain of solved prefix plans
+      pops and re-grows by a few elements per unit — and steals from the
+      other spans when its own runs dry ([engine.parallel_steals], and
+      each shard's trace span).  Worker domains come from a process-wide
+      persistent pool, spawned lazily, parked between calls and joined
+      at exit.  When the task divides out to fewer than
+      [min_items_per_domain] items per domain (default 512), the call
+      drains on the calling domain alone: same report.  Pass
+      [~min_items_per_domain:0] to force real sharding.  With
+      [checkpoint], one
       {!Codec.unit_result} frame is appended the moment each unit drains
       (capped at [max_failures] entries — higher ranks can never reach a
       merged report); cutoff-skipped units are not recorded, since their
@@ -263,5 +238,37 @@ module Parallel : sig
       {!Checkpoint.load}), recorded units are skipped, their entries seed
       the early-stop cutoff and join the final merge — the resumed report
       is identical to an uninterrupted run's, under any domain or process
-      count.  Bumps [verify.units_resumed]. *)
+      count.  Bumps [verify.units_resumed].
+
+      With [witness], the drain never stops early: [witness] gets the
+      [resumed] units' witnesses in unit order, then each drained unit's
+      as it completes (one unit at a time, in schedule order), and each
+      [checkpoint] record carries its unit's. *)
 end
+
+(** {1 Plan compiles} *)
+
+type compiled = {
+  c_resumed : Checkpoint.loaded option;  (** what a resumed file held *)
+  c_gave_up : int;  (** sets left out: the solver hit its budget *)
+}
+
+val compile_plans :
+  ?budget:int ->
+  ?domains:int ->
+  ?flat:bool ->
+  ?max_size:int ->
+  ?checkpoint:string ->
+  ?resume:string ->
+  Gdpn_core.Fault_model.t ->
+  path:string ->
+  (compiled, string) result
+(** [gdp compile-plans]: store the outcome of every fault set of size
+    [0..max_size] (default {!Gdpn_core.Fault_model.max_faults}) in a
+    {!Plan_store} at [path].  The node model's orbit task is drained
+    with splicing off over [domains] ({!Parallel.run_task}), each
+    representative solved from scratch in [budget] expansions (default
+    2,000,000); [flat], a trivial group or another model drain the
+    plain task.  The bytes depend on neither the domain count nor a
+    kill and resume: [checkpoint] starts a {!Checkpoint}, [resume]
+    continues one, and [Error] is a refused resume. *)

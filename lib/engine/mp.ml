@@ -13,13 +13,12 @@
        'R' unit_result         the assigned unit drained; rank-tagged
                                failures capped at max_failures
 
-   The framing is exactly the checkpoint file's (length prefix +
-   Adler-32), so the future gdpd daemon can reuse it verbatim.  The
-   coordinator performs the same deterministic rank merge as the
-   in-process scheduler, so an N-process report is identical to
-   Verify's; with a checkpoint writer attached, worker results are
-   appended as they stream in, making multi-process runs resumable with
-   the same file format. *)
+   The framing is exactly the checkpoint file's and gdpd's (length
+   prefix + Adler-32).  The coordinator performs the same deterministic
+   rank merge as the in-process scheduler, so an N-process report is
+   identical to Verify's; with a checkpoint writer attached, worker
+   results are appended as they stream in, making multi-process runs
+   resumable with the same file format. *)
 
 module Metrics = Gdpn_obs.Metrics
 module Verify = Gdpn_core.Verify
@@ -79,7 +78,11 @@ let worker_main ?(max_failures = 5) task =
           u;
         Codec.output_frame stdout
           (encode_result
-             { Codec.r_unit = u; r_entries = Verify.Topk.to_list local });
+             {
+               Codec.r_unit = u;
+               r_entries = Verify.Topk.to_list local;
+               r_witnesses = [];
+             });
         loop ()
       end
       else raise (Codec.Corrupt (Printf.sprintf "unknown tag %C" payload.[0]))

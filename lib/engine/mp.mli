@@ -4,8 +4,8 @@
     Work units come from an {!Engine.Parallel.Task} — the same units
     {!Gdpn_core.Verify} and the in-process domain scheduler drain — and
     messages are {!Codec} frames over plain pipes (length prefix +
-    Adler-32, the same byte shapes as the checkpoint file, reusable by a
-    future [gdpd] daemon).  The coordinator feeds every streamed
+    Adler-32, the same byte shapes as the checkpoint file and [gdpd]'s
+    wire).  The coordinator feeds every streamed
     per-unit result into the deterministic rank merge, so an N-process
     report is identical to {!Gdpn_core.Verify}'s; attach a
     {!Checkpoint.writer} and the run is resumable with the same file

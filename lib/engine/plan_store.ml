@@ -16,6 +16,9 @@
      varint tag                         0 = No_pipeline, 1 = Pipeline
      tag 1: varint nnodes, [nnodes] varints   the plan's node sequence
 
+   (the outcome's bytes are Codec.put_outcome's, as in a checkpoint's
+   witnesses)
+
    Every frame is length-prefixed and Adler-32 checksummed
    (Codec.frame), so truncation and byte tampering are detected at the
    frame they corrupt: a bad header fails [open_path] with a clean
@@ -31,7 +34,6 @@
    count, not fault-set count.  Flat mode (generalized fault models, or
    trivial groups) stores one record per fault set. *)
 
-module Metrics = Gdpn_obs.Metrics
 module Reconfig = Gdpn_core.Reconfig
 module Pipeline = Gdpn_core.Pipeline
 
@@ -50,34 +52,6 @@ let hash_set set =
       h := (!h * 33) lxor ((v lsr 8) land 0xff) land mask62)
     set;
   !h
-
-let put_outcome buf = function
-  | Reconfig.No_pipeline -> Codec.put_uint buf 0
-  | Reconfig.Pipeline p ->
-    Codec.put_uint buf 1;
-    let nodes = p.Pipeline.nodes in
-    Codec.put_uint buf (List.length nodes);
-    List.iter (fun v -> Codec.put_uint buf v) nodes
-  | Reconfig.Gave_up -> Codec.put_uint buf 2
-
-let get_outcome s pos =
-  let tag, pos = Codec.get_uint s pos in
-  match tag with
-  | 0 -> (Reconfig.No_pipeline, pos)
-  | 1 ->
-    let nnodes, pos = Codec.get_uint s pos in
-    if nnodes < 0 || nnodes > String.length s then
-      raise (Codec.Corrupt "plan store: bad node count");
-    let pos = ref pos in
-    let nodes =
-      List.init nnodes (fun _ ->
-          let v, p = Codec.get_uint s !pos in
-          pos := p;
-          v)
-    in
-    (Reconfig.Pipeline { Pipeline.nodes }, !pos)
-  | 2 -> (Reconfig.Gave_up, pos)
-  | _ -> raise (Codec.Corrupt "plan store: bad outcome tag")
 
 (* ------------------------------------------------------------------ *)
 (* Writer                                                              *)
@@ -150,7 +124,7 @@ let add w ~set ~count outcome =
     let buf = Buffer.create 32 in
     Codec.put_uint buf len;
     Array.iter (fun v -> Codec.put_uint buf v) set;
-    put_outcome buf outcome;
+    Codec.put_outcome buf outcome;
     let off = Buffer.length w.w_records in
     Buffer.add_string w.w_records (Codec.frame (Buffer.contents buf));
     w.w_keys <- (Array.copy set, off) :: w.w_keys;
@@ -177,8 +151,8 @@ let encode_header ~digest ~model ~orbit ~usize ~order ~max_size ~nslots
 
 (* Assemble and atomically publish the store: the index and records are
    written to [path ^ ".part"] and renamed into place, so an interrupted
-   compile never leaves a half-written store behind (resumability lives
-   in the compile journal, not the store file). *)
+   compile never leaves a half-written store behind (a compile resumes
+   from its Checkpoint file, not from the store). *)
 let write w ~path =
   let nslots = next_pow2 (Stdlib.max 8 (2 * w.w_nrecords)) 8 in
   let header =
@@ -285,7 +259,7 @@ let decode_record payload =
         pos := p;
         v)
   in
-  let outcome, _ = get_outcome payload !pos in
+  let outcome, _ = Codec.get_outcome payload !pos in
   (set, outcome)
 
 let open_path ~path =
@@ -455,161 +429,3 @@ let validate t =
       err "index holds %d records, header declares %d" (Hashtbl.length seen)
         t.nrecords
     else Ok t.nrecords
-
-(* ------------------------------------------------------------------ *)
-(* Compile journal                                                     *)
-(* ------------------------------------------------------------------ *)
-
-(* The resumable half of `gdp compile-plans`: an append-only file in the
-   Checkpoint discipline (magic, pinned header frame, then one
-   checksummed frame per drained work unit; torn tails discarded,
-   duplicate units first-wins).  The journal stores only each unit's
-   outcomes — the enumeration of representatives is canonical, so a
-   resumed run re-derives the sets and pairs them back up by index. *)
-module Journal = struct
-  let magic = "gdpn-planck 1\n"
-
-  type header = {
-    j_digest : string;
-    j_model : int;
-    j_orbit : bool;
-    j_usize : int;
-    j_order : int;
-    j_max_size : int;
-    j_nunits : int;
-  }
-
-  let m_units_journaled = Metrics.counter "store.units_journaled"
-
-  let encode_hdr h =
-    let buf = Buffer.create 64 in
-    Codec.put_string buf h.j_digest;
-    Codec.put_uint buf h.j_model;
-    Codec.put_uint buf (if h.j_orbit then 1 else 0);
-    Codec.put_uint buf h.j_usize;
-    Codec.put_uint buf h.j_order;
-    Codec.put_uint buf h.j_max_size;
-    Codec.put_uint buf h.j_nunits;
-    Buffer.contents buf
-
-  let decode_hdr s =
-    let j_digest, p = Codec.get_string s 0 in
-    let j_model, p = Codec.get_uint s p in
-    let orbit, p = Codec.get_uint s p in
-    let j_usize, p = Codec.get_uint s p in
-    let j_order, p = Codec.get_uint s p in
-    let j_max_size, p = Codec.get_uint s p in
-    let j_nunits, _ = Codec.get_uint s p in
-    { j_digest; j_model; j_orbit = orbit <> 0; j_usize; j_order;
-      j_max_size; j_nunits }
-
-  type writer = { jw_oc : out_channel; jw_lock : Mutex.t }
-
-  let create ~path header =
-    let oc = open_out_bin path in
-    output_string oc magic;
-    output_string oc (Codec.frame (encode_hdr header));
-    flush oc;
-    { jw_oc = oc; jw_lock = Mutex.create () }
-
-  let open_append ~path =
-    let oc = open_out_gen [ Open_append; Open_binary ] 0o644 path in
-    { jw_oc = oc; jw_lock = Mutex.create () }
-
-  let append w ~unit_id outcomes =
-    let buf = Buffer.create 128 in
-    Codec.put_uint buf unit_id;
-    Codec.put_uint buf (Array.length outcomes);
-    Array.iter (fun o -> put_outcome buf o) outcomes;
-    let frame = Codec.frame (Buffer.contents buf) in
-    Mutex.lock w.jw_lock;
-    output_string w.jw_oc frame;
-    flush w.jw_oc;
-    Mutex.unlock w.jw_lock;
-    Metrics.incr m_units_journaled
-
-  let close w = close_out w.jw_oc
-
-  type loaded = {
-    l_header : header;
-    l_units : (int, Reconfig.outcome array) Hashtbl.t;
-    l_duplicates : int;
-    l_torn_bytes : int;
-  }
-
-  let load ~path =
-    match
-      let ic = open_in_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    with
-    | exception Sys_error e -> Error e
-    | exception End_of_file -> Error "compile journal truncated"
-    | contents -> (
-      let mlen = String.length magic in
-      if String.length contents < mlen || String.sub contents 0 mlen <> magic
-      then Error "not a gdpn compile journal"
-      else
-        match Codec.read_frame contents mlen with
-        | None -> Error "compile journal header truncated"
-        | Some (hpayload, pos) -> (
-          match decode_hdr hpayload with
-          | exception Codec.Corrupt e -> Error ("bad journal header: " ^ e)
-          | header ->
-            let units = Hashtbl.create 256 in
-            let duplicates = ref 0 in
-            let pos = ref pos in
-            let ok = ref true in
-            while !ok do
-              match Codec.read_frame contents !pos with
-              | None -> ok := false
-              | Some (payload, next) -> (
-                match
-                  let unit_id, p = Codec.get_uint payload 0 in
-                  let n, p = Codec.get_uint payload p in
-                  if n < 0 || n > String.length payload then
-                    raise (Codec.Corrupt "bad unit item count");
-                  let p = ref p in
-                  let outcomes =
-                    Array.init n (fun _ ->
-                        let o, p' = get_outcome payload !p in
-                        p := p';
-                        o)
-                  in
-                  (unit_id, outcomes)
-                with
-                | exception Codec.Corrupt _ -> ok := false
-                | unit_id, outcomes ->
-                  if Hashtbl.mem units unit_id then incr duplicates
-                  else Hashtbl.replace units unit_id outcomes;
-                  pos := next)
-            done;
-            Ok
-              {
-                l_header = header;
-                l_units = units;
-                l_duplicates = !duplicates;
-                l_torn_bytes = String.length contents - !pos;
-              }))
-
-  let check_header ~expected (h : header) =
-    let err fmt = Printf.ksprintf (fun s -> Error s) fmt in
-    if h.j_digest <> expected.j_digest then
-      err "compile journal is for a different instance"
-    else if h.j_model <> expected.j_model then
-      err "journal is for fault model %d, compile uses %d" h.j_model
-        expected.j_model
-    else if h.j_orbit <> expected.j_orbit then
-      err "journal %s orbit compression, compile %s"
-        (if h.j_orbit then "uses" else "does not use")
-        (if expected.j_orbit then "does" else "does not")
-    else if h.j_usize <> expected.j_usize || h.j_max_size <> expected.j_max_size
-    then
-      err "journal universe (%d, max %d) does not match compile (%d, max %d)"
-        h.j_usize h.j_max_size expected.j_usize expected.j_max_size
-    else if h.j_nunits <> expected.j_nunits then
-      err "journal has %d work units, compile decomposes into %d" h.j_nunits
-        expected.j_nunits
-    else Ok ()
-end

@@ -13,8 +13,9 @@
 (** {1 Compiling} *)
 
 type writer
-(** An in-memory store under construction.  Not thread-safe; the
-    compile driver funnels solved units through one writer. *)
+(** An in-memory store under construction.  Not thread-safe;
+    [Engine.compile_plans] adds every outcome from the calling domain,
+    in rank order, once the drain is done. *)
 
 val writer :
   digest:string ->
@@ -84,51 +85,3 @@ val validate : t -> (int, string) result
     uniqueness, plan node bounds, header record count); returns the
     record count.  Used by the compiler's final self-check and the
     corruption tests. *)
-
-(** {1 Compile journal}
-
-    The resumable half of [gdp compile-plans], in the {!Checkpoint}
-    discipline: append-only, one checksummed frame per drained work
-    unit, torn tails discarded on load.  Only outcomes are journaled —
-    representative enumeration is canonical, so a resumed run re-derives
-    the sets and pairs them back up by unit index. *)
-module Journal : sig
-  type header = {
-    j_digest : string;
-    j_model : int;
-    j_orbit : bool;
-    j_usize : int;
-    j_order : int;
-    j_max_size : int;
-    j_nunits : int;
-  }
-
-  type writer
-
-  val create : path:string -> header -> writer
-  (** Truncate and start a fresh journal: magic plus header frame. *)
-
-  val open_append : path:string -> writer
-  (** Reopen for appending after a {!load}; validate with
-      {!check_header} first. *)
-
-  val append : writer -> unit_id:int -> Gdpn_core.Reconfig.outcome array -> unit
-  (** Append one unit's outcomes (in enumeration order within the unit)
-      as a single frame, and flush.  Thread-safe. *)
-
-  val close : writer -> unit
-
-  type loaded = {
-    l_header : header;
-    l_units : (int, Gdpn_core.Reconfig.outcome array) Hashtbl.t;
-    l_duplicates : int;
-    l_torn_bytes : int;
-  }
-
-  val load : path:string -> (loaded, string) result
-  (** Parse what survives: a torn or corrupt tail frame ends the scan
-      ([l_torn_bytes] counts the discarded bytes); duplicated unit ids
-      keep the first occurrence. *)
-
-  val check_header : expected:header -> header -> (unit, string) result
-end

@@ -614,22 +614,11 @@ let run ?(config = default_config) ?perturb ~profile ~seed inst =
     match !pristine_store with
     | Some p -> p
     | None ->
-      let max_size = min 2 (Fault_model.max_faults model) in
-      let budget = Engine.budget engine in
-      let w =
-        Plan_store.writer ~digest:(Certify.digest inst)
-          ~model_id:(Fault_model.id model) ~orbit:false ~usize
-          ~order ~max_size
-      in
-      let mask = Bitset.create usize in
-      Combinat.iter_subsets_up_to usize max_size (fun buf len ->
-          let set = Array.sub buf 0 len in
-          Bitset.clear mask;
-          Array.iter (Bitset.add mask) set;
-          Plan_store.add w ~set ~count:1
-            (Fault_model.solve ~budget ~ctx:scratch_ctx model ~faults:mask));
       let p = temp_store_file ".store" in
-      Plan_store.write w ~path:p;
+      ignore
+        (Engine.compile_plans ~budget:(Engine.budget engine) ~domains:1
+           ~flat:true ~max_size:(min 2 (Fault_model.max_faults model)) model
+           ~path:p);
       pristine_store := Some p;
       p
   in

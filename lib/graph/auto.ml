@@ -335,7 +335,9 @@ let image g e v =
     invalid_arg "Auto.image: element or point out of range";
   g.elems.((e * g.degree) + v)
 
-let iter_fault_orbits ?universe g ~max_size f =
+type rep = { set : int array; size : int }
+
+let fault_orbits ?universe g ~max_size =
   if max_size < 0 then invalid_arg "Auto.fault_orbits: negative max_size";
   let univ =
     match universe with
@@ -350,6 +352,7 @@ let iter_fault_orbits ?universe g ~max_size f =
   let nu = Array.length univ in
   let n = order g in
   let set = Array.make (min max_size nu) 0 in
+  let reps = ref [] in
   (* Enumeration is lexicographic within each size (and sizes ascend),
      orbits preserve size, and [univ] is sorted — so a subset is the
      first member of its orbit we meet iff no element maps it lower, and
@@ -365,12 +368,6 @@ let iter_fault_orbits ?universe g ~max_size f =
         if c < 0 then lower := true else if c = 0 then incr fixing;
         incr e
       done;
-      if not !lower then f set len (n / !fixing))
-
-type rep = { set : int array; size : int }
-
-let fault_orbits ?universe g ~max_size =
-  let reps = ref [] in
-  iter_fault_orbits ?universe g ~max_size (fun set len size ->
-      reps := { set = Array.sub set 0 len; size } :: !reps);
+      if not !lower then
+        reps := { set = Array.sub set 0 len; size = n / !fixing } :: !reps);
   Array.of_list (List.rev !reps)

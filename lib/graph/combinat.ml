@@ -8,7 +8,7 @@ let add_checked ~what a b =
     invalid_arg (Printf.sprintf "Combinat.%s: overflow" what)
   else a + b
 
-let binomial n k =
+let binomial_loop n k =
   if k < 0 || k > n then 0
   else begin
     let k = min k (n - k) in
@@ -25,6 +25,17 @@ let binomial n k =
     done;
     !acc
   end
+
+(* Fault spaces rank a set per checked item, so the binomials they use
+   (n <= 512, k <= 8, far from overflow) are tabulated per domain. *)
+let table =
+  Domain.DLS.new_key (fun () ->
+      Array.init 513 (fun n -> Array.init 9 (binomial_loop n)))
+
+let binomial n k =
+  if n >= 0 && n <= 512 && k >= 0 && k <= 8 then
+    (Domain.DLS.get table).(n).(k)
+  else binomial_loop n k
 
 let count_up_to n k =
   let acc = ref 0 in

@@ -1,10 +1,11 @@
 #!/bin/sh
 # Plan-warehouse smoke: the full offline->serving loop of the L2 store.
 #
-#   1. compile a reference store uninterrupted;
+#   1. compile a reference store uninterrupted, and again on two
+#      domains: the two stores must be byte-identical;
 #   2. compile the same store with --checkpoint, SIGKILL the compiler
-#      mid-run, resume from the journal, and require the resumed store
-#      to be byte-identical to the reference (the compiler is
+#      mid-run, resume from the checkpoint, and require the resumed
+#      store to be byte-identical to the reference (the compiler is
 #      deterministic, so any divergence is a resume bug);
 #   3. start gdpd with --store and crosscheck a bench-client burst
 #      against a direct Engine.solve replay (--check exits 3 on any
@@ -19,7 +20,7 @@ set -u
 
 GDP=${GDPN_GDP:-_build/default/bin/gdp.exe}
 GDPD=${GDPN_GDPD:-_build/default/bin/gdpd.exe}
-# Kill-leg instance: big enough that the compile spans many journal
+# Kill-leg instance: big enough that the compile spans many checkpointed
 # units and survives long enough to be killed mid-run.
 KN=${1:-30}
 KK=${2:-4}
@@ -47,6 +48,17 @@ if [ $? -ne 0 ]; then
   cat "$TMP/ref.out" >&2
   exit 1
 fi
+"$GDP" compile-plans -n "$KN" -k "$KK" --max-size "$KMAX" --domains 2 \
+  -o "$TMP/two.store" >"$TMP/two.out" 2>&1
+if [ $? -ne 0 ]; then
+  echo "store-smoke: two-domain compile failed:" >&2
+  cat "$TMP/two.out" >&2
+  exit 1
+fi
+if ! cmp -s "$TMP/ref.store" "$TMP/two.store"; then
+  echo "store-smoke: the two-domain store differs from the one-domain store" >&2
+  exit 1
+fi
 
 # --- 2. kill mid-compile, resume, compare ----------------------------
 "$GDP" compile-plans -n "$KN" -k "$KK" --max-size "$KMAX" \
@@ -61,12 +73,12 @@ if kill -KILL "$COMPILE_PID" 2>/dev/null; then
     exit 1
   fi
   if [ ! -s "$TMP/compile.ckpt" ]; then
-    echo "store-smoke: killed compile left no journal" >&2
+    echo "store-smoke: killed compile left no checkpoint" >&2
     exit 1
   fi
 else
   # The compile beat the kill; the resume below still exercises the
-  # journal path (all units already journaled).
+  # checkpoint path (all units already recorded).
   wait "$COMPILE_PID" 2>/dev/null
   echo "store-smoke: note: compile finished before the kill (resume will be trivial)"
   rm -f "$TMP/killed.store"
@@ -80,7 +92,7 @@ if [ $? -ne 0 ]; then
   exit 1
 fi
 if ! grep -q '^resume:' "$TMP/resume.out"; then
-  echo "store-smoke: resume did not report journaled units:" >&2
+  echo "store-smoke: resume did not report recorded units:" >&2
   cat "$TMP/resume.out" >&2
   exit 1
 fi
@@ -88,7 +100,7 @@ if ! cmp -s "$TMP/ref.store" "$TMP/resumed.store"; then
   echo "store-smoke: resumed store differs from uninterrupted compile" >&2
   exit 1
 fi
-echo "store-smoke: $(grep '^resume:' "$TMP/resume.out"); resumed store byte-identical"
+echo "store-smoke: two-domain store identical; $(grep '^resume:' "$TMP/resume.out"); resumed store byte-identical"
 
 # --- 3. cold-start serving with crosscheck ---------------------------
 "$GDP" compile-plans -n 9 -k 2 -o "$TMP/serve.store" \

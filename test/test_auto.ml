@@ -670,7 +670,8 @@ let cert_tests =
             ("not an automorphism", swap input proc);
             ("mixes node kinds", swap input output);
           ]);
-    tc "records dropped, repeated or swapped are rejected" (fun () ->
+    tc "records dropped, repeated or swapped are checked: order is free"
+      (fun () ->
         let inst = Special.g62 () in
         let cert = certificate inst in
         let header, records =
@@ -685,17 +686,94 @@ let cert_tests =
           ignore
             (rejects "dropped" inst
                (pick (n - 1) (fun j -> if j < i then j else j + 1)));
-          ignore
-            (rejects "repeated" inst
-               (pick (n + 1) (fun j -> if j <= i then j else j - 1)))
+          let e =
+            rejects "repeated" inst
+              (pick (n + 1) (fun j -> if j <= i then j else j - 1))
+          in
+          check Alcotest.bool ("repeated: " ^ e) true
+            (Testutil.contains_substring e "certified twice")
         done;
+        (* a certificate no longer encodes an order *)
         for i = 0 to n - 2 do
-          ignore
-            (rejects "swapped" inst
-               (pick n (fun j ->
-                    if j = i then i + 1 else if j = i + 1 then i else j)))
+          match
+            Testutil.check_certificate inst
+              (pick n (fun j ->
+                   if j = i then i + 1 else if j = i + 1 then i else j))
+          with
+          | Ok count -> check Alcotest.int "swapped: same count" 106 count
+          | Error e -> Alcotest.failf "swapped records %d, %d: %s" i (i + 1) e
         done;
+        (match Testutil.check_certificate inst (pick n (fun j -> n - 1 - j)) with
+        | Ok count -> check Alcotest.int "reversed: same count" 106 count
+        | Error e -> Alcotest.failf "reversed records: %s" e);
         ignore (rejects "trailing bytes" inst (cert ^ "\000")));
+    tc "a record for another member of its orbit is rejected" (fun () ->
+        (* every varint of a G(6,2) record is one byte: the set's size,
+           its gaps, the witness length, the witness's nodes *)
+        let inst = Special.g62 () in
+        let g = Instance.symmetry inst in
+        check Alcotest.int "group order" 2 (Auto.order g);
+        let cert = certificate inst in
+        let header, records =
+          Testutil.certificate_records ~order:(Instance.order inst) cert
+        in
+        let bytes r = List.init (String.length r) (fun i -> Char.code r.[i]) in
+        let decode r =
+          match bytes r with
+          | len :: rest ->
+            let set = Array.make len 0 in
+            List.iteri
+              (fun i gap ->
+                if i < len then
+                  set.(i) <- (if i = 0 then gap else set.(i - 1) + 1 + gap))
+              rest;
+            (set, List.tl (List.filteri (fun i _ -> i >= len) rest))
+          | [] -> Alcotest.fail "empty record"
+        in
+        let encode set nodes =
+          let len = Array.length set in
+          String.init
+            (1 + len + 1 + List.length nodes)
+            (fun i ->
+              Char.chr
+                (if i = 0 then len
+                 else if i <= len then
+                   if i = 1 then set.(0) else set.(i - 1) - set.(i - 2) - 1
+                 else if i = len + 1 then List.length nodes
+                 else List.nth nodes (i - len - 2)))
+        in
+        check Alcotest.bool "the record codec round-trips" true
+          (List.for_all
+             (fun r ->
+               let set, nodes = decode r in
+               encode set nodes = r)
+             records);
+        (* a record whose set the group moves: its image, with the
+           witness carried along, is valid for that member but is not
+           the orbit's least member *)
+        let i, moved =
+          let rec find i = function
+            | r :: rest ->
+              let set, nodes = decode r in
+              let image = Array.map (Auto.image g 1) set in
+              Array.sort compare image;
+              if image <> set then
+                (i, encode image (List.map (Auto.image g 1) nodes))
+              else find (i + 1) rest
+            | [] -> Alcotest.fail "no record moves under the group"
+          in
+          find 0 records
+        in
+        let e =
+          rejects "another member" inst
+            (join header
+               (List.mapi (fun j r -> if j = i then moved else r) records))
+        in
+        check Alcotest.bool ("names the orbit: " ^ e) true
+          (Testutil.contains_substring e "least member of its orbit");
+        ignore
+          (rejects "two records of one orbit" inst
+             (join header (records @ [ moved ]))));
     tc "every truncation and bit flip of G(6,2) is rejected" (fun () ->
         let inst = Special.g62 () in
         let cert = certificate inst in
@@ -730,6 +808,7 @@ let cert_tests =
               Printf.sprintf "gdpn-cert 1\ninstance %s\nsets 67\nw |5 0 3 4\n"
                 digest );
             ("4", "gdpn-cert 4\n\001\032" ^ digest ^ "\067");
+            ("5", "gdpn-cert 5\n\032" ^ digest ^ "\004node\000\000");
           ]);
   ]
 

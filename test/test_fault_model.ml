@@ -197,8 +197,10 @@ let frozen_tests =
                       (Printf.sprintf "%s splice=%b domains=%d"
                          inst.Instance.name splice domains)
                       expected
-                      (Engine.Parallel.verify_exhaustive_model ~domains
-                         ~min_items_per_domain:0 ~splice (node inst)))
+                      (Engine.Parallel.run_task ~domains
+                         ~min_items_per_domain:0
+                         (Engine.Parallel.Task.exhaustive_model ~splice
+                            (node inst))))
                   [ 1; 2; 3; 4 ])
               [ true; false ])
           (frozen_shard_reports ()));
@@ -211,8 +213,9 @@ let frozen_tests =
                 check report_testable
                   (Printf.sprintf "%s domains=%d" inst.Instance.name domains)
                   expected
-                  (Engine.Parallel.verify_exhaustive_model ~domains
-                     ~min_items_per_domain:0 ~symmetry (node inst)))
+                  (Engine.Parallel.run_task ~domains ~min_items_per_domain:0
+                     (Engine.Parallel.Task.exhaustive_model ~symmetry
+                        (node inst))))
               [ 1; 2; 3; 4 ])
           (frozen_orbit_reports ()));
     tc "node model equals legacy on the parallel sampled path" (fun () ->
@@ -232,8 +235,10 @@ let frozen_tests =
             check report_testable
               (Printf.sprintf "parallel sampled domains=%d" domains)
               expected
-              (Engine.Parallel.verify_sampled_model ~seed:11 ~trials:300
-                 ~domains ~min_items_per_domain:0 model))
+              (Engine.Parallel.run_task ~domains ~min_items_per_domain:0
+                 (Engine.Parallel.Task.sampled_model
+                    ~rng:(Random.State.make [| 11 |])
+                    ~trials:300 model)))
           [ 1; 2; 3; 4 ]);
     tc "engine solve_model on the node model is the legacy solve" (fun () ->
         (* Uncached, the engine's node path is the plain solver; cached,
@@ -320,9 +325,9 @@ let mixed_frozen_tests =
             check report_testable
               (Printf.sprintf "domains=%d" domains)
               scratch
-              (Engine.Parallel.verify_exhaustive_model
-                 ~max_failures:1_000_000 ~domains ~min_items_per_domain:0
-                 model))
+              (Engine.Parallel.run_task ~max_failures:1_000_000 ~domains
+                 ~min_items_per_domain:0
+                 (Engine.Parallel.Task.exhaustive_model model)))
           [ 2; 4 ]);
     tc "colored and neighbor universes enumerate and agree in parallel"
       (fun () ->
@@ -339,9 +344,9 @@ let mixed_frozen_tests =
             check report_testable
               (Fault_model.name model ^ " parallel")
               seq
-              (Engine.Parallel.verify_exhaustive_model
-                 ~max_failures:1_000_000 ~domains:3 ~min_items_per_domain:0
-                 model))
+              (Engine.Parallel.run_task ~max_failures:1_000_000 ~domains:3
+                 ~min_items_per_domain:0
+                 (Engine.Parallel.Task.exhaustive_model model)))
           [ Fault_model.colored; Fault_model.neighbor ]);
   ]
 

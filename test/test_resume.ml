@@ -1,9 +1,11 @@
 (* Tests for the out-of-core verification layer: the Codec binary
    vocabulary, checkpoint files (duplicate records, torn tails, header
-   pinning), the streamed rank merge under adversarial unit-completion
-   orders, and a kill-and-resume oracle — a run interrupted after any
-   subset of units, resumed from its checkpoint, must reproduce the
-   uninterrupted report field for field. *)
+   pinning, witness records and the compile/verify split), the witness
+   sink's contract, the streamed rank merge under adversarial
+   unit-completion orders, and kill-and-resume oracles — a run
+   interrupted after any subset of units, resumed from its checkpoint,
+   must reproduce the uninterrupted report field for field, and a
+   resumed compile the uninterrupted store byte for byte. *)
 
 open Gdpn_core
 module Auto = Gdpn_graph.Auto
@@ -46,16 +48,26 @@ let check_report label (expected : Verify.report) (actual : Verify.report) =
 
 (* Drain every unit of [task] sequentially with no early-stop cutoff,
    returning exactly the per-unit records the checkpoint writer appends:
-   entries capped at [max_failures] by the Topk argument. *)
-let unit_results ?(max_failures = 5) task =
+   entries capped at [max_failures] by the Topk argument, and with
+   [witnesses] every item the unit checked, in drain order. *)
+let unit_results ?(max_failures = 5) ?(witnesses = false) task =
   let n = Task.nunits task in
   let current = ref (Verify.Topk.create max_failures) in
+  let seen = ref [] in
   let record ~rank f = Verify.Topk.insert !current ~rank f in
-  let process = Task.processor task ~record ~cutoff:(fun () -> max_int) in
+  let witness = if witnesses then Some (fun w -> seen := w :: !seen) else None in
+  let process =
+    Task.processor task ?witness ~record ~cutoff:(fun () -> max_int)
+  in
   Array.init n (fun u ->
       current := Verify.Topk.create max_failures;
+      seen := [];
       process u;
-      { Codec.r_unit = u; r_entries = Verify.Topk.to_list !current })
+      {
+        Codec.r_unit = u;
+        r_entries = Verify.Topk.to_list !current;
+        r_witnesses = List.rev !seen;
+      })
 
 (* ------------------------------------------------------------------ *)
 (* Codec                                                               *)
@@ -75,6 +87,35 @@ let test_varint_roundtrip () =
     | () -> false
     | exception Invalid_argument _ -> true)
 
+(* A compile's unit record: witnesses of all three outcomes. *)
+let witnessed_result unit =
+  {
+    Codec.r_unit = unit;
+    r_entries =
+      [ (3, { Verify.faults = [ 2 ]; reason = "no pipeline"; orbit = 2 }) ];
+    r_witnesses =
+      [
+        {
+          Verify.w_rank = 0;
+          w_set = [||];
+          w_orbit = 1;
+          w_outcome = Reconfig.Pipeline { Pipeline.nodes = [ 0; 3; 2; 1 ] };
+        };
+        {
+          Verify.w_rank = 3;
+          w_set = [| 2 |];
+          w_orbit = 2;
+          w_outcome = Reconfig.No_pipeline;
+        };
+        {
+          Verify.w_rank = 9 + unit;
+          w_set = [| 1; 4; 6 |];
+          w_orbit = 12;
+          w_outcome = Reconfig.Gave_up;
+        };
+      ];
+  }
+
 let test_unit_result_roundtrip () =
   let r =
     {
@@ -89,6 +130,7 @@ let test_unit_result_roundtrip () =
               orbit = 12;
             } );
         ];
+      r_witnesses = (witnessed_result 42).Codec.r_witnesses;
     }
   in
   let b = Buffer.create 64 in
@@ -245,6 +287,12 @@ let test_topk_lowest =
 (* Checkpoint files                                                    *)
 (* ------------------------------------------------------------------ *)
 
+(* A new checkpoint file pinned by [header]. *)
+let create ~path header =
+  match Checkpoint.start ~create:path (Lazy.from_val header) with
+  | Ok { Checkpoint.writer = Some w; _ } -> w
+  | Ok _ | Error _ -> Alcotest.fail "cannot create a checkpoint"
+
 let with_temp f =
   let path = Filename.temp_file "gdpn_ckpt" ".bin" in
   Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
@@ -256,7 +304,7 @@ let test_checkpoint_roundtrip () =
   let task = Task.exhaustive inst in
   let results = unit_results task in
   with_temp @@ fun path ->
-  let w = Checkpoint.create ~path (Task.header task ~max_failures:5) in
+  let w = create ~path (Task.header task ~max_failures:5) in
   Array.iter (Checkpoint.append w) results;
   (* a re-delivered unit (worker retry, double append) must be dropped *)
   Checkpoint.append w results.(0);
@@ -286,7 +334,7 @@ let test_checkpoint_torn_tail () =
   let task = Task.exhaustive inst in
   let results = unit_results task in
   with_temp @@ fun path ->
-  let w = Checkpoint.create ~path (Task.header task ~max_failures:5) in
+  let w = create ~path (Task.header task ~max_failures:5) in
   Array.iter (Checkpoint.append w) results;
   Checkpoint.close w;
   (* simulate a SIGKILL mid-append: a frame header claiming 64 payload
@@ -324,6 +372,18 @@ let test_header_pinning () =
     (ok
        (Checkpoint.check_header ~expected:h1
           { h1 with Checkpoint.h_nunits = h1.Checkpoint.h_nunits + 1 }));
+  List.iter
+    (fun (label, h) ->
+      check Alcotest.bool (label ^ " rejected") false
+        (ok (Checkpoint.check_header ~expected:h1 h)))
+    [
+      ("different digest", { h1 with Checkpoint.h_digest = "other" });
+      ("different model", { h1 with Checkpoint.h_model = 1 });
+      ("different orbit mode", { h1 with Checkpoint.h_orbit = true });
+      ( "different max size",
+        { h1 with Checkpoint.h_max_size = h1.Checkpoint.h_max_size + 1 } );
+      ("witness records", { h1 with Checkpoint.h_witnesses = true });
+    ];
   (* the header pins a restricted universe, and it survives the file *)
   let inst = Family.build ~n:6 ~k:2 in
   let hu =
@@ -336,7 +396,7 @@ let test_header_pinning () =
        (Checkpoint.check_header ~expected:h1
           { hu with Checkpoint.h_nunits = h1.Checkpoint.h_nunits }));
   (with_temp @@ fun path ->
-   Checkpoint.close (Checkpoint.create ~path hu);
+   Checkpoint.close (create ~path hu);
    match Checkpoint.load ~path with
    | Ok l ->
      check Alcotest.bool "universe round-trips" true
@@ -348,6 +408,176 @@ let test_header_pinning () =
     (ok
        (Checkpoint.check_header ~expected:h1
           { h1 with Checkpoint.h_splice = false }))
+
+(* A compile's checkpoint: records carrying witnesses of every outcome
+   round-trip, a re-recorded unit keeps its first record, a torn tail is
+   dropped, and resuming cuts the torn tail off before appending. *)
+let test_witness_records () =
+  let inst = Family.build ~n:6 ~k:2 in
+  let task = Task.exhaustive ~splice:false inst in
+  let header = Task.header ~witnesses:true task ~max_failures:5 in
+  with_temp @@ fun path ->
+  let w = create ~path header in
+  Checkpoint.append w (witnessed_result 0);
+  Checkpoint.append w (witnessed_result 2);
+  Checkpoint.append w { (witnessed_result 0) with Codec.r_witnesses = [] };
+  Checkpoint.close w;
+  Out_channel.with_open_gen [ Open_append; Open_binary ] 0o644 path (fun oc ->
+      output_string oc "\x40\x00\x00\x00torn");
+  (match Checkpoint.load ~path with
+  | Error e -> Alcotest.fail e
+  | Ok l ->
+    check Alcotest.bool "header round-trips" true
+      (l.Checkpoint.l_header = header);
+    check Alcotest.int "two units" 2 (Hashtbl.length l.Checkpoint.l_results);
+    check Alcotest.int "duplicate dropped" 1 l.Checkpoint.l_duplicates;
+    check Alcotest.int "torn tail dropped" 8 l.Checkpoint.l_torn_bytes;
+    List.iter
+      (fun u ->
+        check Alcotest.bool
+          (Printf.sprintf "unit %d: witnesses of all three outcomes, first \
+                           record wins" u)
+          true
+          (Hashtbl.find l.Checkpoint.l_results u = witnessed_result u))
+      [ 0; 2 ]);
+  (match Checkpoint.start ~resume:path (lazy header) with
+  | Error e -> Alcotest.fail e
+  | Ok session ->
+    Checkpoint.append (Option.get session.Checkpoint.writer)
+      (witnessed_result 5);
+    Option.iter Checkpoint.close session.Checkpoint.writer);
+  match Checkpoint.load ~path with
+  | Error e -> Alcotest.fail e
+  | Ok l ->
+    check Alcotest.int "nothing torn after a resume" 0
+      l.Checkpoint.l_torn_bytes;
+    check Alcotest.bool "the resumed run's record is read back" true
+      (Hashtbl.find_opt l.Checkpoint.l_results 5 = Some (witnessed_result 5))
+
+(* Format 1 (before witnesses) is refused by name. *)
+let test_old_format_refused () =
+  with_temp @@ fun path ->
+  Out_channel.with_open_bin path (fun oc -> output_string oc "gdpn-ckpt 1\n");
+  match Checkpoint.load ~path with
+  | Ok _ -> Alcotest.fail "a format 1 checkpoint loaded"
+  | Error e ->
+    check Alcotest.bool ("names the format: " ^ e) true
+      (String.starts_with ~prefix:"checkpoint format 1 " e)
+
+(* A compile resumes only from a compile's checkpoint, and a
+   verification only from a verification's. *)
+let test_compile_verify_split () =
+  let inst = Family.build ~n:6 ~k:2 in
+  let model = Fault_model.node inst in
+  with_temp @@ fun ckpt ->
+  with_temp @@ fun store ->
+  let verify_header =
+    lazy (Task.header (Task.exhaustive ~symmetry:(Instance.symmetry inst) ~splice:false inst)
+            ~max_failures:5)
+  in
+  (match Checkpoint.start ~create:ckpt verify_header with
+  | Ok s -> Option.iter Checkpoint.close s.Checkpoint.writer
+  | Error e -> Alcotest.fail e);
+  (match Engine.compile_plans ~resume:ckpt model ~path:store with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "compile-plans resumed a verify checkpoint");
+  (match Engine.compile_plans ~checkpoint:ckpt model ~path:store with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail e);
+  match Checkpoint.start ~resume:ckpt verify_header with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "verify resumed a compile checkpoint"
+
+(* A compile killed anywhere and resumed from what its checkpoint holds
+   publishes the store an uninterrupted compile publishes, byte for
+   byte, on one domain or two. *)
+let test_compile_resume () =
+  let model = Fault_model.node (Family.build ~n:9 ~k:2) in
+  let read path = In_channel.with_open_bin path In_channel.input_all in
+  with_temp @@ fun ckpt ->
+  with_temp @@ fun reference ->
+  with_temp @@ fun resumed ->
+  (match Engine.compile_plans ~checkpoint:ckpt model ~path:reference with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail e);
+  let full = read ckpt in
+  List.iter
+    (fun (keep, domains) ->
+      let cut = String.length full * keep / 100 in
+      Out_channel.with_open_bin ckpt (fun oc ->
+          output_string oc (String.sub full 0 cut));
+      if cut >= String.length "gdpn-ckpt 2\n" + 64 then
+        match Engine.compile_plans ~domains ~resume:ckpt model ~path:resumed with
+        | Error e -> Alcotest.failf "resume from %d%%: %s" keep e
+        | Ok _ ->
+          check Alcotest.bool
+            (Printf.sprintf "resumed from %d%% on %d domains" keep domains)
+            true
+            (read resumed = read reference))
+    [ (100, 1); (70, 2); (35, 1); (10, 2) ]
+
+(* ------------------------------------------------------------------ *)
+(* The witness sink                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* Over plain and orbit tasks of the node and mixed models, on one and
+   two domains: the sink sees every item exactly once, its negatives
+   are exactly the failures, and on one domain it sees the units in
+   order, each as the unit's own processor reports it. *)
+let test_sink_contract () =
+  let node = overclaimed (Small_n.g2 ~k:1) in
+  let mixed = Family.build ~n:3 ~k:2 in
+  let mixed_model = Option.get (Fault_model.of_name mixed "mixed") in
+  List.iter
+    (fun (label, task) ->
+      let in_units =
+        List.concat_map
+          (fun r -> r.Codec.r_witnesses)
+          (Array.to_list (unit_results ~witnesses:true task))
+      in
+      List.iter
+        (fun domains ->
+          let label = Printf.sprintf "%s on %d domains" label domains in
+          let seen = ref [] in
+          let report =
+            Engine.Parallel.run_task ~max_failures:1_000_000 ~domains
+              ~min_items_per_domain:0
+              ~witness:(fun w -> seen := w :: !seen)
+              task
+          in
+          let seen = List.rev !seen in
+          check
+            (Alcotest.list Alcotest.int)
+            (label ^ ": every item once")
+            (List.init (Task.items task) Fun.id)
+            (List.sort compare (List.map (fun w -> w.Verify.w_rank) seen));
+          let negatives =
+            List.filter_map
+              (fun w ->
+                match w.Verify.w_outcome with
+                | Reconfig.Pipeline _ -> None
+                | Reconfig.No_pipeline | Reconfig.Gave_up ->
+                  Some (w.Verify.w_rank, Array.to_list w.Verify.w_set, w.Verify.w_orbit))
+              seen
+          in
+          check Alcotest.bool (label ^ ": some failures") true
+            (report.Verify.failures <> []);
+          check Alcotest.bool (label ^ ": negatives are the failures") true
+            (List.map (fun (_, set, orbit) -> (set, orbit))
+               (List.sort compare negatives)
+            = List.map
+                (fun f -> (f.Verify.faults, f.Verify.orbit))
+                report.Verify.failures);
+          if domains = 1 then
+            check Alcotest.bool (label ^ ": unit order") true (seen = in_units))
+        [ 1; 2 ])
+    [
+      ("plain node", Task.exhaustive node);
+      ("orbit node", Task.exhaustive ~symmetry:(Instance.symmetry node) node);
+      ("plain mixed", Task.exhaustive_model mixed_model);
+      ( "orbit mixed",
+        Task.exhaustive_model ~symmetry:(Instance.symmetry mixed) mixed_model );
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Kill-and-resume oracle                                              *)
@@ -377,7 +607,7 @@ let test_resume_oracle =
       let j = survivors mod (n + 1) in
       let resumed =
         with_temp @@ fun path ->
-        let w = Checkpoint.create ~path (Task.header task ~max_failures:5) in
+        let w = create ~path (Task.header task ~max_failures:5) in
         for i = 0 to j - 1 do
           Checkpoint.append w results.(perm.(i))
         done;
@@ -415,7 +645,14 @@ let () =
           tc "round-trip with duplicate record" test_checkpoint_roundtrip;
           tc "torn tail discarded" test_checkpoint_torn_tail;
           tc "header pinning" test_header_pinning;
+          tc "witness records: outcomes, first wins, torn tail"
+            test_witness_records;
+          tc "format 1 is refused by name" test_old_format_refused;
+          tc "compile and verify refuse each other's checkpoints"
+            test_compile_verify_split;
+          tc "a resumed compile publishes the same store" test_compile_resume;
         ] );
+      ("witness", [ tc "sink contract" test_sink_contract ]);
       ( "oracle",
         [ QCheck_alcotest.to_alcotest test_resume_oracle ] );
     ]

@@ -127,6 +127,22 @@ let oracle_tests =
                   spliced)
               [ 1; 5; 1000 ])
           [ Small_n.g1 ~k:3; Special.g62 (); overclaimed (Small_n.g2 ~k:2) ]);
+    tc "a plain unit starts from its singleton's reported outcome"
+      (fun () ->
+        (* Unit 0 reports G(8,2)'s singletons; the units rooted at each
+           element reuse those outcomes, so a one-domain drain searches
+           as often as one prefix-tree walk: the empty set is the only
+           scaffold solve. *)
+        let searches = Metrics.counter "hamilton.searches"
+        and scaffolds = Metrics.counter "verify.scaffold_solves" in
+        let s0 = Metrics.value searches and c0 = Metrics.value scaffolds in
+        let report =
+          Engine.Parallel.verify_exhaustive ~domains:1 (Family.build ~n:8 ~k:2)
+        in
+        check Alcotest.int "sets" 137 report.Verify.fault_sets_checked;
+        check Alcotest.int "Hamilton searches" 74
+          (Metrics.value searches - s0);
+        check Alcotest.int "scaffold solves" 1 (Metrics.value scaffolds - c0));
     tc "splicing actually fires and saves full solves" (fun () ->
         let inst = Special.g62 () in
         let splices = Metrics.counter "verify.splices" in

@@ -5,9 +5,10 @@
    lookups), a corruption gauntlet (every strict truncation and every
    single-byte flip either fails open/validate or never changes a
    lookup result — a degraded store can cost time, never correctness),
-   the compile journal's Checkpoint-discipline load semantics, and a
-   multi-domain reader hammer mirroring test_server's with the store
-   attached. *)
+   the frozen digests of stores compiled by the production compiler,
+   the compile journal's refusal of a foreign spec, and a multi-domain
+   reader hammer mirroring test_server's with the store attached.
+   Resuming a compile is a checkpoint test (test_resume). *)
 
 open Gdpn_core
 module Bitset = Gdpn_graph.Bitset
@@ -15,59 +16,29 @@ module Auto = Gdpn_graph.Auto
 module Combinat = Gdpn_graph.Combinat
 module Engine = Gdpn_engine.Engine
 module Plan_store = Gdpn_engine.Plan_store
-module Journal = Gdpn_engine.Plan_store.Journal
+module Checkpoint = Gdpn_engine.Checkpoint
 module Prng = Gdpn_faultsim.Stream.Prng
 
 let check = Alcotest.check
 let tc name f = Alcotest.test_case name `Quick f
-let budget = 2_000_000 (* the engine default, so outcomes line up *)
 
 let temp_store () = Filename.temp_file "gdpn-store" ".store"
 
-(* In-process compiler: one representative per orbit (or per set when
-   [flat]), solved with the plain deterministic solver — exactly what
-   `gdp compile-plans` does, without the subprocess. *)
-let compile ?(flat = false) ?max_size inst path =
-  let order = Instance.order inst in
-  let max_size = Option.value max_size ~default:inst.Instance.k in
-  let group =
-    if flat then None
-    else
-      let g = Instance.symmetry inst in
-      if Auto.is_trivial g then None else Some g
-  in
-  let items =
-    match group with
-    | Some g -> Auto.fault_orbits g ~max_size
-    | None ->
-      let acc = ref [] in
-      Combinat.iter_subsets_up_to order max_size (fun buf len ->
-          acc := { Auto.set = Array.sub buf 0 len; size = 1 } :: !acc);
-      Array.of_list (List.rev !acc)
-  in
-  let ctx = Reconfig.make_ctx inst in
-  let w =
-    Plan_store.writer ~digest:(Certify.digest inst) ~model_id:0
-      ~orbit:(group <> None) ~usize:order ~order ~max_size
-  in
-  let mask = Bitset.create order in
-  Array.iter
-    (fun { Auto.set; size } ->
-      Bitset.clear mask;
-      Array.iter (Bitset.add mask) set;
-      Plan_store.add w ~set ~count:size
-        (Reconfig.solve ~budget ~ctx inst ~faults:mask))
-    items;
-  Plan_store.write w ~path;
-  Array.length items
+(* The production compiler, in process: what `gdp compile-plans` runs,
+   one representative per orbit (or per set when [flat]), each solved
+   from scratch. *)
+let compile ?flat ?max_size ?domains ?(model = Fault_model.node) inst path =
+  match Engine.compile_plans ?flat ?max_size ?domains (model inst) ~path with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "compile: %s" e
 
 let inst6 = Family.build ~n:6 ~k:2
 let inst9 = Family.build ~n:9 ~k:2
 
 let with_store ?flat ?max_size inst f =
   let path = temp_store () in
-  let nitems = compile ?flat ?max_size inst path in
-  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path nitems)
+  compile ?flat ?max_size inst path;
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
 
 let random_faults rng inst =
   let order = Instance.order inst in
@@ -84,7 +55,8 @@ let random_faults rng inst =
 (* ------------------------------------------------------------------ *)
 
 let test_roundtrip () =
-  with_store ~flat:true inst6 @@ fun path nitems ->
+  with_store ~flat:true inst6 @@ fun path ->
+  let nitems = Combinat.count_up_to (Instance.order inst6) inst6.Instance.k in
   match Plan_store.open_path ~path with
   | Error e -> Alcotest.failf "open: %s" e
   | Ok s ->
@@ -110,8 +82,8 @@ let test_orbit_compresses () =
      least 10x fewer records than one-plan-per-fault-set (the PR's
      compression acceptance bar, checked at unit scale). *)
   let inst = Family.build ~n:1 ~k:4 in
-  with_store ~max_size:3 inst @@ fun opath _ ->
-  with_store ~flat:true ~max_size:3 inst @@ fun fpath _ ->
+  with_store ~max_size:3 inst @@ fun opath ->
+  with_store ~flat:true ~max_size:3 inst @@ fun fpath ->
   match (Plan_store.open_path ~path:opath, Plan_store.open_path ~path:fpath)
   with
   | Ok orbit, Ok flat ->
@@ -151,7 +123,7 @@ let test_gave_up_not_stored () =
     Plan_store.close s
 
 let test_attach_rejects_wrong_instance () =
-  with_store inst6 @@ fun path _ ->
+  with_store inst6 @@ fun path ->
   let engine = Engine.create inst9 in
   (match Engine.attach_store engine ~path with
   | Error _ -> ()
@@ -180,7 +152,7 @@ let test_flat_oracle =
   QCheck.Test.make ~count:30 ~name:"flat store lookup == fresh Engine.solve"
     QCheck.(int_bound 1_000_000)
     (fun seed ->
-      with_store ~flat:true inst6 @@ fun path _ ->
+      with_store ~flat:true inst6 @@ fun path ->
       let store_engine = Engine.create inst6 in
       (match Engine.attach_store store_engine ~path with
       | Ok () -> ()
@@ -213,7 +185,7 @@ let orbit_oracle ?(suffix = "") inst =
     ~name:("orbit store: transported lookups valid, verdicts exact" ^ suffix)
     QCheck.(int_bound 1_000_000)
     (fun seed ->
-      with_store inst @@ fun path _ ->
+      with_store inst @@ fun path ->
       let store_engine = Engine.create inst in
       (match Engine.attach_store store_engine ~path with
       | Ok () -> ()
@@ -288,7 +260,7 @@ let lookups_agree reference mutant sets =
     sets
 
 let test_truncation_fails_closed () =
-  with_store ~flat:true inst6 @@ fun path _ ->
+  with_store ~flat:true inst6 @@ fun path ->
   let bytes = read_file path in
   let len = String.length bytes in
   let sets = all_sets inst6 inst6.Instance.k in
@@ -318,7 +290,7 @@ let test_truncation_fails_closed () =
   Plan_store.close reference
 
 let test_byte_flips_fail_closed () =
-  with_store ~flat:true inst6 @@ fun path _ ->
+  with_store ~flat:true inst6 @@ fun path ->
   let bytes = Bytes.of_string (read_file path) in
   let len = Bytes.length bytes in
   let sets = all_sets inst6 inst6.Instance.k in
@@ -353,7 +325,7 @@ let test_byte_flips_fail_closed () =
 (* A tampered store attached to an engine must still never surface a
    wrong plan: the engine revalidates and falls back to solving. *)
 let test_tampered_store_engine_fallback () =
-  with_store ~flat:true inst6 @@ fun path _ ->
+  with_store ~flat:true inst6 @@ fun path ->
   let bytes = Bytes.of_string (read_file path) in
   (* smash the record region wholesale, leaving magic + header alone *)
   let start = String.length "gdpn-plan 1\n" + 64 in
@@ -382,77 +354,86 @@ let test_tampered_store_engine_fallback () =
       done)
 
 (* ------------------------------------------------------------------ *)
+(* Frozen store digests                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* A store's bytes are a function of the instance, model, mode and size
+   bound alone — never of the domain count or the drain's order.  These
+   digests were taken from the compiler that solved its own list of
+   representatives, before compiles became task drains. *)
+let test_frozen_digests () =
+  let mixed inst = Option.get (Fault_model.of_name inst "mixed") in
+  List.iter
+    (fun (label, (n, k), model, flat, max_size, domains, md5) ->
+      let path = temp_store () in
+      Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+      compile ?model ~flat ?max_size ?domains (Family.build ~n ~k) path;
+      check Alcotest.string label md5 (Digest.to_hex (Digest.file path)))
+    [
+      ("G(3,5)", (3, 5), None, false, None, None,
+       "7ad1e5685fc818560c13d704f6bc7880");
+      ("G(1,5)", (1, 5), None, false, None, None,
+       "71c05356b12f22185875199f5ad75cf5");
+      ("G(9,2)", (9, 2), None, false, None, None,
+       "e26eae69e39da862621089394ac2ce63");
+      ("G(6,2) flat", (6, 2), None, true, None, None,
+       "c11eae8494f1413bc87b1d79b77800d9");
+      ("mixed G(3,2)", (3, 2), Some mixed, false, None, None,
+       "ffb9528eb550ecc24f0eda6f939c3469");
+      ("G(30,4) up to 3", (30, 4), None, false, Some 3, None,
+       "8d48e8c37eea68b06eb9bbc3479599f4");
+      ("G(30,4) up to 3 on 2 domains", (30, 4), None, false, Some 3, Some 2,
+       "8d48e8c37eea68b06eb9bbc3479599f4");
+    ]
+
+(* ------------------------------------------------------------------ *)
 (* Compile journal                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let jheader =
-  {
-    Journal.j_digest = "digest";
-    j_model = 0;
-    j_orbit = true;
-    j_usize = 14;
-    j_order = 14;
-    j_max_size = 2;
-    j_nunits = 3;
-  }
-
-let outcomes_a = [| Reconfig.No_pipeline; Reconfig.Gave_up |]
-let outcomes_b = [| Reconfig.Pipeline { Pipeline.nodes = [ 0; 3; 2; 1 ] } |]
-
-let test_journal_roundtrip () =
-  let path = Filename.temp_file "gdpn-journal" ".ckpt" in
-  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
-  let w = Journal.create ~path jheader in
-  Journal.append w ~unit_id:0 outcomes_a;
-  Journal.append w ~unit_id:2 outcomes_b;
-  Journal.close w;
-  (match Journal.load ~path with
-  | Error e -> Alcotest.failf "load: %s" e
-  | Ok l ->
-    check Alcotest.bool "header pins the spec" true
-      (Journal.check_header ~expected:jheader l.Journal.l_header = Ok ());
-    check Alcotest.int "two units" 2 (Hashtbl.length l.Journal.l_units);
-    check Alcotest.bool "unit 0 outcomes survive" true
-      (Hashtbl.find l.Journal.l_units 0 = outcomes_a);
-    check Alcotest.bool "unit 2 plan survives" true
-      (Hashtbl.find l.Journal.l_units 2 = outcomes_b);
-    check Alcotest.int "no duplicates" 0 l.Journal.l_duplicates;
-    check Alcotest.int "no torn bytes" 0 l.Journal.l_torn_bytes);
-  (* append after reopen, with a duplicate and a torn tail *)
-  let w = Journal.open_append ~path in
-  Journal.append w ~unit_id:0 outcomes_b (* duplicate: first wins *);
-  Journal.append w ~unit_id:1 outcomes_b;
-  Journal.close w;
-  let bytes = read_file path in
-  write_file path (String.sub bytes 0 (String.length bytes - 3));
-  match Journal.load ~path with
-  | Error e -> Alcotest.failf "reload: %s" e
-  | Ok l ->
-    check Alcotest.int "torn tail discarded" 2 (Hashtbl.length l.Journal.l_units);
-    check Alcotest.int "duplicate dropped" 1 l.Journal.l_duplicates;
-    check Alcotest.bool "first record wins" true
-      (Hashtbl.find l.Journal.l_units 0 = outcomes_a);
-    check Alcotest.bool "some torn bytes counted" true (l.Journal.l_torn_bytes > 0)
-
+(* A compile's journal is its checkpoint: a [gdpn-ckpt 2] file whose
+   records carry witnesses.  A compile refuses to resume it under any
+   other spec, and its header pins the unit decomposition too. *)
 let test_journal_header_mismatch () =
-  let path = Filename.temp_file "gdpn-journal" ".ckpt" in
-  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
-  Journal.close (Journal.create ~path jheader);
-  match Journal.load ~path with
+  let journal = Filename.temp_file "gdpn-journal" ".ckpt" in
+  let path = temp_store () in
+  Fun.protect ~finally:(fun () -> Sys.remove journal; Sys.remove path)
+  @@ fun () ->
+  let node = Fault_model.node inst6 in
+  (match Engine.compile_plans ~checkpoint:journal node ~path with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "compile: %s" e);
+  List.iter
+    (fun (label, resume) ->
+      match resume () with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "journal resumed under %s" label)
+    [
+      ( "another instance",
+        fun () ->
+          Engine.compile_plans ~resume:journal (Fault_model.node inst9) ~path
+      );
+      ( "another model",
+        fun () ->
+          Engine.compile_plans ~resume:journal
+            (Option.get (Fault_model.of_name inst6 "mixed"))
+            ~path );
+      ( "flat enumeration",
+        fun () -> Engine.compile_plans ~flat:true ~resume:journal node ~path );
+      ( "another max size",
+        fun () -> Engine.compile_plans ~max_size:1 ~resume:journal node ~path );
+    ];
+  (match Engine.compile_plans ~resume:journal node ~path with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "same spec refused: %s" e);
+  match Checkpoint.load ~path:journal with
   | Error e -> Alcotest.failf "load: %s" e
   | Ok l ->
-    List.iter
-      (fun expected ->
-        match Journal.check_header ~expected l.Journal.l_header with
-        | Error _ -> ()
-        | Ok () -> Alcotest.fail "mismatched journal header accepted")
-      [
-        { jheader with Journal.j_digest = "other" };
-        { jheader with Journal.j_model = 1 };
-        { jheader with Journal.j_orbit = false };
-        { jheader with Journal.j_max_size = 3 };
-        { jheader with Journal.j_nunits = 4 };
-      ]
+    let h = l.Checkpoint.l_header in
+    check Alcotest.bool "another unit count rejected" true
+      (Result.is_error
+         (Checkpoint.check_header
+            ~expected:{ h with Checkpoint.h_nunits = h.Checkpoint.h_nunits + 1 }
+            h))
 
 (* ------------------------------------------------------------------ *)
 (* Multi-domain reader hammer over a store-backed engine               *)
@@ -463,7 +444,7 @@ let test_store_reader_hammer =
     ~name:"domain-parallel readers over an L2 store return valid plans"
     QCheck.(int_bound 1_000_000)
     (fun seed ->
-      with_store inst9 @@ fun path _ ->
+      with_store inst9 @@ fun path ->
       (* tiny L1 so eviction churns and the store is re-probed often *)
       let engine = Engine.create ~cache_limit:48 inst9 in
       (match Engine.attach_store engine ~path with
@@ -527,11 +508,10 @@ let () =
           tc "tampered store falls back to solving"
             test_tampered_store_engine_fallback;
         ] );
+      ( "compile",
+        [ tc "store digests are frozen" test_frozen_digests ] );
       ( "journal",
-        [
-          tc "round-trip, torn tail, duplicate units" test_journal_roundtrip;
-          tc "header mismatches are rejected" test_journal_header_mismatch;
-        ] );
+        [ tc "header mismatches are rejected" test_journal_header_mismatch ] );
       ( "readers",
         [ QCheck_alcotest.to_alcotest test_store_reader_hammer ] );
     ]
