@@ -9,17 +9,30 @@ build:
 test:
 	dune runtest
 
+# $(call expect,STATUS,PATTERN), appended to a recipe line: print the
+# command's output and require exit STATUS and a line matching PATTERN.
+expect = > /tmp/gdpn-check.out; s=$$?; cat /tmp/gdpn-check.out; \
+  test $$s -eq $(1) && grep -q '$(2)' /tmp/gdpn-check.out
+
 # The tier-1 gate plus a multicore engine smoke: exhaustively verify
-# G(8,2) (137 fault sets) through Engine.Parallel on two domains (splice
-# on and off — reports must agree).  --crosscheck then re-enumerates the
-# same fault space other ways and exits 3 on any disagreement: splice-first
-# against from-scratch solving and the work-stealing shards (reports must
-# be identical), the word-parallel kernel against the reference
-# backtracker (reports and expansion counts), and with --symmetry the
-# orbit-reduced run against full enumeration (verdict, counts and
-# orbit-expanded failure sets) — on G(8,2)'s order-2 group and on the
-# order-1,440 and order-240 groups of G(1,5) and G(2,5).  A traced run's
-# JSONL output must end with the metrics snapshot.  The fault-model lines
+# G(8,2) (137 fault sets) through Engine.Parallel.  Its 137 sets are
+# under the 512 items per domain it takes to shard, so this run drains
+# on one domain.  --crosscheck then re-enumerates the same fault space
+# other ways and exits 3 on any disagreement: splice-first against
+# from-scratch solving and the work-stealing shards, forced onto two
+# domains (reports must be identical), the word-parallel kernel against
+# the reference backtracker (reports and expansion counts), and with
+# --symmetry the orbit-reduced run against full enumeration (verdict,
+# counts and orbit-expanded failure sets) — on G(8,2)'s order-2 group
+# and on the order-1,440 and order-240 groups of G(1,5) and G(2,5).  A
+# traced run's JSONL output must end with the metrics snapshot.  The
+# checkpointed crosschecks record every unit of a two-domain drain and
+# compare the report with the sequential one — G(8,2), and G(3,5)
+# under --symmetry, whose 1,262 representatives shard onto both
+# domains.  A merged G(8,2) run is checkpointed, crosschecked over its
+# 56 processor fault sets, resumed from the full checkpoint with the
+# same report, and refused when resumed without --merged (the header
+# pins the instance).  The fault-model lines
 # run the same crosschecks over the mixed node+link universe: it exits 1
 # (the constructions are not link-GD — that is the honest verdict) but
 # must not exit 3 (crosscheck divergence); mixed G(6,2) and G(3,4) and the
@@ -32,7 +45,6 @@ test:
 # (bin/experiments.exe) exits 1 on any failing row.
 check: build test
 	GDPN_DOMAINS=2 dune exec bin/gdp.exe -- verify -n 8 -k 2
-	GDPN_DOMAINS=2 dune exec bin/gdp.exe -- verify -n 8 -k 2 --no-splice
 	GDPN_DOMAINS=2 dune exec bin/gdp.exe -- verify -n 8 -k 2 --crosscheck
 	GDPN_DOMAINS=2 dune exec bin/gdp.exe -- verify -n 8 -k 2 --merged --crosscheck
 	GDPN_DOMAINS=2 dune exec bin/gdp.exe -- verify -n 8 -k 2 --symmetry --crosscheck
@@ -46,8 +58,19 @@ check: build test
 	GDPN_DOMAINS=2 dune exec bin/gdp.exe -- verify -n 5 -k 2 --faults "3,7,2-5"; test $$? -ne 2
 	GDPN_DOMAINS=2 dune exec bin/gdp.exe -- verify -n 8 -k 2 --symmetry --trace-out /tmp/gdpn-check-trace.jsonl
 	tail -1 /tmp/gdpn-check-trace.jsonl | grep -q '"snapshot"'
-	dune exec bin/gdp.exe -- verify -n 8 -k 2 --procs 2 --crosscheck
-	dune exec bin/gdp.exe -- verify -n 3 -k 5 --procs 2 --symmetry --crosscheck
+	dune exec bin/gdp.exe -- verify -n 8 -k 2 --domains 2 \
+	  --checkpoint /tmp/gdpn-check-g82.ckpt --crosscheck
+	dune exec bin/gdp.exe -- verify -n 3 -k 5 --domains 2 --symmetry \
+	  --checkpoint /tmp/gdpn-check-g35.ckpt --crosscheck
+	dune exec bin/gdp.exe -- verify -n 8 -k 2 --merged --domains 2 \
+	  --checkpoint /tmp/gdpn-check-m82.ckpt --crosscheck \
+	  $(call expect,0,PASS (56 sets. 56 solver calls))
+	dune exec bin/gdp.exe -- verify -n 8 -k 2 --merged --domains 2 \
+	  --resume /tmp/gdpn-check-m82.ckpt --crosscheck \
+	  $(call expect,0,PASS (56 sets. 56 solver calls))
+	dune exec bin/gdp.exe -- verify -n 8 -k 2 --domains 2 \
+	  --resume /tmp/gdpn-check-m82.ckpt \
+	  $(call expect,2,checkpoint is for a different instance)
 	dune exec bin/gdp.exe -- verify -n 4 -k 4; test $$? -eq 2
 	dune exec bin/gdp.exe -- build -n 0 -k 2; test $$? -eq 2
 	dune exec bin/gdp.exe -- check-cert -n 6 -k 2 /nonexistent; test $$? -eq 2

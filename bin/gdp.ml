@@ -172,13 +172,14 @@ let print_report model report =
    printing one line per check; true when all agree.  With symmetry: the
    orbit-reduced report against full enumeration (verdict, counts and
    orbit-expanded failure sets).  Splice-first against from-scratch
-   solving and the work-stealing shards.  The word-parallel kernel
+   solving and the work-stealing shards, forced onto at least two
+   domains however small the space.  The word-parallel kernel
    against the reference backtracker, with splicing off so every set
    reaches the solvers: reports and expansion counts must match.  It
    runs over the run's own enumeration, orbit-reduced under symmetry,
    because the unreduced space of a link universe is large (mixed
    G(3,5): 4.2M sets against 166k representatives). *)
-let crosschecks model ~universe ~group ~domains ~no_splice =
+let crosschecks model ~universe ~group ~domains =
   let module Metrics = Gdpn_obs.Metrics in
   let cap = 1_000_000 in
   let exhaustive ?symmetry ?splice ?solve () =
@@ -226,9 +227,9 @@ let crosschecks model ~universe ~group ~domains ~no_splice =
     in
     let scratch = exhaustive ?symmetry:group ~splice:false () in
     let parallel =
-      Engine.Parallel.run_task ~max_failures:cap ~domains
-        (Engine.Parallel.Task.exhaustive_model ?universe ?symmetry:group
-           ~splice:(not no_splice) model)
+      Engine.Parallel.run_task ~max_failures:cap ~domains:(max 2 domains)
+        ~min_items_per_domain:0
+        (Engine.Parallel.Task.exhaustive_model ?universe ?symmetry:group model)
     in
     report "splice vs from-scratch vs parallel"
       (spliced = scratch && spliced = parallel)
@@ -258,27 +259,19 @@ let crosschecks model ~universe ~group ~domains ~no_splice =
 (* Every verification, in every fault model: build the task once —
    sampled, or exhaustive (orbit-reduced under a nontrivial induced
    group; restricted to the processors under --merged) — then drain it
-   over domains ([Engine.Parallel.run_task], optionally checkpointed to
-   or resumed from a file) or over `gdp verify-worker` processes
-   ([Mp.run]).  Every drain merges into the same report, which
-   --crosscheck verifies (exit 3 on divergence). *)
-let verify_run inst model ~model_name ~n ~k ~merged ~sample ~domains ~seed
-    ~symmetry ~crosscheck ~no_splice ~procs ~ckpt_path ~resume_path =
+   over domains with [Engine.Parallel.run_task], optionally checkpointed
+   to or resumed from a file.  Every drain merges into the same report,
+   which --crosscheck verifies (exit 3 on divergence). *)
+let verify_run inst model ~merged ~sample ~domains ~seed ~symmetry
+    ~crosscheck ~ckpt_path ~resume_path =
   let module Auto = Gdpn_graph.Auto in
   let module Task = Engine.Parallel.Task in
   let module Checkpoint = Gdpn_engine.Checkpoint in
-  let module Mp = Gdpn_engine.Mp in
-  let out_of_core = procs > 1 || ckpt_path <> None || resume_path <> None in
-  let refuse msg =
-    pf "error: %s@." msg;
+  let out_of_core = ckpt_path <> None || resume_path <> None in
+  if out_of_core && sample <> None then begin
+    pf "error: --checkpoint/--resume require exhaustive mode@.";
     2
-  in
-  if out_of_core && sample <> None then
-    refuse "--procs/--checkpoint/--resume require exhaustive mode"
-  else if out_of_core && merged then
-    refuse
-      "--merged runs in process only; it cannot be checkpointed or farmed \
-       over processes"
+  end
   else begin
     let max_failures = 5 in
     pf "%a@." Instance.pp inst;
@@ -308,10 +301,7 @@ let verify_run inst model ~model_name ~n ~k ~merged ~sample ~domains ~seed
         )
       | None ->
         let group = if symmetry then Some (Instance.symmetry inst) else None in
-        let task =
-          Task.exhaustive_model ?universe ?symmetry:group
-            ~splice:(not no_splice) model
-        in
+        let task = Task.exhaustive_model ?universe ?symmetry:group model in
         Option.iter
           (fun g ->
             pf "symmetry: group order %d, %d generators%s@." (Auto.order g)
@@ -322,7 +312,6 @@ let verify_run inst model ~model_name ~n ~k ~merged ~sample ~domains ~seed
           group;
         (group, task)
     in
-    let nunits = Task.nunits task in
     match
       Checkpoint.start ?create:ckpt_path ?resume:resume_path
         (lazy (Task.header task ~max_failures))
@@ -330,65 +319,45 @@ let verify_run inst model ~model_name ~n ~k ~merged ~sample ~domains ~seed
     | Error e ->
       pf "error: cannot resume: %s@." e;
       2
-    | Ok session -> (
+    | Ok session ->
       Option.iter (pf "%a@." Checkpoint.pp_resumed) session.loaded;
       let writer = session.writer
       and resumed = Option.map (fun l -> l.Checkpoint.l_results) session.loaded in
-      let run_report () =
+      (match sample with
+      | Some _ -> pf "sampled verification: seed=%d domains=%d@." seed d
+      | None when out_of_core ->
+        pf "checkpointed verification: domains=%d units=%d@." d
+          (Task.nunits task)
+      | None -> pf "exhaustive verification: domains=%d@." d);
+      let report =
         Fun.protect ~finally:(fun () -> Option.iter Checkpoint.close writer)
         @@ fun () ->
-        if procs > 1 then begin
-          let argv =
-            Array.of_list
-              ([
-                 Sys.executable_name; "verify-worker"; "-n"; string_of_int n;
-                 "-k"; string_of_int k; "--model"; model_name;
-                 "--max-failures"; string_of_int max_failures;
-               ]
-              @ (if symmetry then [ "--symmetry" ] else [])
-              @ if no_splice then [ "--no-splice" ] else [])
-          in
-          pf "multi-process verification: procs=%d units=%d@." procs nunits;
-          Mp.run ~max_failures ~procs ~argv ?checkpoint:writer ?resumed task
-        end
-        else begin
-          (match sample with
-          | Some _ -> pf "sampled verification: seed=%d domains=%d@." seed d
-          | None when out_of_core ->
-            pf "checkpointed verification: domains=%d units=%d@." d nunits
-          | None -> pf "exhaustive verification: domains=%d@." d);
-          Engine.Parallel.run_task ~max_failures ~domains:d ?checkpoint:writer
-            ?resumed task
-        end
+        Engine.Parallel.run_task ~max_failures ~domains:d ?checkpoint:writer
+          ?resumed task
       in
-      match run_report () with
-      | exception Mp.Worker_died pid ->
-        pf "error: worker process %d died with a unit still assigned@." pid;
-        2
-      | report ->
-        Option.iter (pf "checkpoint: %s@.") ckpt_path;
-        print_report model report;
-        let agree =
-          if not crosscheck then true
-          else if sample <> None then begin
-            pf "note: --crosscheck requires exhaustive mode@.";
-            true
-          end
-          else if out_of_core then begin
-            let seq =
-              Verify.exhaustive_model ~max_failures ?symmetry:group
-                ~splice:(not no_splice) model
-            in
-            let same = report = seq in
-            pf "crosscheck out-of-core vs sequential: %s (%d sets, %d \
-                solver calls)@."
-              (if same then "PASS" else "FAIL")
-              seq.Verify.fault_sets_checked seq.Verify.solver_calls;
-            same
-          end
-          else crosschecks model ~universe ~group ~domains:d ~no_splice
-        in
-        if not agree then 3 else if Verify.is_k_gd report then 0 else 1)
+      Option.iter (pf "checkpoint: %s@.") ckpt_path;
+      print_report model report;
+      let agree =
+        if not crosscheck then true
+        else if sample <> None then begin
+          pf "note: --crosscheck requires exhaustive mode@.";
+          true
+        end
+        else if out_of_core then begin
+          let seq =
+            Verify.exhaustive_model ~max_failures ?universe ?symmetry:group
+              model
+          in
+          let same = report = seq in
+          pf "crosscheck out-of-core vs sequential: %s (%d sets, %d solver \
+              calls)@."
+            (if same then "PASS" else "FAIL")
+            seq.Verify.fault_sets_checked seq.Verify.solver_calls;
+          same
+        end
+        else crosschecks model ~universe ~group ~domains:d
+      in
+      if not agree then 3 else if Verify.is_k_gd report then 0 else 1
   end
 
 let verify_cmd =
@@ -411,26 +380,15 @@ let verify_cmd =
   let crosscheck_arg =
     Arg.(value & flag & info [ "crosscheck" ]
            ~doc:"Exhaustive mode, any fault model: re-run the enumeration \
-                 with splice-first prefix-tree solving disabled and on the \
-                 work-stealing shards and compare the reports, then re-run \
-                 it through the reference (pre-bitset-row) backtracker and \
-                 compare reports and expansion counts against the \
-                 word-parallel kernel.  With --symmetry, additionally run \
-                 the full enumeration and compare verdicts, counts and \
-                 (orbit-expanded) failure sets.  Exits 3 on any \
-                 disagreement.")
-  in
-  let no_splice_arg =
-    Arg.(value & flag & info [ "no-splice" ]
-           ~doc:"Disable splice-first prefix-tree solving: every fault set \
-                 is solved from scratch (the pre-splice behaviour; mainly \
-                 for benchmarking and crosschecks).")
-  in
-  let procs_arg =
-    Arg.(value & opt int 0 & info [ "procs" ] ~docv:"P"
-           ~doc:"Farm the exhaustive enumeration over $(docv) worker \
-                 processes ($(b,gdp verify-worker) children over pipes). \
-                 The report is identical to an in-process run's.")
+                 with splice-first prefix-tree solving disabled and on at \
+                 least two work-stealing shards and compare the reports, \
+                 then re-run it through the reference (pre-bitset-row) \
+                 backtracker and compare reports and expansion counts \
+                 against the word-parallel kernel.  With --symmetry, \
+                 additionally run the full enumeration and compare \
+                 verdicts, counts and (orbit-expanded) failure sets.  With \
+                 --checkpoint or --resume, compare the report with one \
+                 sequential run instead.  Exits 3 on any disagreement.")
   in
   let checkpoint_arg =
     Arg.(value & opt (some string) None & info [ "checkpoint" ] ~docv:"FILE"
@@ -442,7 +400,7 @@ let verify_cmd =
            ~doc:"Resume an interrupted $(b,--checkpoint) run: recorded \
                  units are skipped, new ones keep appending to $(docv), \
                  and the final report is byte-identical to an \
-                 uninterrupted run's (any --domains/--procs).")
+                 uninterrupted run's (any --domains).")
   in
   let fault_set_arg =
     Arg.(value & opt (some string) None & info [ "faults" ] ~docv:"SET"
@@ -517,7 +475,7 @@ let verify_cmd =
           1))
   in
   let run n k merged model_name fault_spec sample domains seed symmetry
-      crosscheck no_splice procs ckpt_path resume_path trace_out =
+      crosscheck ckpt_path resume_path trace_out =
     with_trace trace_out @@ fun () ->
     let inst = build_instance n k merged in
     match model_of_name inst model_name with
@@ -527,57 +485,14 @@ let verify_cmd =
     | Ok model when fault_spec <> None ->
       check_fault_spec inst model (Option.get fault_spec)
     | Ok model ->
-      verify_run inst model ~model_name ~n ~k ~merged ~sample ~domains ~seed
-        ~symmetry ~crosscheck ~no_splice ~procs ~ckpt_path ~resume_path
+      verify_run inst model ~merged ~sample ~domains ~seed ~symmetry
+        ~crosscheck ~ckpt_path ~resume_path
   in
   Cmd.v
     (Cmd.info "verify" ~doc:"Verify k-graceful-degradability.")
     Term.(const run $ n_arg $ k_arg $ merged_arg $ model_arg $ fault_set_arg
           $ sample_arg $ domains_arg $ seed_arg $ symmetry_arg
-          $ crosscheck_arg $ no_splice_arg $ procs_arg $ checkpoint_arg
-          $ resume_arg $ trace_out_arg)
-
-(* -------------------- verify-worker -------------------- *)
-
-(* The child half of `gdp verify --procs`: rebuild the identical task
-   from the spec flags (the unit decomposition is canonical, so matching
-   specs guarantee matching unit arrays) and serve Codec-framed unit
-   assignments on stdin/stdout.  stdout carries protocol frames only —
-   this command never prints. *)
-let verify_worker_cmd =
-  let symmetry_arg =
-    Arg.(value & flag & info [ "symmetry" ]
-           ~doc:"Orbit-reduced decomposition (must match the coordinator).")
-  in
-  let no_splice_arg =
-    Arg.(value & flag & info [ "no-splice" ]
-           ~doc:"Solve every fault set from scratch.")
-  in
-  let max_failures_arg =
-    Arg.(value & opt int 5 & info [ "max-failures" ] ~docv:"M"
-           ~doc:"Per-unit recorded-entry cap (must match the coordinator).")
-  in
-  let run n k model_name symmetry no_splice max_failures =
-    let inst = build_instance n k false in
-    match model_of_name inst model_name with
-    | Error e ->
-      prerr_endline ("verify-worker: " ^ e);
-      2
-    | Ok model ->
-      let group = if symmetry then Some (Instance.symmetry inst) else None in
-      let task =
-        Engine.Parallel.Task.exhaustive_model ?symmetry:group
-          ~splice:(not no_splice) model
-      in
-      Gdpn_engine.Mp.worker_main ~max_failures task;
-      0
-  in
-  Cmd.v
-    (Cmd.info "verify-worker"
-       ~doc:"(internal) Serve verification work units over stdin/stdout; \
-             spawned by $(b,gdp verify --procs).")
-    Term.(const run $ n_arg $ k_arg $ model_arg $ symmetry_arg
-          $ no_splice_arg $ max_failures_arg)
+          $ crosscheck_arg $ checkpoint_arg $ resume_arg $ trace_out_arg)
 
 (* -------------------- table -------------------- *)
 
@@ -1112,9 +1027,14 @@ let tolerance_cmd =
   let run n k merged =
     let inst = build_instance n k merged in
     pf "%a@." Instance.pp inst;
-    let t = Verify.tolerance inst in
+    (* One drain of the sets of size 0..k+1 answers both lines: the
+       tolerance is one less than the smallest breaking set's size. *)
+    let breaking = Verify.breaking_fault_set inst in
+    let t =
+      match breaking with Some w -> List.length w - 1 | None -> k + 1
+    in
     pf "measured structural fault tolerance: %d (designed: %d)@." t k;
-    (match Verify.breaking_fault_set inst with
+    (match breaking with
     | Some witness ->
       pf "smallest breaking fault set: {%s}@."
         (String.concat "," (List.map string_of_int witness))
@@ -1388,8 +1308,7 @@ let () =
     (Cmd.eval'
        (Cmd.group ~default info
           [
-            build_cmd; solve_cmd; verify_cmd; verify_worker_cmd; table_cmd;
-            compare_cmd;
+            build_cmd; solve_cmd; verify_cmd; table_cmd; compare_cmd;
             simulate_cmd; chaos_cmd; figure_cmd; impossibility_cmd; links_cmd;
             tolerance_cmd; trace_cmd; save_cmd; check_cmd; survival_cmd;
             draw_cmd; bounds_cmd; console_cmd; plan_cmd; certify_cmd;

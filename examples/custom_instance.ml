@@ -55,9 +55,15 @@ let inspect text =
       (Instance.is_node_optimal inst);
     let report = Verify.exhaustive inst in
     Format.printf "  verification: %a@." Verify.pp_report report;
+    (* One search answers both: the tolerance is one less than the
+       smallest breaking set's size. *)
+    let breaking = Verify.breaking_fault_set inst in
     Format.printf "  measured tolerance: %d (designed %d)@."
-      (Verify.tolerance inst) inst.Instance.k;
-    (match Verify.breaking_fault_set inst with
+      (match breaking with
+      | Some w -> List.length w - 1
+      | None -> inst.Instance.k + 1)
+      inst.Instance.k;
+    (match breaking with
     | Some w ->
       Format.printf "  smallest breaking fault set: {%s}@."
         (String.concat "," (List.map string_of_int w))

@@ -7,7 +7,6 @@
 
 module Graph = Gdpn_graph.Graph
 module Bitset = Gdpn_graph.Bitset
-module Combinat = Gdpn_graph.Combinat
 
 type fault = Node of int | Link of int * int
 
@@ -105,34 +104,43 @@ type survey = {
   min_processors : int;
 }
 
+(* The survey drains the mixed model's plain task on the calling domain,
+   as [Certify.write] does: its witness sink sees every set of size
+   [0..k] once.  A pipeline the task found (solved or spliced, and
+   revalidated either way) is graceful; any other set goes through the
+   Hayes fallback, with one search context for all of them. *)
 let survey_exhaustive ?budget inst =
-  (* One model (hence one degraded-instance cache) and one search context
-     serve the whole survey: consecutive fault sets keep re-deriving the
-     same handful of degraded graphs. *)
   let model = Fault_model.mixed inst in
   let usize = Fault_model.size model in
-  let k = inst.Instance.k in
+  let task = Verify.Task.exhaustive_model ?budget model in
   let ctx = Reconfig.make_ctx inst in
-  let mask = Bitset.create usize in
   let total = ref 0 in
   let graceful = ref 0 in
   let degraded = ref 0 in
   let lost = ref 0 in
   let min_procs = ref max_int in
-  Combinat.iter_subsets_up_to usize k (fun buf len ->
-      incr total;
-      Bitset.clear mask;
-      for i = 0 to len - 1 do
-        Bitset.add mask buf.(i)
-      done;
-      match solve_mask ?budget ~ctx model mask with
-      | Graceful p ->
-        incr graceful;
-        min_procs := min !min_procs (Pipeline.processor_count p)
-      | Degraded p ->
-        incr degraded;
-        min_procs := min !min_procs (Pipeline.processor_count p)
-      | No_pipeline | Gave_up -> incr lost);
+  let witness { Verify.w_set; w_outcome; _ } =
+    incr total;
+    let outcome =
+      match w_outcome with
+      | Reconfig.Pipeline p -> Graceful p
+      | Reconfig.No_pipeline | Reconfig.Gave_up ->
+        solve_mask ?budget ~ctx model
+          (Bitset.of_list usize (Array.to_list w_set))
+    in
+    match outcome with
+    | Graceful p ->
+      incr graceful;
+      min_procs := min !min_procs (Pipeline.processor_count p)
+    | Degraded p ->
+      incr degraded;
+      min_procs := min !min_procs (Pipeline.processor_count p)
+    | No_pipeline | Gave_up -> incr lost
+  in
+  let process = Verify.Task.processor task in
+  for u = 0 to Verify.Task.nunits task - 1 do
+    process ~witness ~record:(fun ~rank:_ _ -> ()) ~cutoff:(fun () -> max_int) u
+  done;
   {
     fault_sets = !total;
     graceful = !graceful;

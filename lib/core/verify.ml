@@ -41,7 +41,7 @@ type witness = {
 (* A recorded failure tagged with the global rank of its fault set in the
    canonical enumeration order (sizes ascending, lexicographic within a
    size).  Work units run out of that order — a unit walks a DFS subtree,
-   and units run on any domain or process — so each source keeps only its
+   and units run on any domain — so each source keeps only its
    lowest-ranked [max_failures] and {!merge_tagged} reconstructs the
    canonical report. *)
 module Topk = struct
@@ -191,8 +191,8 @@ let check_fault_set ?budget inst faults =
 
 (* Every exhaustive and sampled verification is a [task]: its fault
    space cut into a canonical array of work units.  The cut is a
-   function of the instance and mode alone — never of the domain or
-   process count — so a unit's failures are the same wherever it runs,
+   function of the instance and mode alone — never of the domain count
+   — so a unit's failures are the same wherever it runs,
    and a checkpoint written under one topology resumes under any other.
    A processor checks one unit at a time, tags each failure with its
    rank in the canonical order, and skips whatever the early-stop
@@ -318,7 +318,7 @@ module Task = struct
     t_counts : int option -> int * int;
     t_spec : spec option;
     t_mk_processor : unit -> processor;
-        (* called once per domain or worker process: builds the chain *)
+        (* called once per domain: builds the chain *)
     t_settle : report -> unit;
   }
 
@@ -425,7 +425,7 @@ module Task = struct
   (* Target unit count for span-chunked modes.  Fixed — deliberately NOT
      a function of the domain count, which would make the decomposition
      topology-dependent and break checkpoint portability across
-     [--procs]/[GDPN_DOMAINS] settings; ~256 units keeps work stealing
+     [--domains]/[GDPN_DOMAINS] settings; ~256 units keeps work stealing
      effective at any plausible core count while bounding the number of
      checkpoint records. *)
   let span_unit_target = 256

@@ -10,8 +10,8 @@
     that reports rank-tagged failures.  {!exhaustive_model} and
     {!sampled_model} build a task and drain it on the calling domain;
     [Gdpn_engine.Engine.Parallel] drains the same units over a domain
-    pool, a checkpoint file or worker processes, and every drain merges
-    into the same canonical report.
+    pool, optionally recording them in a checkpoint file, and every
+    drain merges into the same canonical report.
 
     Every job has one body, written over a {!Fault_model.t}: the [_model]
     entry points below.  The node-fault entry points ({!exhaustive},
@@ -138,7 +138,7 @@ val check_fault_set : ?budget:int -> Instance.t -> int list -> (unit, string) re
 (** Rank-tagged bounded failure buffer: keeps the [cap] lowest-ranked
     failures seen, where a rank is the fault set's position in the
     canonical enumeration order ({!Gdpn_graph.Combinat.rank_of_subset}).
-    Each drain (a domain, a checkpointed unit, a worker process) feeds
+    Each drain (a domain, a checkpointed unit) feeds
     one, and {!Task.merge} reconstructs the canonical report from their
     contents. *)
 module Topk : sig
@@ -217,7 +217,7 @@ val check_model_set :
 
 (** One verification problem cut into a canonical array of work units.
     The cut is a function of the model and mode alone — never of the
-    domain or process count — so a unit reports the same failures
+    domain count — so a unit reports the same failures
     wherever it runs, and a checkpoint written under one topology
     resumes under any other.
 
@@ -329,7 +329,7 @@ module Task : sig
 
   val merge : t -> max_failures:int -> (int * failure) list list -> report
   (** Deterministic rank merge of any mix of sources — drains,
-      checkpoint records, worker results — into the canonical report:
+      checkpoint records — into the canonical report:
       the lowest-ranked [max 1 max_failures] failures in rank order,
       with the counts of an enumeration that stopped at the last of them
       when the cap was reached. *)

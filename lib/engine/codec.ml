@@ -1,12 +1,12 @@
 (* Compact binary codec for the results of verification work units.
-   Units themselves never cross a process boundary: both ends rebuild
-   the canonical unit array from the spec, and only unit ids travel.
+   Units themselves are never recorded: a run and its resume both
+   rebuild the canonical unit array from the spec, and only unit ids are
+   written.
 
    Everything here is deliberately dependency-free and stream-oriented:
    the same byte shapes serve the checkpoint file (appended record by
-   record, torn tails detected by frame checksums), the
-   coordinator/worker pipe protocol, and gdpd's request frames (the same
-   length-prefixed, checksummed frames).  Integers are LEB128 varints —
+   record, torn tails detected by frame checksums) and gdpd's request
+   frames (the same length-prefixed, checksummed frames).  Integers are LEB128 varints —
    fault element ids, unit ids and orbit sizes are tiny, while
    enumeration ranks can approach int63, and varints serve both ends
    without a fixed-width compromise. *)
@@ -208,9 +208,9 @@ let read_frame s pos =
     end
   end
 
-(* Channel-level framing for the worker side of the pipe protocol (the
-   coordinator parses frames out of its per-worker read buffers with
-   {!read_frame} instead, because it multiplexes over [select]). *)
+(* Channel-level framing for gdpd's connections and its client; a
+   reader that holds bytes in its own buffer parses them with
+   {!read_frame} instead. *)
 let output_frame oc payload =
   (* three writes instead of [frame]'s concatenation: the payload is
      never copied, only streamed through the channel buffer *)

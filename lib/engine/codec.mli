@@ -1,13 +1,12 @@
 (** Compact binary codec for the results of verification work units
-    (the units themselves are never serialized: both ends of a pipe or
-    checkpoint rebuild the canonical unit array, and only unit ids
-    travel).
+    (the units themselves are never serialized: a run and its resume
+    both rebuild the canonical unit array, and only unit ids are
+    recorded).
 
-    One byte vocabulary serves three transports: the {e checkpoint
-    file} (one checksummed frame appended per drained unit, torn tails
-    from a killed process detected and skipped on resume), the
-    {e coordinator/worker pipe protocol}, and [gdpd]'s request and
-    response frames (the same length-prefixed frames).  Integers are
+    One byte vocabulary serves two transports: the {e checkpoint file}
+    (one checksummed frame appended per drained unit, torn tails from a
+    killed process detected and skipped on resume) and [gdpd]'s request
+    and response frames (the same length-prefixed frames).  Integers are
     LEB128 varints: fault ids and unit ids are tiny, enumeration ranks
     approach int63, and varints serve both without a fixed-width
     compromise. *)
@@ -59,12 +58,12 @@ val read_frame : string -> int -> (string * int) option
 (** [read_frame s pos] parses one complete frame at [pos]: [Some
     (payload, next)] on success, [None] when the bytes from [pos] are
     incomplete or fail the checksum — for a checkpoint file that means
-    the torn tail of an interrupted run, for a pipe read buffer it means
+    the torn tail of an interrupted run, for a read buffer it means
     "wait for more bytes". *)
 
 val output_frame : out_channel -> string -> unit
 (** Write one frame and flush — a single buffered write, so a record is
-    either fully in the OS pipe/file or detectably absent. *)
+    either fully in the OS socket/file buffer or detectably absent. *)
 
 val input_frame : ?max_len:int -> in_channel -> string option
 (** Blocking read of one frame; [None] on clean EOF, raises {!Corrupt}

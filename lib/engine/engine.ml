@@ -574,7 +574,7 @@ module Parallel = struct
      feeds the recorded entry lists into the same deterministic rank
      merge as live per-domain buffers — so an interrupted-and-resumed run
      reproduces the uninterrupted report byte for byte, under any domain
-     or process count.
+     count.
 
      A witness sink sees every item, so its run never stops early: the
      recorded units' witnesses first, then each drained unit's, with its

@@ -20,8 +20,8 @@
       first, global re-solve second, mirroring the paper's §4
       reconfiguration discussion;
     - {b domain sharding} ({!Parallel}) — {!Gdpn_core.Verify}'s work
-      units drained over OCaml 5 domains, a checkpoint file or worker
-      processes, merged deterministically.
+      units drained over OCaml 5 domains, optionally recorded in a
+      checkpoint file, merged deterministically.
 
     Since PR 9 the fault-plan cache is a {!Shard_cache}: N hash-sharded
     slices with a lock-free read path and per-shard writer locks, bounded
@@ -194,8 +194,7 @@ module Parallel : sig
       by {!run_task}. *)
 
   (** {!Gdpn_core.Verify.Task} plus the checkpoint header that pins a
-      task.  An out-of-process worker ({!Mp}) rebuilds the identical
-      unit array from the spec on its command line. *)
+      task, so that a resumed run rebuilds the identical unit array. *)
   module Task : sig
     include
       module type of Gdpn_core.Verify.Task
@@ -237,8 +236,7 @@ module Parallel : sig
       justification may still be in flight.  With [resumed] (from
       {!Checkpoint.load}), recorded units are skipped, their entries seed
       the early-stop cutoff and join the final merge — the resumed report
-      is identical to an uninterrupted run's, under any domain or process
-      count.  Bumps [verify.units_resumed].
+      is identical to an uninterrupted run's, under any domain count.  Bumps [verify.units_resumed].
 
       With [witness], the drain never stops early: [witness] gets the
       [resumed] units' witnesses in unit order, then each drained unit's

@@ -585,41 +585,52 @@ let test_sink_contract () =
 
 (* A run killed after checkpointing any subset of units, in any
    completion order, then resumed from the file, reports exactly what an
-   uninterrupted run reports. *)
+   uninterrupted run reports: on a plain task, and on a merged
+   instance's task over its processors alone (the universe the header
+   pins). *)
 let test_resume_oracle =
-  let inst = overclaimed (Small_n.g3 ~k:1) in
-  let reference = Verify.exhaustive ~max_failures:5 inst in
-  let task = Task.exhaustive inst in
-  let results = unit_results task in
-  let n = Array.length results in
+  let cases =
+    List.map
+      (fun (task, reference) -> (task, reference, unit_results task))
+      (let inst = overclaimed (Small_n.g3 ~k:1) in
+       let m = overclaimed (Merge.apply (Small_n.g3 ~k:1)) in
+       let universe = Instance.processors m in
+       [
+         (Task.exhaustive inst, Verify.exhaustive ~max_failures:5 inst);
+         ( Task.exhaustive ~universe m,
+           Verify.exhaustive ~max_failures:5 ~universe m );
+       ])
+  in
   QCheck.Test.make ~count:25
     ~name:"resume after killing at any point reproduces the report"
     QCheck.(pair small_nat small_nat)
     (fun (survivors, shuffle_seed) ->
-      let rng = Random.State.make [| shuffle_seed |] in
-      let perm = Array.init n Fun.id in
-      for i = n - 1 downto 1 do
-        let j = Random.State.int rng (i + 1) in
-        let t = perm.(i) in
-        perm.(i) <- perm.(j);
-        perm.(j) <- t
-      done;
-      let j = survivors mod (n + 1) in
-      let resumed =
-        with_temp @@ fun path ->
-        let w = create ~path (Task.header task ~max_failures:5) in
-        for i = 0 to j - 1 do
-          Checkpoint.append w results.(perm.(i))
-        done;
-        Checkpoint.close w;
-        match Checkpoint.load ~path with
-        | Ok l -> l.Checkpoint.l_results
-        | Error e -> failwith e
-      in
-      let report =
-        Engine.Parallel.run_task ~max_failures:5 ~domains:1 ~resumed task
-      in
-      report = reference)
+      List.for_all
+        (fun (task, reference, results) ->
+          let n = Array.length results in
+          let rng = Random.State.make [| shuffle_seed |] in
+          let perm = Array.init n Fun.id in
+          for i = n - 1 downto 1 do
+            let j = Random.State.int rng (i + 1) in
+            let t = perm.(i) in
+            perm.(i) <- perm.(j);
+            perm.(j) <- t
+          done;
+          let j = survivors mod (n + 1) in
+          let resumed =
+            with_temp @@ fun path ->
+            let w = create ~path (Task.header task ~max_failures:5) in
+            for i = 0 to j - 1 do
+              Checkpoint.append w results.(perm.(i))
+            done;
+            Checkpoint.close w;
+            match Checkpoint.load ~path with
+            | Ok l -> l.Checkpoint.l_results
+            | Error e -> failwith e
+          in
+          Engine.Parallel.run_task ~max_failures:5 ~domains:1 ~resumed task
+          = reference)
+        cases)
 
 let () =
   Alcotest.run "resume"
