@@ -2,15 +2,31 @@
    network library.
 
    Subcommands:
-     build     construct an instance, print its summary, optionally emit DOT
-     solve     reconfigure around a fault set and print the pipeline
-     verify    exhaustively or randomly verify k-graceful-degradability
-     table     print a theorem degree table
-     compare   run the prior-work comparison (E12)
-     simulate  stream a workload through the network under fault injection
-     chaos     deterministic multi-year fault storm with invariant checks
-     figure    regenerate a paper figure as a DOT file
-     impossibility  run the Lemma 3.14 machine check *)
+     build          construct an instance and print its summary (or its DOT)
+     solve          reconfigure around a fault set and print the pipeline
+     verify         exhaustively or randomly verify k-graceful-degradability
+     tolerance      exact fault tolerance and a smallest breaking set
+     table          print a theorem degree table
+     bounds         print the proven degree lower bounds
+     census         exhaust the degree-(k+2) standard solution space (E8)
+     impossibility  run the Lemma 3.14 machine check
+     figure         regenerate a paper figure as a DOT file
+     draw           ASCII rendering of an instance and an embedding
+     compare        run the prior-work comparison (E12)
+     links          survey link-fault tolerance (E13)
+     survival       beyond-spec lifetime under random faults (E15)
+     plan           recommend the smallest k for a survival target
+     simulate       stream a workload through the network under fault injection
+     trace          print a traced simulation's event log as CSV
+     stats          run a representative workload and dump the metrics
+     chaos          deterministic multi-year fault storm with invariant checks
+     console        interactive machine controller on stdin
+     save / check   write a construction to a .gdpn file / verify a loaded one
+     certify        emit a witness certificate of k-GD
+     check-cert     validate a certificate without a solver
+     compile-plans  precompile the fault space into a plan store
+     serve          run the gdpd plan daemon in-process
+     bench-client   send a seeded request pool to gdpd and crosscheck it *)
 
 open Cmdliner
 open Gdpn_core

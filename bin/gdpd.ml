@@ -14,7 +14,7 @@ let () =
             "Preloads a fleet of solution-graph instances and serves \
              reconfiguration plans over a length-prefixed binary protocol \
              (see PROTOCOL.md) from a domain-safe sharded plan cache.  Use \
-             $(b,gdp bench-client) to query, load-test or stop it.";
+             $(b,gdp bench-client) to query, crosscheck or stop it.";
         ]
   in
   exit (Cmd.eval' (Cmd.v info Serve_cli.serve_term))

@@ -1,15 +1,15 @@
 (* Shared command-line front end for the plan-serving daemon: the
    standalone [gdpd] binary and [gdp serve] parse the same options and
    run the same Gdpn_server.Server; [gdp bench-client] is the matching
-   load generator and crosschecker (exit 3 on divergence, the repo's
-   crosscheck convention). *)
+   client: it replays a seeded request pool and crosschecks the answers
+   (exit 3 on divergence, the repo's crosscheck convention).  perfbench,
+   not this client, measures the daemon. *)
 
 open Cmdliner
 module Server = Gdpn_server.Server
 module Client = Gdpn_server.Client
 module Protocol = Gdpn_server.Protocol
 module Engine = Gdpn_engine.Engine
-module Mclock = Gdpn_obs.Mclock
 module Prng = Gdpn_faultsim.Stream.Prng
 open Gdpn_core
 
@@ -158,81 +158,26 @@ let make_pool ~seed ~count ~order ~max_faults =
   in
   Array.init count (fun _ -> draw_mask ())
 
-let percentile sorted p =
-  let n = Array.length sorted in
-  if n = 0 then 0
-  else sorted.(min (n - 1) (int_of_float (ceil (p /. 100. *. float n)) - 1 |> max 0))
-
-type lap_stats = {
-  ls_lap : int;
-  ls_requests : int;
-  ls_wall_ns : int;
-  ls_frames : int;
-  ls_p50_ns : int;
-  ls_p99_ns : int;
-}
-
-let reqs_per_s ls =
-  if ls.ls_wall_ns = 0 then 0.
-  else float ls.ls_requests *. 1e9 /. float ls.ls_wall_ns
-
-let pp_lap batch ls =
-  pf "lap %d (%s): %d reqs in %.2f ms -> %.0f req/s; frame p50=%.1fus p99=%.1fus (batch %d)@."
-    ls.ls_lap
-    (if ls.ls_lap = 1 then "cold" else "cached")
-    ls.ls_requests
-    (float ls.ls_wall_ns /. 1e6)
-    (reqs_per_s ls)
-    (float ls.ls_p50_ns /. 1e3)
-    (float ls.ls_p99_ns /. 1e3)
-    batch
-
-let lap_json batch ls =
-  Printf.sprintf
-    "{\"lap\": %d, \"cached\": %b, \"requests\": %d, \"batch\": %d, \
-     \"wall_ns\": %d, \"reqs_per_s\": %.0f, \"frame_p50_ns\": %d, \
-     \"frame_p99_ns\": %d}"
-    ls.ls_lap (ls.ls_lap > 1) ls.ls_requests batch ls.ls_wall_ns (reqs_per_s ls)
-    ls.ls_p50_ns ls.ls_p99_ns
-
-(* Send the pool through the connection in [batch]-sized frames,
-   recording one wall-clock sample per frame.  Returns the responses in
-   request order plus the lap's stats. *)
-let run_lap client ~inst ~batch ~lap pool =
+(* Send the pool through the connection in [batch]-sized frames and
+   return the responses in request order. *)
+let run_lap client ~inst ~batch pool =
   let n = Array.length pool in
   let out = ref [] in
-  let samples = ref [] in
-  let nframes = ref 0 in
-  let start = Mclock.now_ns () in
   let i = ref 0 in
   while !i < n do
     let hi = min n (!i + batch) in
     let masks = Array.to_list (Array.sub pool !i (hi - !i)) in
-    let t0 = Mclock.now_ns () in
     let os =
       if batch = 1 then [ Client.solve client ~inst (List.hd masks) ]
       else Client.solve_batch client ~inst masks
     in
-    samples := (Mclock.now_ns () - t0) :: !samples;
-    incr nframes;
     out := List.rev_append os !out;
     i := hi
   done;
-  let wall = Mclock.now_ns () - start in
-  let sorted = Array.of_list !samples in
-  Array.sort compare sorted;
-  ( List.rev !out,
-    {
-      ls_lap = lap;
-      ls_requests = n;
-      ls_wall_ns = wall;
-      ls_frames = !nframes;
-      ls_p50_ns = percentile sorted 50.;
-      ls_p99_ns = percentile sorted 99.;
-    } )
+  List.rev !out
 
 let bench_client_run socket port inst requests batch laps max_faults seed check
-    store stats json shutdown =
+    store stats shutdown =
   match listen_of socket port with
   | Error e ->
     epf "gdp bench-client: %s@." e;
@@ -288,9 +233,9 @@ let bench_client_run socket port inst requests batch laps max_faults seed check
         | None ->
         let divergences = ref 0 in
         let batch = max 1 batch in
-        let stats_list = ref [] in
         for lap = 1 to max 1 laps do
-          let responses, ls = run_lap client ~inst ~batch ~lap pool in
+          let responses = run_lap client ~inst ~batch pool in
+          let before = !divergences in
           (match oracle with
           | None -> ()
           | Some engine ->
@@ -310,13 +255,13 @@ let bench_client_run socket port inst requests batch laps max_faults seed check
                       Protocol.pp_outcome got Protocol.pp_outcome want
                 end)
               responses);
-          if not json then pp_lap batch ls;
-          stats_list := ls :: !stats_list
+          pf "lap %d (%s): %d requests, %s@." lap
+            (if lap = 1 then "cold" else "cached")
+            (Array.length pool)
+            (if check then
+               Printf.sprintf "%d divergences" (!divergences - before)
+             else "unchecked")
         done;
-        if json then
-          pf "{\"laps\": [%s], \"divergences\": %d}@."
-            (String.concat ", " (List.rev_map (lap_json batch) !stats_list))
-            !divergences;
         if stats then begin
           let snap = Client.metrics client in
           pf "%s@." snap
@@ -377,17 +322,14 @@ let bench_client_term =
     Arg.(value & flag
          & info [ "stats" ] ~doc:"Fetch and print the server metrics snapshot.")
   in
-  let json_arg =
-    Arg.(value & flag
-         & info [ "json" ] ~doc:"Emit lap stats as one JSON object.")
-  in
   let shutdown_arg =
     Arg.(value & flag
          & info [ "shutdown" ] ~doc:"Send a shutdown request before closing.")
   in
   Term.(const bench_client_run $ socket_arg $ port_arg $ inst_arg
         $ requests_arg $ batch_arg $ laps_arg $ max_faults_arg $ seed_arg
-        $ check_arg $ store_arg $ stats_arg $ json_arg $ shutdown_arg)
+        $ check_arg $ store_arg $ stats_arg $ shutdown_arg)
 
 let bench_client_doc =
-  "Load-test a gdpd daemon; optionally crosscheck against direct solves."
+  "Send a seeded request pool to a gdpd daemon; optionally crosscheck \
+   against direct solves."

@@ -76,9 +76,6 @@ let () =
      service; the difference is purely how long the stream stalls while the \
      new embedding is computed.@.";
 
-  Format.printf "@.host occupancy around the fault (full-remap run):@.%s"
-    (Gantt.render ~width:76 full);
-
   Format.printf "@.latency distribution, full-remap run (work units):@.%s"
     (Stats.histogram ~bins:8 ~width:50
        (Array.map float_of_int full.Des.latencies));

@@ -28,16 +28,6 @@ let r_nodes ~n ~k =
   check ~n ~k;
   List.init (m_of ~n ~k - k - 2) (fun i -> k + 2 + i)
 
-let i_nodes ~n ~k =
-  check ~n ~k;
-  let m = m_of ~n ~k in
-  List.init (k + 1) (fun i -> m + i)
-
-let o_nodes ~n ~k =
-  check ~n ~k;
-  let m = m_of ~n ~k in
-  List.init (k + 1) (fun i -> m + k + 1 + i)
-
 let add_circulant_edges b ~m ~k ~drop_s_unit_edges =
   let p = k / 2 in
   (* Offsets 1..p+1; drop unit-offset edges inside S (labels 0..k+1) when

@@ -34,5 +34,3 @@ val extended : n:int -> k:int -> Gdpn_graph.Graph.t * Label.t array
 
 val s_nodes : n:int -> k:int -> int list
 val r_nodes : n:int -> k:int -> int list
-val i_nodes : n:int -> k:int -> int list
-val o_nodes : n:int -> k:int -> int list

@@ -61,8 +61,6 @@ let processors t = nodes_of_kind t Label.Processor
 let input_mask t = t.input_mask
 let output_mask t = t.output_mask
 let processor_mask t = t.processor_mask
-let input_set t = Bitset.copy t.input_mask
-let output_set t = Bitset.copy t.output_mask
 let processor_set t = Bitset.copy t.processor_mask
 
 let kind_of t v = t.kind.(v)

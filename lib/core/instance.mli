@@ -57,17 +57,14 @@ val inputs : t -> int list
 val outputs : t -> int list
 val processors : t -> int list
 
-val input_set : t -> Gdpn_graph.Bitset.t
-(** Fresh bitset of input terminals (callers may mutate their copy). *)
-
-val output_set : t -> Gdpn_graph.Bitset.t
 val processor_set : t -> Gdpn_graph.Bitset.t
+(** Fresh bitset of processors (callers may mutate their copy). *)
 
 val input_mask : t -> Gdpn_graph.Bitset.t
 (** The input-terminal set built once at {!make}.  Physically shared with
     the instance: callers must not mutate it.  The solver's word-parallel
-    endpoint-candidate pass reads these masks directly; use {!input_set}
-    when a mutable copy is needed. *)
+    endpoint-candidate pass reads these masks directly; copy one
+    ([Bitset.copy]) when a mutable set is needed. *)
 
 val output_mask : t -> Gdpn_graph.Bitset.t
 val processor_mask : t -> Gdpn_graph.Bitset.t

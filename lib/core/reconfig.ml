@@ -6,11 +6,6 @@ type outcome = Pipeline of Pipeline.t | No_pipeline | Gave_up
 
 let default_budget = 2_000_000
 
-let pp_outcome ppf = function
-  | Pipeline p -> Format.fprintf ppf "Pipeline %a" Pipeline.pp p
-  | No_pipeline -> Format.fprintf ppf "No_pipeline"
-  | Gave_up -> Format.fprintf ppf "Gave_up"
-
 (* Healthy terminal of the given kind adjacent to processor [p], if any. *)
 let healthy_terminal inst ~alive kind p =
   Graph.fold_neighbours inst.Instance.graph p

@@ -72,5 +72,3 @@ val solve_generic :
     [expansions] accumulates the backtracker's node-expansion count — the
     deterministic work measure {!Attack} maximises.  [reference] as in
     {!solve}. *)
-
-val pp_outcome : Format.formatter -> outcome -> unit

@@ -704,12 +704,6 @@ let breaking_fault_set ?budget ?max_size inst =
   | f :: _ -> Some f.faults
   | [] -> None
 
-let tolerance ?budget ?cap inst =
-  let cap = Option.value cap ~default:(inst.Instance.k + 1) in
-  match breaking_fault_set ?budget ~max_size:cap inst with
-  | Some witness -> List.length witness - 1
-  | None -> cap
-
 (* One renderer for every model: [describe] prints a failure's fault set
    ({!Fault_model.describe} for universe indices; plain node ids below). *)
 let pp_report_with describe ppf r =

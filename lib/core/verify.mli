@@ -119,16 +119,10 @@ val breaking_fault_set :
 (** The lexicographically-first smallest fault set that defeats the
     instance, searching sizes [0..max_size] (default [k + 1]): the first
     failure of the plain {!Task} over those sizes, drained with a cap of
-    one.  For a node-optimal k-GD graph the answer always has size
-    exactly [k+1] (e.g. all [k+1] input terminals), which {!tolerance}
-    exploits. *)
-
-val tolerance : ?budget:int -> ?cap:int -> Instance.t -> int
-(** The exact structural fault tolerance: the largest [t] such that every
-    fault set of size at most [t] is tolerated, determined by exhaustive
-    search up to [cap] (default [k + 1]; the search is exponential in the
-    answer).  For the paper's constructions this equals [k]: node-optimal
-    graphs cannot tolerate [k+1] faults, and the tests assert both
+    one.  Its size minus one is the exact structural fault tolerance
+    (the search is exponential in it).  For a node-optimal k-GD graph the
+    answer always has size exactly [k+1] (e.g. all [k+1] input
+    terminals): the tolerance is [k], and the tests assert both
     directions. *)
 
 val check_fault_set : ?budget:int -> Instance.t -> int list -> (unit, string) result

@@ -388,10 +388,6 @@ let solve ?cache t ~faults = solve_model ?cache t t.node ~faults
 let solve_list ?cache t ~faults =
   solve ?cache t ~faults:(Bitset.of_list (Instance.order t.inst) faults)
 
-let pp_stats ppf s =
-  Format.fprintf ppf "lookups=%d hits=%d splices=%d solves=%d" s.lookups
-    s.cache_hits s.splices s.full_solves
-
 (* ------------------------------------------------------------------ *)
 (* Parallel: domain-sharded verification                               *)
 (* ------------------------------------------------------------------ *)

@@ -153,8 +153,6 @@ val crash_restart : t -> unit
     ([Gdpn_faultsim.Scenario]) injects this to check plan-cache coherence
     across cold restarts. *)
 
-val pp_stats : Format.formatter -> stats -> unit
-
 (** Multicore and out-of-core verification: the scheduling half of
     verification.  {!Gdpn_core.Verify.Task} cuts the fault space into
     work units and checks them; this module drains those units over a

@@ -61,8 +61,9 @@ type outcome = {
           keep latency [-1] in [latencies]. *)
   latencies : int array;  (** per-token end-to-end latency, arrival order *)
   activity : activity list;
-      (** every completed service interval, in completion order — feeds
-          {!Gantt} *)
+      (** every completed service interval, in completion order — the
+          chaos harness ({!Scenario}) checks it against the token and
+          stage counts *)
 }
 
 val simulate :

@@ -157,12 +157,6 @@ let inter_into_from ~dst a b =
     dst.words.(w) <- a.words.(w) land b.words.(w)
   done
 
-let union_inter_into ~dst a b =
-  assert (dst.capacity = a.capacity && a.capacity = b.capacity);
-  for w = 0 to Array.length dst.words - 1 do
-    dst.words.(w) <- dst.words.(w) lor (a.words.(w) land b.words.(w))
-  done
-
 let rec lowest_bit_index i x = if x land 1 = 1 then i else lowest_bit_index (i + 1) (x lsr 1)
 
 let iter_common f a b =
@@ -187,13 +181,6 @@ let first_common a b =
       else Some ((w * bits_per_word) + lowest_bit_index 0 (common land -common))
   in
   go 0
-
-let fold_words f t init =
-  let acc = ref init in
-  for w = 0 to Array.length t.words - 1 do
-    acc := f !acc t.words.(w)
-  done;
-  !acc
 
 let pp ppf t =
   Format.fprintf ppf "{%a}"

@@ -76,11 +76,6 @@ val inter_into_from : dst:t -> t -> t -> unit
     pair per word — the solver kernel's "materialise an intersection into
     scratch" primitive. *)
 
-val union_inter_into : dst:t -> t -> t -> unit
-(** [union_inter_into ~dst a b] replaces [dst] with [dst] ∪ ([a] ∩ [b]).
-    The frontier-BFS accumulation step ([frontier ∪= row(v) ∩ remaining])
-    as a single word-parallel pass. *)
-
 val iter_common : (int -> unit) -> t -> t -> unit
 (** [iter_common f a b] applies [f] to every element of [a] ∩ [b] in
     increasing order, without materialising the intersection.  The kernel's
@@ -89,11 +84,6 @@ val iter_common : (int -> unit) -> t -> t -> unit
 val first_common : t -> t -> int option
 (** Smallest element of [a] ∩ [b], if any — [choose] on the intersection
     without materialising it. *)
-
-val fold_words : ('a -> int -> 'a) -> t -> 'a -> 'a
-(** Fold over the packed representation words in index order (the last
-    word's unused high bits are always zero).  Escape hatch for callers
-    that want their own word-parallel reductions. *)
 
 val compare : t -> t -> int
 (** Total order on equal-capacity sets (word-lexicographic); suitable for

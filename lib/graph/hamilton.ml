@@ -351,29 +351,6 @@ let spanning_path ?budget ?expansions g ~alive ~starts ~ends =
   solve_into ?budget ?expansions (make_ctx (Graph.order g)) g ~alive ~starts
     ~ends
 
-let spanning_cycle ?budget ?ctx g ~alive =
-  match Bitset.choose alive with
-  | None -> No_path
-  | Some start ->
-    if Bitset.cardinal alive <= 2 then No_path
-    else begin
-      let n = Graph.order g in
-      let ctx = match ctx with Some c -> c | None -> make_ctx n in
-      let starts = Bitset.create n in
-      Bitset.add starts start;
-      let ends = Bitset.create n in
-      Graph.iter_neighbours g start (fun u ->
-          if Bitset.mem alive u then Bitset.add ends u);
-      (* [search] (not [solve_into]): the pool-swap optimisation would
-         move the anchored start. *)
-      search ctx ~budget ~expansions:None g ~alive ~starts ~ends
-    end
-
-let spanning_path_exists ?budget g ~alive ~starts ~ends =
-  match spanning_path ?budget g ~alive ~starts ~ends with
-  | Path _ -> true
-  | No_path | Budget_exceeded -> false
-
 let is_spanning_path g ~alive ~starts ~ends path =
   match path with
   | [] -> false

@@ -64,24 +64,6 @@ val spanning_path :
     expansions performed is added to it — the deterministic work measure
     used by the adversarial fault-set search. *)
 
-val spanning_path_exists :
-  ?budget:int ->
-  Graph.t ->
-  alive:Bitset.t ->
-  starts:Bitset.t ->
-  ends:Bitset.t ->
-  bool
-(** Convenience wrapper; [Budget_exceeded] maps to [false]. *)
-
-val spanning_cycle :
-  ?budget:int -> ?ctx:ctx -> Graph.t -> alive:Bitset.t -> result
-(** A cycle visiting every alive node exactly once (returned as the node
-    sequence without repeating the closing node; the last node is adjacent
-    to the first).  Reduces to {!spanning_path}: fix the smallest alive
-    node as the start and require the path to end among its neighbours.
-    Singleton and empty alive sets have no cycle ([No_path]); two alive
-    nodes would need a multi-edge, also [No_path]. *)
-
 val is_spanning_path :
   Graph.t -> alive:Bitset.t -> starts:Bitset.t -> ends:Bitset.t -> int list -> bool
 (** Independent validity check of a candidate witness (used by the test

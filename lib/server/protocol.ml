@@ -1,10 +1,9 @@
 (* Wire protocol for the gdpd plan-serving daemon.
 
    Every message is one [Engine.Codec] frame — [len:4 LE][payload]
-   [adler32:4 LE], the checkpoint file's and Mp pipe protocol's framing,
-   reused verbatim as promised in Mp's header comment.  The payload's
-   first byte is the message tag; integers are LEB128 varints.  See
-   PROTOCOL.md for the normative description. *)
+   [adler32:4 LE], the checkpoint file's framing, reused verbatim.  The
+   payload's first byte is the message tag; integers are LEB128 varints.
+   See PROTOCOL.md for the normative description. *)
 
 module Codec = Gdpn_engine.Codec
 
@@ -45,8 +44,8 @@ type response =
   | Ack
   | Error of { code : int; message : string }
 
-exception Bad_message of string
-(** Malformed payload (unknown tag, truncated varints, trailing junk).
+exception Bad_message of int * string
+(** Malformed payload, with the error code a server answers it with.
     Framing-level corruption raises {!Codec.Corrupt} instead. *)
 
 (* -------------------- encoding -------------------- *)
@@ -112,7 +111,9 @@ let encode_response r =
 
 (* -------------------- decoding -------------------- *)
 
-let bad fmt = Printf.ksprintf (fun s -> raise (Bad_message s)) fmt
+let fail code fmt = Printf.ksprintf (fun s -> raise (Bad_message (code, s))) fmt
+let bad fmt = fail err_bad_request fmt
+let too_large fmt = fail err_batch_too_large fmt
 
 (* Codec decoders raise Corrupt on overlong varints; a truncated payload
    surfaces as an out-of-bounds string read (Invalid_argument).
@@ -128,7 +129,7 @@ let get_string s pos =
 
 let get_mask s pos =
   let n, pos = get_uint s pos in
-  if n > max_batch then bad "mask too large (%d elements)" n;
+  if n > max_batch then too_large "mask too large (%d elements)" n;
   let rec go acc n pos =
     if n = 0 then (List.rev acc, pos)
     else
@@ -152,7 +153,7 @@ let decode_request payload =
   | 'B' ->
     let inst, pos = get_uint payload 1 in
     let count, pos = get_uint payload pos in
-    if count > max_batch then bad "batch too large (%d requests)" count;
+    if count > max_batch then too_large "batch too large (%d requests)" count;
     let rec go acc count pos =
       if count = 0 then (List.rev acc, pos)
       else
@@ -202,7 +203,7 @@ let decode_response payload =
     finish (Outcome o) pos payload
   | 'B' ->
     let count, pos = get_uint payload 1 in
-    if count > max_batch then bad "batch too large (%d outcomes)" count;
+    if count > max_batch then too_large "batch too large (%d outcomes)" count;
     let rec go acc count pos =
       if count = 0 then (List.rev acc, pos)
       else

@@ -1,10 +1,10 @@
 (** Wire protocol for the [gdpd] plan-serving daemon.
 
     Transport framing is {!Gdpn_engine.Codec.frame} — the checkpoint
-    file's and {!Gdpn_engine.Mp} pipe protocol's [len:4 LE][payload]
-    [adler32:4 LE] frames, reused verbatim.  This module is the payload
-    vocabulary: tagged request/response messages with LEB128 varint
-    integers.  The normative wire description lives in [PROTOCOL.md]. *)
+    file's [len:4 LE][payload][adler32:4 LE] frames, reused verbatim.
+    This module is the payload vocabulary: tagged request/response
+    messages with LEB128 varint integers.  The normative wire description
+    lives in [PROTOCOL.md]. *)
 
 val version : int
 (** Protocol version advertised in {!response.Welcome} (1). *)
@@ -27,7 +27,8 @@ val max_request_len : order:int -> int
     2 [err_unknown_instance] — instance id outside the fleet;
     3 [err_bad_element] — fault element outside the instance;
     4 [err_batch_too_large] — batch or mask over {!max_batch};
-    5 [err_shutdown_disabled] — [Shutdown] without [--allow-shutdown]. *)
+    5 [err_shutdown_disabled] — [Shutdown] to a daemon started with
+    [--no-shutdown]. *)
 
 val err_bad_request : int
 val err_unknown_instance : int
@@ -62,9 +63,12 @@ type response =
   | Ack
   | Error of { code : int; message : string }
 
-exception Bad_message of string
-(** Raised by the decoders on a malformed payload (unknown tag,
-    truncated varints, trailing junk).  Framing-level corruption raises
+exception Bad_message of int * string
+(** [Bad_message (code, message)] is raised by the decoders on a
+    malformed payload, with the error code a server answers it with:
+    {!err_batch_too_large} for a count over {!max_batch},
+    {!err_bad_request} otherwise (unknown tag, truncated varints,
+    trailing junk).  Framing-level corruption raises
     {!Gdpn_engine.Codec.Corrupt} instead. *)
 
 val encode_request : request -> string

@@ -3,7 +3,7 @@
    cache per instance (Engine.reader gives each worker a domain-private
    handle over it).
 
-   Concurrency model, from the Mp coordinator's playbook plus domains:
+   Concurrency model:
 
    - the calling domain runs the accept loop, multiplexing the listen
      socket against a self-pipe with [Unix.select] so a shutdown request
@@ -296,9 +296,9 @@ let serve_connection st readers scratches fd =
            let resp =
              match Protocol.decode_request payload with
              | req -> handle_request st readers scratches req
-             | exception Protocol.Bad_message m ->
+             | exception Protocol.Bad_message (code, m) ->
                Metrics.incr m_errors;
-               err Protocol.err_bad_request m
+               err code m
            in
            respond resp;
            (match resp with

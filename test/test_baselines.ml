@@ -199,47 +199,27 @@ let rosenberg_tests =
 
 let hayes_cycle_tests =
   [
-    tc "graph structure and degree k+2" (fun () ->
-        let g = Hayes_cycle.graph ~n:10 ~k:4 in
-        check Alcotest.int "order" 14 (Gdpn_graph.Graph.order g);
-        check Alcotest.int "max degree" 6 (Gdpn_graph.Graph.max_degree g);
-        (* odd k has the same degree thanks to the diametral matching *)
-        let h = Hayes_cycle.graph ~n:9 ~k:3 in
-        check Alcotest.int "odd-k degree" 5 (Gdpn_graph.Graph.max_degree h));
-    tc "odd k on odd node count rejected" (fun () ->
-        Alcotest.check_raises "parity"
-          (Invalid_argument
-             "Hayes_cycle.graph: odd k needs an even node count (diametral \
-              edges)") (fun () -> ignore (Hayes_cycle.graph ~n:8 ~k:3)));
-    tc "reconfigure returns genuine cycles" (fun () ->
-        match Hayes_cycle.reconfigure ~n:10 ~k:4 ~faults:[ 0; 5; 9; 12 ] () with
-        | None -> Alcotest.fail "in-spec faults must leave a cycle"
-        | Some cycle ->
-          check Alcotest.int "all survivors" 10 (List.length cycle);
-          let g = Hayes_cycle.graph ~n:10 ~k:4 in
-          let rec edges_ok = function
-            | a :: (b :: _ as rest) ->
-              Gdpn_graph.Graph.adjacent g a b && edges_ok rest
-            | [ last ] -> Gdpn_graph.Graph.adjacent g last (List.hd cycle)
-            | [] -> false
-          in
-          check Alcotest.bool "cycle edges" true (edges_ok cycle));
-    tc_slow "Hayes's theorem machine-checked (exhaustive)" (fun () ->
+    tc "paper link: same offsets as the §3.4 ring for even k" (fun () ->
+        (* Hayes's k-FT cycle on m nodes is the circulant with offsets
+           1..k/2+1.  test_family checks that the C' ring of G'(n,k)
+           contains it for every k; for even k the ring adds no edge. *)
         List.iter
           (fun (n, k) ->
-            check Alcotest.bool
-              (Printf.sprintf "n=%d k=%d" n k)
-              true
-              (Hayes_cycle.verify_exhaustive ~n ~k ()))
-          [ (6, 2); (8, 2); (9, 3); (11, 3); (10, 4); (12, 4) ]);
-    tc "paper link: same offsets as the §3.4 ring for even k" (fun () ->
-        (* The C' part of G'(n,k) uses offsets 1..k/2+1 — identical to the
-           Hayes cycle's; the supergraph claim is tested in test_family. *)
-        let g = Hayes_cycle.graph ~n:12 ~k:4 in
-        check Alcotest.bool "offset 3 present" true
-          (Gdpn_graph.Graph.adjacent g 0 3);
-        check Alcotest.bool "offset 4 absent" false
-          (Gdpn_graph.Graph.adjacent g 0 4));
+            let m = n - k - 2 in
+            let hayes =
+              Gdpn_graph.Builder.circulant m
+                (List.init ((k / 2) + 1) (fun i -> i + 1))
+            in
+            let g', _ = Gdpn_core.Circulant_family.extended ~n ~k in
+            for u = 0 to m - 1 do
+              for v = u + 1 to m - 1 do
+                check Alcotest.bool
+                  (Printf.sprintf "k=%d edge (%d,%d)" k u v)
+                  (Gdpn_graph.Graph.adjacent hayes u v)
+                  (Gdpn_graph.Graph.adjacent g' u v)
+              done
+            done)
+          [ (22, 4); (30, 6) ]);
   ]
 
 (* ------------------------------------------------------------------ *)

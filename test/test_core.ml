@@ -480,17 +480,21 @@ let verify_tests =
             | None -> Alcotest.fail "node-optimal graphs break at k+1")
           [ Small_n.g1 ~k:1; Small_n.g1 ~k:2; Small_n.g2 ~k:2; Small_n.g3 ~k:2 ]);
     tc "tolerance is exactly k" (fun () ->
+        (* The smallest breaking set has k+1 faults: every set of at most
+           k is tolerated and some set of k+1 is not. *)
         List.iter
           (fun inst ->
-            check Alcotest.int inst.Instance.name inst.Instance.k
-              (Verify.tolerance inst))
+            check (Alcotest.option Alcotest.int) inst.Instance.name
+              (Some (inst.Instance.k + 1))
+              (Option.map List.length (Verify.breaking_fault_set inst)))
           [
             Small_n.g1 ~k:1; Small_n.g2 ~k:1; Small_n.g1 ~k:2;
             Small_n.g3 ~k:2; Special.g62 ();
           ]);
     tc "tolerance of a weakened graph drops below k" (fun () ->
         (* G(1,2) minus a clique edge: some 2-fault sets already break it,
-           so the measured tolerance is at most 1. *)
+           so the tolerance, the smallest breaking set's size minus one, is
+           at most 1. *)
         let inst = Small_n.g1 ~k:2 in
         let g = inst.Instance.graph in
         let b = Graph.builder (Graph.order g) in
@@ -502,7 +506,10 @@ let verify_tests =
             ~kind:(Array.init (Instance.order inst) (Instance.kind_of inst))
             ~n:1 ~k:2 ~name:"weakened" ~strategy:Instance.Generic
         in
-        check Alcotest.bool "below spec" true (Verify.tolerance broken < 2));
+        match Verify.breaking_fault_set broken with
+        | Some witness ->
+          check Alcotest.bool "below spec" true (List.length witness <= 2)
+        | None -> Alcotest.fail "the weakened graph must break");
     tc "check_fault_set reports reasons" (fun () ->
         let inst = Small_n.g1 ~k:1 in
         check Alcotest.bool "ok" true

@@ -1,14 +1,13 @@
 (* Tests for the extension features beyond the paper's core results:
-   isomorphism / graph6 (gdpn_graph), parallel verification, link faults
-   (E13), incremental repair, and the 2D image substrate. *)
+   isomorphism (gdpn_graph), parallel verification, link faults (E13),
+   incremental repair, certificates and the adversarial fault-set
+   search. *)
 
 open Gdpn_core
 module Graph = Gdpn_graph.Graph
 module Builder = Gdpn_graph.Builder
 module Bitset = Gdpn_graph.Bitset
 module Iso = Gdpn_graph.Iso
-module Graph6 = Gdpn_graph.Graph6
-module Image = Gdpn_faultsim.Image
 module Machine = Gdpn_faultsim.Machine
 module Engine = Gdpn_engine.Engine
 
@@ -142,71 +141,6 @@ let iso_props =
         match !extra with
         | None -> true
         | Some e -> not (Iso.isomorphic g (Graph.of_edges n (e :: Graph.edges g))));
-  ]
-
-(* ------------------------------------------------------------------ *)
-(* graph6                                                              *)
-(* ------------------------------------------------------------------ *)
-
-let graph6_tests =
-  [
-    tc "known encodings" (fun () ->
-        (* K3 is "Bw", the empty graph on 0 nodes is "?", P3 (path) has
-           edges 0-1, 1-2. *)
-        check Alcotest.string "K3" "Bw" (Graph6.encode (Builder.clique 3));
-        check Alcotest.string "K4" "C~" (Graph6.encode (Builder.clique 4));
-        let p3 = Builder.path 3 in
-        let decoded = Graph6.decode (Graph6.encode p3) in
-        check Alcotest.bool "roundtrip p3" true (Graph.equal p3 decoded));
-    tc "decode rejects garbage" (fun () ->
-        Alcotest.check_raises "empty" (Invalid_argument "Graph6.decode: empty")
-          (fun () -> ignore (Graph6.decode ""));
-        Alcotest.check_raises "short"
-          (Invalid_argument "Graph6.decode: wrong length") (fun () ->
-            ignore (Graph6.decode "D"));
-        (* "B^" is K3 minus 0-1 ("BW") with its three padding bits set. *)
-        Alcotest.check_raises "padding"
-          (Invalid_argument "Graph6.decode: nonzero padding") (fun () ->
-            ignore (Graph6.decode "B^")));
-    tc "encode rejects large graphs" (fun () ->
-        Alcotest.check_raises "n > 62"
-          (Invalid_argument "Graph6.encode: order > 62 unsupported") (fun () ->
-            ignore (Graph6.encode (Builder.path 63))));
-    tc "special solutions have stable encodings" (fun () ->
-        (* Processor subgraphs of the frozen specials, as graph6: a change
-           to special.ml will show up here. *)
-        let proc_subgraph inst =
-          let alive = Instance.processor_set inst in
-          let sub, _, _ = Graph.induced_mask inst.Instance.graph alive in
-          sub
-        in
-        List.iter
-          (fun (name, inst, expected) ->
-            check Alcotest.string name expected
-              (Graph6.encode (proc_subgraph inst)))
-          [
-            ("G(6,2) processors", Special.g62 (), "GxdHKc");
-            ("G(8,2) processors", Special.g82 (), "IzEIHCPaG");
-            ("G(7,3) processors", Special.g73 (), "I~KWWMBoW");
-            ("G(4,3) processors", Special.g43 (), "FzM]W");
-          ]);
-  ]
-
-let graph6_props =
-  let open QCheck in
-  [
-    Test.make ~name:"graph6 roundtrip" ~count:200
-      (pair (int_range 1 40) int)
-      (fun (n, seed) ->
-        let rng = Random.State.make [| seed; 5 |] in
-        let b = Graph.builder n in
-        for u = 0 to n - 1 do
-          for v = u + 1 to n - 1 do
-            if Random.State.float rng 1.0 < 0.3 then Graph.add_edge b u v
-          done
-        done;
-        let g = Graph.freeze b in
-        Graph.equal g (Graph6.decode (Graph6.encode g)));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -435,93 +369,6 @@ let repair_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Image substrate                                                     *)
-(* ------------------------------------------------------------------ *)
-
-let image_tests =
-  [
-    tc "create/get/set and bounds" (fun () ->
-        let img = Image.create ~width:4 ~height:3 ~f:(fun x y -> float_of_int ((10 * y) + x)) in
-        check (Alcotest.float 1e-9) "get" 12.0 (Image.get img 2 1);
-        Image.set img 2 1 99.0;
-        check (Alcotest.float 1e-9) "set" 99.0 (Image.get img 2 1);
-        Alcotest.check_raises "oob" (Invalid_argument "Image.get: out of range")
-          (fun () -> ignore (Image.get img 4 0)));
-    tc "projections preserve total mass" (fun () ->
-        let img = Image.phantom ~size:32 in
-        let t = Image.total img in
-        List.iter
-          (fun slope ->
-            let p = Image.projection img ~slope in
-            check (Alcotest.float 1e-6)
-              (Printf.sprintf "slope %d" slope)
-              t
-              (Array.fold_left ( +. ) 0.0 p))
-          [ -3; -1; 0; 1; 2 ]);
-    tc "row projection of a constant image" (fun () ->
-        let img = Image.create ~width:5 ~height:4 ~f:(fun _ _ -> 2.0) in
-        let r = Image.row_projection img in
-        check Alcotest.int "bins" 4 (Array.length r);
-        Array.iter (fun v -> check (Alcotest.float 1e-9) "sum" 10.0 v) r);
-    tc "a planted line is the argmax of its own projection" (fun () ->
-        let img = Image.create ~width:32 ~height:32 ~f:(fun _ _ -> 0.0) in
-        Image.add_line img ~slope:2 ~intercept:1 ~value:1.0;
-        let p = Image.projection img ~slope:2 in
-        (* The line contributes to exactly one bin. *)
-        let nonzero = Array.to_list p |> List.filter (fun v -> v > 0.0) in
-        check Alcotest.int "single bin" 1 (List.length nonzero));
-    tc "hough_peaks finds planted lines" (fun () ->
-        let img = Image.create ~width:32 ~height:32 ~f:(fun _ _ -> 0.0) in
-        Image.add_line img ~slope:1 ~intercept:3 ~value:1.0;
-        Image.add_line img ~slope:0 ~intercept:10 ~value:1.0;
-        let peaks = Image.hough_peaks img ~slopes:[ -1; 0; 1 ] ~threshold:20.0 in
-        check Alcotest.bool "slope 1" true (List.mem (1, 3) peaks);
-        check Alcotest.bool "slope 0" true (List.mem (0, 10) peaks));
-    tc "back projection brightens the object" (fun () ->
-        let img = Image.phantom ~size:24 in
-        let slopes = [ -2; -1; 0; 1; 2 ] in
-        let recon =
-          Image.back_project ~width:24 ~height:24 ~slopes
-            (Image.sinogram img ~slopes)
-        in
-        (* The first phantom disk centre must be brighter in the
-           reconstruction than a far background corner. *)
-        check Alcotest.bool "contrast" true
-          (Image.get recon 6 6 > Image.get recon 23 0));
-    tc "back projection validates arguments" (fun () ->
-        Alcotest.check_raises "mismatch"
-          (Invalid_argument "Image.back_project: slope/sinogram length mismatch")
-          (fun () ->
-            ignore (Image.back_project ~width:4 ~height:4 ~slopes:[ 0; 1 ] [||])));
-    tc "mean_abs_diff basics" (fun () ->
-        let a = Image.create ~width:2 ~height:2 ~f:(fun _ _ -> 1.0) in
-        let b = Image.create ~width:2 ~height:2 ~f:(fun _ _ -> 3.0) in
-        check (Alcotest.float 1e-9) "diff" 2.0 (Image.mean_abs_diff a b);
-        Alcotest.check_raises "dims"
-          (Invalid_argument "Image.mean_abs_diff: dimension mismatch")
-          (fun () ->
-            ignore
-              (Image.mean_abs_diff a
-                 (Image.create ~width:3 ~height:2 ~f:(fun _ _ -> 0.0)))));
-  ]
-
-let image_props =
-  let open QCheck in
-  [
-    Test.make ~name:"projection mass equals image total for any slope"
-      ~count:100
-      (pair (int_range 2 20) (int_range (-4) 4))
-      (fun (size, slope) ->
-        let rng = Random.State.make [| size; slope |] in
-        let img =
-          Image.create ~width:size ~height:size ~f:(fun _ _ ->
-              Random.State.float rng 1.0)
-        in
-        let p = Image.projection img ~slope in
-        Float.abs (Array.fold_left ( +. ) 0.0 p -. Image.total img) < 1e-6);
-  ]
-
-(* ------------------------------------------------------------------ *)
 (* Certificates                                                        *)
 (* ------------------------------------------------------------------ *)
 
@@ -641,77 +488,14 @@ let attack_tests =
         | _ -> Alcotest.fail "in-spec adversarial set must be tolerated");
   ]
 
-(* ------------------------------------------------------------------ *)
-(* Layout                                                              *)
-(* ------------------------------------------------------------------ *)
-
-let layout_tests =
-  [
-    tc "linear layout spaces nodes evenly" (fun () ->
-        let inst = Small_n.g1 ~k:1 in
-        let l = Layout.linear inst in
-        check (Alcotest.float 1e-9) "node 0" 0.0 (Layout.position l 0);
-        check (Alcotest.float 1e-9) "node 3" 0.5 (Layout.position l 3);
-        check (Alcotest.float 1e-9) "adjacent spacing" (1.0 /. 6.0)
-          (Layout.edge_length l 0 1));
-    tc "ring distance wraps" (fun () ->
-        let inst = Small_n.g1 ~k:2 (* 9 nodes *) in
-        let l = Layout.linear inst in
-        check (Alcotest.float 1e-9) "wrap 0-8" (1.0 /. 9.0)
-          (Layout.edge_length l 0 8));
-    tc "circulant natural layout keeps wires short without bisectors"
-      (fun () ->
-        let inst = Circulant_family.build ~n:22 ~k:4 in
-        let l = Layout.circulant_natural inst in
-        let m = 16 in
-        (* Longest wires: the I/O clique chords spanning k = 4 of the m = 16
-           column positions (ring offsets only reach p+1 = 3). *)
-        check (Alcotest.float 1e-9) "max wire"
-          (4.0 /. float_of_int m)
-          (Layout.max_edge_length l inst.Instance.graph));
-    tc "bisectors force long wires for odd k" (fun () ->
-        let inst = Circulant_family.build ~n:26 ~k:5 in
-        let l = Layout.circulant_natural inst in
-        (* m = 19, bisector offset 9: ring length 9/19. *)
-        check Alcotest.bool "long wire" true
-          (Layout.max_edge_length l inst.Instance.graph > 0.4));
-    tc "terminal columns are co-located (zero-length wires)" (fun () ->
-        let inst = Circulant_family.build ~n:22 ~k:4 in
-        let l = Layout.circulant_natural inst in
-        (* Ti[1] sits with I[1] sits with S[1]. *)
-        let m = 16 and k = 4 in
-        let i1 = m and ti1 = m + (2 * k) + 2 in
-        check (Alcotest.float 1e-9) "Ti-I wire" 0.0 (Layout.edge_length l i1 ti1);
-        check (Alcotest.float 1e-9) "I-S wire" 0.0 (Layout.edge_length l i1 1));
-    tc "pipeline wirelength is positive and bounded by hops/2" (fun () ->
-        let inst = Circulant_family.build ~n:22 ~k:4 in
-        let l = Layout.circulant_natural inst in
-        match Reconfig.solve_list inst ~faults:[] with
-        | Reconfig.Pipeline p ->
-          let w = Layout.pipeline_wirelength l p in
-          let hops = List.length p.Pipeline.nodes - 1 in
-          check Alcotest.bool "bounds" true
-            (w > 0.0 && w <= float_of_int hops *. 0.5)
-        | _ -> Alcotest.fail "fault-free pipeline exists");
-    tc "non-circulant instances are rejected" (fun () ->
-        Alcotest.check_raises "generic"
-          (Invalid_argument "Layout.circulant_natural: not a circulant-family instance")
-          (fun () -> ignore (Layout.circulant_natural (Small_n.g1 ~k:2))));
-  ]
-
 let () =
   Alcotest.run "gdpn_extensions"
     [
       ("iso", iso_tests);
       ("iso-props", List.map QCheck_alcotest.to_alcotest iso_props);
-      ("graph6", graph6_tests);
-      ("graph6-props", List.map QCheck_alcotest.to_alcotest graph6_props);
       ("parallel-verify", parallel_tests);
       ("link-faults", link_tests);
       ("repair", repair_tests);
-      ("image", image_tests);
-      ("image-props", List.map QCheck_alcotest.to_alcotest image_props);
       ("certify", certify_tests);
       ("attack", attack_tests);
-      ("layout", layout_tests);
     ]

@@ -174,6 +174,18 @@ let special_tests =
         let counts = List.map terminal_count (Instance.processors inst) in
         check (Alcotest.list Alcotest.int) "distribution" [ 2; 1; 1; 1; 1; 1; 1 ]
           (List.sort (fun a b -> compare b a) counts));
+    tc "special solutions have stable digests" (fun () ->
+        (* Frozen digests of the serialized specials: any change to
+           special.ml, or to the serialization, shows up here. *)
+        List.iter
+          (fun (name, inst, expected) ->
+            check Alcotest.string name expected (Certify.digest inst))
+          [
+            ("G(6,2)", Special.g62 (), "4dcb12e23d0f6e0b185052e1d3e1fce4");
+            ("G(8,2)", Special.g82 (), "00d1255735b80f7015f711553df2a20e");
+            ("G(7,3)", Special.g73 (), "2db2494d1d77f57f27d79ce708ed3ffb");
+            ("G(4,3)", Special.g43 (), "8060105a0c0d6688a3f5fa6db579e763");
+          ]);
   ]
 
 (* ------------------------------------------------------------------ *)

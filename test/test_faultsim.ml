@@ -829,6 +829,23 @@ let des_tests =
             ignore
               (Des.simulate ~machine ~stages:[] ~config:cfg ~faults:[]
                  ~tokens:1 ())));
+    tc "activity intervals are consistent" (fun () ->
+        let o =
+          Des.simulate
+            ~machine:(Machine.create (Family.build ~n:9 ~k:2))
+            ~stages:(Stage.fir_bank 6)
+            ~config:{ Des.default_config with arrival_period = 3000 }
+            ~faults:[] ~tokens:10 ()
+        in
+        check Alcotest.int "one interval per (token, stage)" (10 * 6)
+          (List.length o.Des.activity);
+        List.iter
+          (fun a ->
+            check Alcotest.bool "positive duration" true
+              (a.Des.finish > a.Des.start);
+            check Alcotest.bool "within makespan" true
+              (a.Des.finish <= o.Des.makespan))
+          o.Des.activity);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -909,65 +926,6 @@ let stats_tests =
         let a = Stats.of_ints [| 1; 2; 3 |] in
         let b = Stats.summarise [| 1.0; 2.0; 3.0 |] in
         check float_eps "same mean" b.Stats.mean a.Stats.mean);
-  ]
-
-(* ------------------------------------------------------------------ *)
-(* Gantt                                                               *)
-(* ------------------------------------------------------------------ *)
-
-let gantt_tests =
-  let outcome_with_activity () =
-    let inst = Family.build ~n:9 ~k:2 in
-    Des.simulate
-      ~machine:(Machine.create inst)
-      ~stages:(Stage.fir_bank 6)
-      ~config:{ Des.default_config with arrival_period = 3000 }
-      ~faults:[] ~tokens:10 ()
-  in
-  [
-    tc "activity intervals are consistent" (fun () ->
-        let o = outcome_with_activity () in
-        check Alcotest.int "one interval per (token, stage)" (10 * 6)
-          (List.length o.Des.activity);
-        List.iter
-          (fun a ->
-            check Alcotest.bool "positive duration" true
-              (a.Des.finish > a.Des.start);
-            check Alcotest.bool "within makespan" true
-              (a.Des.finish <= o.Des.makespan))
-          o.Des.activity);
-    tc "render has one row per active host" (fun () ->
-        let o = outcome_with_activity () in
-        let hosts =
-          List.sort_uniq compare (List.map (fun a -> a.Des.host) o.Des.activity)
-        in
-        let lines =
-          List.filter (fun l -> l <> "")
-            (String.split_on_char '\n' (Gantt.render o))
-        in
-        (* header + hosts + axis *)
-        check Alcotest.int "rows" (List.length hosts + 2) (List.length lines));
-    tc "render respects width" (fun () ->
-        let o = outcome_with_activity () in
-        let lines = String.split_on_char '\n' (Gantt.render ~width:40 o) in
-        (* Chart rows (everything after the explanatory header) stay within
-           the requested strip width plus the row prefix. *)
-        (match lines with
-        | _header :: rows ->
-          List.iter
-            (fun l ->
-              check Alcotest.bool "not too wide" true (String.length l <= 55))
-            rows
-        | [] -> Alcotest.fail "no output"));
-    tc "empty outcome renders a note" (fun () ->
-        let o =
-          Des.simulate
-            ~machine:(Machine.create (Family.build ~n:4 ~k:1))
-            ~stages:(Stage.fir_bank 2)
-            ~config:Des.default_config ~faults:[] ~tokens:0 ()
-        in
-        check Alcotest.bool "note" true
-          (Testutil.contains_substring (Gantt.render o) "no activity"));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -1064,6 +1022,5 @@ let () =
       ("trace", trace_tests);
       ("des", des_tests);
       ("stats", stats_tests);
-      ("gantt", gantt_tests);
       ("console", console_tests);
     ]

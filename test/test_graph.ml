@@ -509,36 +509,6 @@ let hamilton_tests =
           (Hamilton.spanning_path ~budget:1 g ~alive:all
              ~starts:(Bitset.of_list 50 [ 0 ])
              ~ends:(Bitset.of_list 50 [ 25 ])));
-    tc "spanning cycle on cycles and cliques" (fun () ->
-        let g = Builder.cycle 7 in
-        (match Hamilton.spanning_cycle g ~alive:(Bitset.full 7) with
-        | Hamilton.Path c ->
-          check Alcotest.int "length" 7 (List.length c);
-          (* Closing edge must exist. *)
-          let first = List.hd c and last = List.nth c 6 in
-          check Alcotest.bool "closes" true (Graph.adjacent g first last)
-        | _ -> Alcotest.fail "C7 has a hamiltonian cycle");
-        (match Hamilton.spanning_cycle (Builder.clique 6) ~alive:(Bitset.full 6) with
-        | Hamilton.Path c -> check Alcotest.int "clique" 6 (List.length c)
-        | _ -> Alcotest.fail "K6 has a hamiltonian cycle"));
-    tc "spanning cycle degenerate cases" (fun () ->
-        let g = Builder.clique 4 in
-        let one = Bitset.of_list 4 [ 2 ] in
-        check path_result "singleton" Hamilton.No_path
-          (Hamilton.spanning_cycle g ~alive:one);
-        let two = Bitset.of_list 4 [ 1; 3 ] in
-        check path_result "pair" Hamilton.No_path
-          (Hamilton.spanning_cycle g ~alive:two);
-        check path_result "empty" Hamilton.No_path
-          (Hamilton.spanning_cycle g ~alive:(Bitset.create 4)));
-    tc "no spanning cycle through a cut vertex" (fun () ->
-        (* Two triangles sharing node 2: hamiltonian path exists, cycle
-           does not. *)
-        let g =
-          Graph.of_edges 5 [ (0, 1); (1, 2); (0, 2); (2, 3); (3, 4); (2, 4) ]
-        in
-        check path_result "no cycle" Hamilton.No_path
-          (Hamilton.spanning_cycle g ~alive:(Bitset.full 5)));
     tc "petersen has no hamiltonian cycle (the classic)" (fun () ->
         let edges =
           [ (0, 1); (1, 2); (2, 3); (3, 4); (4, 0);
@@ -546,8 +516,12 @@ let hamilton_tests =
             (0, 5); (1, 6); (2, 7); (3, 8); (4, 9) ]
         in
         let g = Graph.of_edges 10 edges in
+        (* A Hamiltonian cycle would pass through node 0, so cutting it at
+           0 leaves a spanning path from 0 to one of 0's neighbours. *)
         check path_result "hypohamiltonian" Hamilton.No_path
-          (Hamilton.spanning_cycle g ~alive:(Bitset.full 10)));
+          (Hamilton.spanning_path g ~alive:(Bitset.full 10)
+             ~starts:(Bitset.of_list 10 [ 0 ])
+             ~ends:(Bitset.of_list 10 [ 1; 4; 5 ])));
     tc "is_spanning_path validator" (fun () ->
         let g = Builder.path 4 in
         let all = Bitset.full 4 in

@@ -159,37 +159,6 @@ let construction_props =
         | Error _ -> false);
   ]
 
-(* Layout ------------------------------------------------------------ *)
-
-let layout_props =
-  let open QCheck in
-  [
-    Test.make ~name:"edge lengths are symmetric and at most half the ring"
-      ~count:100
-      (pair (int_range 1 10) (int_range 1 3))
-      (fun (n, k) ->
-        let inst = Family.build ~n ~k in
-        let l = Layout.linear inst in
-        let order = Instance.order inst in
-        let ok = ref true in
-        for u = 0 to order - 1 do
-          for v = 0 to order - 1 do
-            let d = Layout.edge_length l u v in
-            if d < 0.0 || d > 0.5 +. 1e-9 then ok := false;
-            if Float.abs (d -. Layout.edge_length l v u) > 1e-12 then
-              ok := false
-          done
-        done;
-        !ok);
-    Test.make ~name:"total wirelength bounds max wirelength" ~count:60
-      (pair (int_range 2 10) (int_range 1 3))
-      (fun (n, k) ->
-        let inst = Family.build ~n ~k in
-        let l = Layout.linear inst in
-        Layout.total_edge_length l inst.Instance.graph
-        >= Layout.max_edge_length l inst.Instance.graph);
-  ]
-
 (* Stage kernels ----------------------------------------------------- *)
 
 let stage_props =
@@ -475,7 +444,6 @@ let () =
     [
       ("connectivity", to_alcotest connectivity_props);
       ("constructions", to_alcotest construction_props);
-      ("layout", to_alcotest layout_props);
       ("stages", to_alcotest stage_props);
       ("solvers", to_alcotest solver_props);
       ("des", to_alcotest des_props);

@@ -495,6 +495,39 @@ let test_frame_cap () =
   send hog (le32 (cap + 1)) 0;
   expect_welcome path ~timeout:10.0 ~fleet:1
 
+(* A count over [max_batch] draws code 4, whether it is a Batch's mask
+   count or one mask's element count; other malformed payloads keep
+   code 1.  Both over-limit requests fit the frame cap. *)
+let test_too_large () =
+  with_daemon [ (3, 2) ] @@ fun listen ->
+  let client = Client.connect ~attempts:100 listen in
+  Fun.protect ~finally:(fun () -> Client.close client) @@ fun () ->
+  let expect_code name code f =
+    match f () with
+    | exception Client.Server_error { code = got; _ } ->
+      check Alcotest.int name code got
+    | _ -> Alcotest.failf "%s: accepted" name
+  in
+  expect_code "65,537-mask batch" Protocol.err_batch_too_large (fun () ->
+      ignore
+        (Client.solve_batch client ~inst:0
+           (List.init (Protocol.max_batch + 1) (fun _ -> []))));
+  expect_code "70,000-element mask" Protocol.err_batch_too_large (fun () ->
+      ignore (Client.solve client ~inst:0 (List.init 70_000 (fun _ -> 0))));
+  let path =
+    match listen with Server.Unix_sock p -> p | Server.Tcp _ -> assert false
+  in
+  let fd = raw_connect path in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  send fd (Codec.frame "S\x05") 0;
+  match Codec.input_frame (Unix.in_channel_of_descr fd) with
+  | Some payload ->
+    check Alcotest.bool "truncated Solve draws code 1" true
+      (match Protocol.decode_response payload with
+      | Protocol.Error { code; _ } -> code = Protocol.err_bad_request
+      | _ -> false)
+  | None -> Alcotest.fail "connection closed before the error"
+
 (* ------------------------------------------------------------------ *)
 (* The built gdpd as a child process                                   *)
 (* ------------------------------------------------------------------ *)
@@ -610,6 +643,7 @@ let () =
             test_end_to_end;
           tc "two concurrent clients crosscheck green" test_two_clients;
           tc "a header over the frame cap frees the worker" test_frame_cap;
+          tc "over-limit batch and mask counts draw code 4" test_too_large;
         ] );
       ( "gdpd",
         [ tc "a peer that hangs up early ends only its connection"
