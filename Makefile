@@ -20,16 +20,17 @@ expect = > /tmp/gdpn-check.out; s=$$?; cat /tmp/gdpn-check.out; \
 # on one domain.  --crosscheck then re-enumerates the same fault space
 # other ways and exits 3 on any disagreement: splice-first against
 # from-scratch solving and the work-stealing shards, forced onto two
-# domains (reports must be identical), the word-parallel kernel against
-# the reference backtracker (reports and expansion counts), and with
-# --symmetry the orbit-reduced run against full enumeration (verdict,
-# counts and orbit-expanded failure sets) — on G(8,2)'s order-2 group
-# and on the order-1,440 and order-240 groups of G(1,5) and G(2,5).  A
-# traced run's JSONL output must end with the metrics snapshot.  The
-# checkpointed crosschecks record every unit of a two-domain drain and
-# compare the report with the sequential one — G(8,2), and G(3,5)
-# under --symmetry, whose 1,262 representatives shard onto both
-# domains.  A merged G(8,2) run is checkpointed, crosschecked over its
+# domains (reports must be identical), and with --symmetry the
+# orbit-reduced run against full enumeration (verdict, counts and
+# orbit-expanded failure sets) — on G(8,2)'s order-2 group and on the
+# order-1,440 and order-240 groups of G(1,5) and G(2,5).  Kernel
+# equivalence (the word-parallel kernel against the backtracker it
+# replaced: reports and expansion counts) lives in test_kernel, which
+# make check runs through dune runtest.  A traced run's JSONL output
+# must end with the metrics snapshot.  The checkpointed crosschecks
+# record every unit of a two-domain drain and compare the report with
+# the sequential one — G(8,2), and G(3,5) under --symmetry, whose 1,262
+# representatives shard onto both domains.  A merged G(8,2) run is checkpointed, crosschecked over its
 # 56 processor fault sets, resumed from the full checkpoint with the
 # same report, and refused when resumed without --merged (the header
 # pins the instance).  The fault-model lines

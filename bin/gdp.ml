@@ -189,18 +189,15 @@ let print_report model report =
    orbit-reduced report against full enumeration (verdict, counts and
    orbit-expanded failure sets).  Splice-first against from-scratch
    solving and the work-stealing shards, forced onto at least two
-   domains however small the space.  The word-parallel kernel
-   against the reference backtracker, with splicing off so every set
-   reaches the solvers: reports and expansion counts must match.  It
-   runs over the run's own enumeration, orbit-reduced under symmetry,
-   because the unreduced space of a link universe is large (mixed
-   G(3,5): 4.2M sets against 166k representatives). *)
+   domains however small the space, over the run's own enumeration
+   (orbit-reduced under symmetry).  The search kernel itself is held to
+   the backtracker it replaced by test_kernel. *)
 let crosschecks model ~universe ~group ~domains =
   let module Metrics = Gdpn_obs.Metrics in
   let cap = 1_000_000 in
-  let exhaustive ?symmetry ?splice ?solve () =
+  let exhaustive ?symmetry ?splice () =
     Verify.exhaustive_model ~max_failures:cap ?universe ?symmetry ?splice
-      ?solve model
+      model
   in
   let delta name f =
     let c = Metrics.counter name in
@@ -252,25 +249,7 @@ let crosschecks model ~universe ~group ~domains =
       (Printf.sprintf "%d sets, %d spliced" spliced.Verify.fault_sets_checked
          n_splices)
   in
-  let kernel_ok =
-    let kernel, ek =
-      delta "hamilton.expansions" (fun () ->
-          exhaustive ?symmetry:group ~splice:false ())
-    in
-    let reference, er =
-      delta "hamilton.ref_expansions" (fun () ->
-          exhaustive ?symmetry:group ~splice:false
-            ~solve:(fun ~faults ->
-              let inst, nodes = Fault_model.effective model faults in
-              Reconfig.solve ~reference:true inst ~faults:nodes)
-            ())
-    in
-    report "kernel vs reference"
-      (kernel = reference && ek = er)
-      (Printf.sprintf "%d solver calls, expansions %d vs %d"
-         kernel.Verify.solver_calls ek er)
-  in
-  orbit_ok && splice_ok && kernel_ok
+  orbit_ok && splice_ok
 
 (* Every verification, in every fault model: build the task once —
    sampled, or exhaustive (orbit-reduced under a nontrivial induced
@@ -397,14 +376,12 @@ let verify_cmd =
     Arg.(value & flag & info [ "crosscheck" ]
            ~doc:"Exhaustive mode, any fault model: re-run the enumeration \
                  with splice-first prefix-tree solving disabled and on at \
-                 least two work-stealing shards and compare the reports, \
-                 then re-run it through the reference (pre-bitset-row) \
-                 backtracker and compare reports and expansion counts \
-                 against the word-parallel kernel.  With --symmetry, \
-                 additionally run the full enumeration and compare \
-                 verdicts, counts and (orbit-expanded) failure sets.  With \
-                 --checkpoint or --resume, compare the report with one \
-                 sequential run instead.  Exits 3 on any disagreement.")
+                 least two work-stealing shards and compare the reports.  \
+                 With --symmetry, additionally run the full enumeration \
+                 and compare verdicts, counts and (orbit-expanded) failure \
+                 sets.  With --checkpoint or --resume, compare the report \
+                 with one sequential run instead.  Exits 3 on any \
+                 disagreement.")
   in
   let checkpoint_arg =
     Arg.(value & opt (some string) None & info [ "checkpoint" ] ~docv:"FILE"

@@ -24,14 +24,9 @@ let worst_case ~rng ?(restarts = 5) ?(budget = 500_000) ?model inst =
   let order = Fault_model.size model in
   let k = inst.Instance.k in
   let evaluations = ref 0 in
-  (* Hill climbing evaluates thousands of candidate sets: one reusable
-     context serves them all (degraded instances preserve the order, so
-     one ctx also serves every link-degraded probe).  Expansion counts
-     are ctx-independent, so the search trajectory is unchanged. *)
-  let ctx = Reconfig.make_ctx inst in
   let eval faults =
     incr evaluations;
-    Fault_model.probe ~ctx ~budget model (Bitset.of_list order faults)
+    Fault_model.probe ~budget model (Bitset.of_list order faults)
   in
   let best = ref { faults = []; expansions = 0; outcome = `Found;
                    restarts; evaluations = 0 } in
@@ -102,13 +97,12 @@ let random_baseline ~rng ~trials ?(budget = 500_000) inst =
   let order = Instance.order inst in
   let k = inst.Instance.k in
   let model = Fault_model.node inst in
-  let ctx = Reconfig.make_ctx inst in
   let total = ref 0 in
   let worst = ref 0 in
   for _ = 1 to trials do
     let faults = Array.to_list (Combinat.sample rng order k) in
     let score, _ =
-      Fault_model.probe ~ctx ~budget model (Bitset.of_list order faults)
+      Fault_model.probe ~budget model (Bitset.of_list order faults)
     in
     total := !total + score;
     worst := max !worst score

@@ -192,11 +192,11 @@ let effective t mask =
     (degraded_instance t links, nodes)
   end
 
-let solve ?budget ?ctx t ~faults =
-  if t.kind = Knode then Reconfig.solve ?budget ?ctx t.inst ~faults
+let solve ?budget t ~faults =
+  if t.kind = Knode then Reconfig.solve ?budget t.inst ~faults
   else begin
     let inst, nodes = effective t faults in
-    Reconfig.solve ?budget ?ctx inst ~faults:nodes
+    Reconfig.solve ?budget inst ~faults:nodes
   end
 
 let validate t ~faults nodes =
@@ -220,11 +220,11 @@ let splice t ~current ~faults ~failed =
       | Error _ -> None)
   end
 
-let probe ?ctx ~budget t mask =
+let probe ~budget t mask =
   let inst, nmask = effective t mask in
   let expansions = ref 0 in
   let outcome =
-    match Reconfig.solve_generic ~budget ~expansions ?ctx inst ~faults:nmask with
+    match Reconfig.solve_generic ~budget ~expansions inst ~faults:nmask with
     | Reconfig.Pipeline _ -> `Found
     | Reconfig.No_pipeline -> `None
     | Reconfig.Gave_up -> `Gave_up

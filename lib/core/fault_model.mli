@@ -113,16 +113,9 @@ val effective : t -> Gdpn_graph.Bitset.t -> Instance.t * Gdpn_graph.Bitset.t
     runs against.  For the node model this is [(instance t, mask)] with
     the caller's mask returned physically — no allocation. *)
 
-val solve :
-  ?budget:int ->
-  ?ctx:Gdpn_graph.Hamilton.ctx ->
-  t ->
-  faults:Gdpn_graph.Bitset.t ->
-  Reconfig.outcome
-(** Solve the fault set through {!effective}.  [ctx] is reusable across
-    models and degraded instances of the same order (it is sized by
-    order alone).  For the node model this is exactly
-    {!Reconfig.solve}. *)
+val solve : ?budget:int -> t -> faults:Gdpn_graph.Bitset.t -> Reconfig.outcome
+(** Solve the fault set through {!effective}.  For the node model this is
+    exactly {!Reconfig.solve}. *)
 
 val validate :
   t -> faults:Gdpn_graph.Bitset.t -> int list -> (Pipeline.t, string) result
@@ -146,11 +139,7 @@ val splice :
     carries over unchanged. *)
 
 val probe :
-  ?ctx:Gdpn_graph.Hamilton.ctx ->
-  budget:int ->
-  t ->
-  Gdpn_graph.Bitset.t ->
-  int * [ `Found | `None | `Gave_up ]
+  budget:int -> t -> Gdpn_graph.Bitset.t -> int * [ `Found | `None | `Gave_up ]
 (** Generic-solver expansions for the fault set (the deterministic cost
     measure {!Attack} maximises), measured on the degraded instance. *)
 

@@ -16,11 +16,6 @@ type outcome =
   | No_pipeline
   | Gave_up
 
-let degrade inst ~links =
-  try Fault_model.degrade_links inst ~links
-  with Invalid_argument _ ->
-    invalid_arg "Link_faults.degrade: not an edge of the instance"
-
 let to_mask model faults =
   let usize = Fault_model.size model in
   let mask = Bitset.create usize in
@@ -42,8 +37,8 @@ let to_mask model faults =
    the Hayes reduction: kill one endpoint per faulty link, over all
    choices — the space is tiny (2^L).  A returned pipeline avoids the
    killed processors, so it also avoids every faulty link. *)
-let solve_mask ?budget ?ctx model mask =
-  match Fault_model.solve ?budget ?ctx model ~faults:mask with
+let solve_mask ?budget model mask =
+  match Fault_model.solve ?budget model ~faults:mask with
   | Reconfig.Pipeline p -> Graceful p
   | Reconfig.Gave_up -> Gave_up
   | Reconfig.No_pipeline -> (
@@ -63,7 +58,7 @@ let solve_mask ?budget ?ctx model mask =
         List.filter_map
           (fun killed ->
             match
-              Reconfig.solve ?budget ?ctx weakened
+              Reconfig.solve ?budget weakened
                 ~faults:(Bitset.of_list order (nodes @ killed))
             with
             | Reconfig.Pipeline p -> Some p
@@ -85,7 +80,7 @@ let solve_mask ?budget ?ctx model mask =
         Degraded best
     end)
 
-let solve ?budget ?ctx ?model inst ~faults =
+let solve ?budget ?model inst ~faults =
   let model =
     match model with
     | Some m ->
@@ -94,7 +89,7 @@ let solve ?budget ?ctx ?model inst ~faults =
       m
     | None -> Fault_model.mixed inst
   in
-  solve_mask ?budget ?ctx model (to_mask model faults)
+  solve_mask ?budget model (to_mask model faults)
 
 type survey = {
   fault_sets : int;
@@ -108,12 +103,11 @@ type survey = {
    as [Certify.write] does: its witness sink sees every set of size
    [0..k] once.  A pipeline the task found (solved or spliced, and
    revalidated either way) is graceful; any other set goes through the
-   Hayes fallback, with one search context for all of them. *)
+   Hayes fallback. *)
 let survey_exhaustive ?budget inst =
   let model = Fault_model.mixed inst in
   let usize = Fault_model.size model in
   let task = Verify.Task.exhaustive_model ?budget model in
-  let ctx = Reconfig.make_ctx inst in
   let total = ref 0 in
   let graceful = ref 0 in
   let degraded = ref 0 in
@@ -125,7 +119,7 @@ let survey_exhaustive ?budget inst =
       match w_outcome with
       | Reconfig.Pipeline p -> Graceful p
       | Reconfig.No_pipeline | Reconfig.Gave_up ->
-        solve_mask ?budget ~ctx model
+        solve_mask ?budget model
           (Bitset.of_list usize (Array.to_list w_set))
     in
     match outcome with

@@ -39,26 +39,17 @@ type outcome =
   | No_pipeline
   | Gave_up
 
-val degrade : Instance.t -> links:(int * int) list -> Instance.t
-(** The instance with the given edges removed (reconfiguration strategy
-    reset to the generic solver, since structural shortcuts assume the full
-    edge set).  Unknown edges raise [Invalid_argument]. *)
-
 val solve :
   ?budget:int ->
-  ?ctx:Gdpn_graph.Hamilton.ctx ->
   ?model:Fault_model.t ->
   Instance.t ->
   faults:fault list ->
   outcome
 (** Try graceful first ({!Fault_model.solve} on the mixed model); fall
     back to the Hayes reduction over all endpoint-killing choices (at most
-    [2^L] graceful solves for [L] link faults).  [ctx] threads a
-    persistent search context through every solve, graceful and fallback
-    alike — link degradation preserves the node order, so one ctx serves
-    all degraded instances.  [model] shares a prebuilt mixed model (and
-    hence its degraded-instance cache) across calls; it must be built
-    over [inst] ([Invalid_argument] otherwise). *)
+    [2^L] graceful solves for [L] link faults).  [model] shares a prebuilt
+    mixed model (and hence its degraded-instance cache) across calls; it
+    must be built over [inst] ([Invalid_argument] otherwise). *)
 
 type survey = {
   fault_sets : int;

@@ -22,23 +22,18 @@ let healthy_terminal inst ~alive kind p =
 (* Generic spanning-path solver                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* Run the spanning-path search through a caller-supplied ctx when its
-   capacity matches this instance (extension recursion hands sub-instances
-   of smaller order, which fall back to a fresh ctx).  [reference] routes
-   the search through the retained pre-bitset-row backtracker
-   ({!Hamilton.Reference}) — same results and expansion counts by
-   contract, used by the kernel-equivalence crosscheck. *)
-(* Per-domain ctx cache, keyed on graph order.  A ctx is not domain-safe,
-   so the cache lives in domain-local storage: persistent pool workers (and
-   the calling domain) amortise [make_ctx] across verification calls
-   instead of reallocating scratch per solve.  Reuse is sound because a
-   search is a leaf computation — the solver never starts a second search
-   of the same order while one is running (the extension recursion only
-   descends to strictly smaller inner orders). *)
+(* Every spanning-path search runs on a per-domain scratch cache, keyed
+   on graph order.  A ctx is not domain-safe, so the cache lives in
+   domain-local storage: persistent pool workers (and the calling domain)
+   amortise [Hamilton.make_ctx] across solves instead of reallocating
+   scratch per search.  Reuse is sound because a search is a leaf
+   computation — the solver never starts a second search of the same
+   order while one is running (the extension recursion only descends to
+   strictly smaller inner orders). *)
 let ctx_cache_key : (int, Hamilton.ctx) Hashtbl.t Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Hashtbl.create 8)
 
-let cached_ctx_for_order order =
+let domain_ctx order =
   let tbl = Domain.DLS.get ctx_cache_key in
   match Hashtbl.find_opt tbl order with
   | Some c -> c
@@ -47,20 +42,11 @@ let cached_ctx_for_order order =
     Hashtbl.add tbl order c;
     c
 
-let ham_search ?budget ?expansions ?ctx ~reference g ~alive ~starts ~ends =
-  if reference then
-    Hamilton.Reference.spanning_path ?budget ?expansions ?ctx g ~alive ~starts
-      ~ends
-  else
-    let c =
-      match ctx with
-      | Some c when Hamilton.ctx_capacity c = Graph.order g -> c
-      | Some _ | None -> cached_ctx_for_order (Graph.order g)
-    in
-    Hamilton.solve_into ?budget ?expansions c g ~alive ~starts ~ends
+let ham_search ?budget ?expansions g ~alive ~starts ~ends =
+  Hamilton.solve_into ?budget ?expansions (domain_ctx (Graph.order g)) g ~alive
+    ~starts ~ends
 
-let generic ?(budget = default_budget) ?expansions ?ctx ?(reference = false)
-    inst ~faults =
+let generic ?(budget = default_budget) ?expansions inst ~faults =
   let order = Instance.order inst in
   let graph = inst.Instance.graph in
   let alive = Bitset.full order in
@@ -92,8 +78,8 @@ let generic ?(budget = default_budget) ?expansions ?ctx ?(reference = false)
     if Bitset.is_empty starts || Bitset.is_empty ends then No_pipeline
     else
       match
-        ham_search ~budget ?expansions ?ctx ~reference inst.Instance.graph
-          ~alive:procs_alive ~starts ~ends
+        ham_search ~budget ?expansions inst.Instance.graph ~alive:procs_alive
+          ~starts ~ends
       with
       | Hamilton.No_path -> No_pipeline
       | Hamilton.Budget_exceeded -> Gave_up
@@ -177,7 +163,7 @@ let clique_scan inst ~faults =
    (an input terminal of the inner instance, now a processor).  The inner
    pipeline's input endpoint is one of those relabelled nodes. *)
 
-let rec extension ?budget ?ctx ?reference inst inner ~faults =
+let rec extension ?budget inst inner ~faults =
   let graph = inst.Instance.graph in
   let inner_order = Instance.order inner in
   let fresh_terminals = Instance.inputs inst in
@@ -195,9 +181,7 @@ let rec extension ?budget ?ctx ?reference inst inner ~faults =
     List.filter (fun t -> Bitset.mem faults t) fresh_terminals
   in
   let solve_inner inner_faults =
-    (* The inner instance has smaller order: the top-level ctx cannot be
-       reused there, so the recursion runs ctx-free. *)
-    match solve ?budget ?reference inner ~faults:inner_faults with
+    match solve ?budget inner ~faults:inner_faults with
     | Pipeline p -> Some (Pipeline.normalise inner p)
     | No_pipeline | Gave_up -> None
   in
@@ -210,10 +194,10 @@ let rec extension ?budget ?ctx ?reference inst inner ~faults =
   | [] -> (
     (* Case 1: no fresh terminal is faulty. *)
     match solve_inner (restrict_faults ()) with
-    | None -> generic ?budget ?ctx ?reference inst ~faults
+    | None -> generic ?budget inst ~faults
     | Some inner_pipe -> (
       match inner_pipe.Pipeline.nodes with
-      | [] -> generic ?budget ?ctx ?reference inst ~faults
+      | [] -> generic ?budget inst ~faults
       | i1 :: _ ->
         let u =
           List.filter
@@ -235,17 +219,17 @@ let rec extension ?budget ?ctx ?reference inst inner ~faults =
         fresh_terminals
     in
     match i4_candidate with
-    | None -> generic ?budget ?ctx ?reference inst ~faults
+    | None -> generic ?budget inst ~faults
     | Some j4 -> (
       let i4 = mate j4 in
       let inner_faults = restrict_faults () in
       Bitset.add inner_faults i4;
       ignore j3;
       match solve_inner inner_faults with
-      | None -> generic ?budget ?ctx ?reference inst ~faults
+      | None -> generic ?budget inst ~faults
       | Some inner_pipe -> (
         match inner_pipe.Pipeline.nodes with
-        | [] -> generic ?budget ?ctx ?reference inst ~faults
+        | [] -> generic ?budget inst ~faults
         | i1 :: _ ->
           let u =
             List.filter
@@ -254,7 +238,7 @@ let rec extension ?budget ?ctx ?reference inst inner ~faults =
           in
           finish ((j4 :: i4 :: u) @ inner_pipe.Pipeline.nodes))))
 
-and circulant ?budget ?ctx ?reference inst ~m ~faults =
+and circulant ?budget inst ~m ~faults =
   (* Region decomposition for the §3.4 family (the shape the Theorem 3.17
      embedding takes): one clique run through the healthy I nodes, a
      spanning sweep of the healthy ring nodes between two S bridges, one
@@ -313,9 +297,7 @@ and circulant ?budget ?ctx ?reference inst ~m ~faults =
     else
       let sub_budget = 100_000 in
       match
-        ham_search ~budget:sub_budget ?ctx
-          ~reference:(Option.value reference ~default:false)
-          graph ~alive:ring_alive
+        ham_search ~budget:sub_budget graph ~alive:ring_alive
           ~starts:(Bitset.of_list (Instance.order inst) [ b ])
           ~ends:(Bitset.of_list (Instance.order inst) [ c ])
       with
@@ -340,34 +322,33 @@ and circulant ?budget ?ctx ?reference inst ~m ~faults =
   match found with
   | Some nodes when Pipeline.is_valid inst ~faults nodes ->
     Pipeline { Pipeline.nodes }
-  | Some _ | None -> generic ?budget ?ctx ?reference inst ~faults
+  | Some _ | None -> generic ?budget inst ~faults
 
-and dispatch ?budget ?ctx ?reference inst ~faults =
+and dispatch ?budget inst ~faults =
   match inst.Instance.strategy with
-  | Instance.Generic -> generic ?budget ?ctx ?reference inst ~faults
+  | Instance.Generic -> generic ?budget inst ~faults
   | Instance.Processor_clique -> clique_scan inst ~faults
-  | Instance.Extension inner ->
-    extension ?budget ?ctx ?reference inst inner ~faults
-  | Instance.Circulant_layout { m } ->
-    circulant ?budget ?ctx ?reference inst ~m ~faults
+  | Instance.Extension inner -> extension ?budget inst inner ~faults
+  | Instance.Circulant_layout { m } -> circulant ?budget inst ~m ~faults
 
-and solve ?budget ?ctx ?reference inst ~faults =
-  match dispatch ?budget ?ctx ?reference inst ~faults with
+(* [ctx] is accepted and unused: every search runs on the per-domain
+   cache above, and no result ever depended on where the scratch lived. *)
+and solve ?budget ?ctx:_ inst ~faults =
+  match dispatch ?budget inst ~faults with
   | Pipeline p when Pipeline.is_valid inst ~faults p.Pipeline.nodes ->
     Pipeline p
   | Pipeline _ ->
     (* A constructive solver produced a bogus witness: fall back to the
        generic solver rather than returning it.  (This indicates a bug; the
        test suite asserts it never happens for in-spec fault sets.) *)
-    generic ?budget ?ctx ?reference inst ~faults
+    generic ?budget inst ~faults
   | (No_pipeline | Gave_up) as r -> r
 
 let solve_list ?budget inst ~faults =
   solve ?budget inst
     ~faults:(Bitset.of_list (Instance.order inst) faults)
 
-let solve_generic ?budget ?expansions ?ctx ?reference inst ~faults =
-  generic ?budget ?expansions ?ctx ?reference inst ~faults
+let solve_generic ?budget ?expansions inst ~faults =
+  generic ?budget ?expansions inst ~faults
 
 let make_ctx inst = Hamilton.make_ctx (Instance.order inst)
-let cached_ctx inst = cached_ctx_for_order (Instance.order inst)

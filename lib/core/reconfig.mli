@@ -32,29 +32,19 @@ type outcome =
 val solve :
   ?budget:int ->
   ?ctx:Gdpn_graph.Hamilton.ctx ->
-  ?reference:bool ->
   Instance.t ->
   faults:Gdpn_graph.Bitset.t ->
   outcome
 (** Strategy-dispatching solver.  [budget] bounds backtracking expansions
-    in the generic solver (default 2_000_000).  [ctx] is a reusable search
-    context ({!make_ctx}); passing one makes repeated solves reuse the
-    backtracker's scratch state instead of reallocating it.  Results are
-    identical with or without a ctx.  [reference] (default [false]) routes
-    every spanning-path search through the retained pre-bitset-row
-    backtracker ({!Gdpn_graph.Hamilton.Reference}) — identical outcomes
-    and expansion counts by contract; used by the kernel-equivalence
-    crosscheck and oracle tests. *)
+    in the generic solver (default 2_000_000).  Every spanning-path search
+    runs on a per-domain scratch cache keyed on graph order (domain-local
+    storage), so repeated solves on one domain reuse the backtracker's
+    scratch instead of reallocating it.  [ctx] is accepted and unused: it
+    predates the cache, and results never depended on it. *)
 
 val make_ctx : Instance.t -> Gdpn_graph.Hamilton.ctx
-(** A search context sized for this instance, for use with {!solve} /
-    {!solve_generic}.  Not domain-safe: allocate one per domain. *)
-
-val cached_ctx : Instance.t -> Gdpn_graph.Hamilton.ctx
-(** A search context for this instance's order from a per-domain cache
-    (domain-local storage, keyed on graph order).  Safe wherever
-    {!make_ctx} per domain is: each domain sees its own ctx, and
-    persistent worker domains amortise the allocation across calls. *)
+(** A search context sized for this instance, the [ctx] {!solve}
+    accepts. *)
 
 val solve_list : ?budget:int -> Instance.t -> faults:int list -> outcome
 (** Convenience wrapper taking the fault set as a list of node ids. *)
@@ -62,13 +52,10 @@ val solve_list : ?budget:int -> Instance.t -> faults:int list -> outcome
 val solve_generic :
   ?budget:int ->
   ?expansions:int ref ->
-  ?ctx:Gdpn_graph.Hamilton.ctx ->
-  ?reference:bool ->
   Instance.t ->
   faults:Gdpn_graph.Bitset.t ->
   outcome
 (** The generic solver regardless of strategy (the baseline that
     EXPERIMENTS.md E16 holds the constructive solvers against).
     [expansions] accumulates the backtracker's node-expansion count — the
-    deterministic work measure {!Attack} maximises.  [reference] as in
-    {!solve}. *)
+    deterministic work measure {!Attack} maximises. *)

@@ -131,9 +131,9 @@ let patch inst ~current ~faults ~failed =
       Some (`Spliced { Pipeline.nodes = patched })
     | Some _ | None -> None
 
-let repair ?budget ?ctx inst ~current ~faults ~failed =
+let repair ?budget inst ~current ~faults ~failed =
   let full () =
-    match Reconfig.solve ?budget ?ctx inst ~faults with
+    match Reconfig.solve ?budget inst ~faults with
     | Reconfig.Pipeline p -> Resolved p
     | Reconfig.No_pipeline | Reconfig.Gave_up -> Lost
   in

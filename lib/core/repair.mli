@@ -28,7 +28,6 @@ type result =
 
 val repair :
   ?budget:int ->
-  ?ctx:Gdpn_graph.Hamilton.ctx ->
   Instance.t ->
   current:Pipeline.t ->
   faults:Gdpn_graph.Bitset.t ->

@@ -218,21 +218,16 @@ module Task = struct
     mutable c_len : int;
   }
 
-  (* The solver a processor runs on its own domain: the caller's
-     override, or the model's solver bound to this domain's ctx (one ctx
-     serves the base instance and every link-degraded one: ctx scratch
-     is sized by graph order, which degradation preserves). *)
-  let domain_solver ?budget ?solve model =
+  (* The per-set solver: the caller's override, or the model's. *)
+  let solver ?budget ?solve model =
     match solve with
     | Some f -> f
-    | None ->
-      let ctx = Reconfig.cached_ctx (Fault_model.instance model) in
-      fun ~faults -> Fault_model.solve ?budget ~ctx model ~faults
+    | None -> fun ~faults -> Fault_model.solve ?budget model ~faults
 
   let chain_make ?budget ?solve ~splice ~depth model =
     {
       c_model = model;
-      c_solve = domain_solver ?budget ?solve model;
+      c_solve = solver ?budget ?solve model;
       c_splice = splice;
       c_mask = Bitset.create (Fault_model.size model);
       c_elts = Array.make (Stdlib.max 1 depth) (-1);
@@ -545,7 +540,7 @@ module Task = struct
     let sets = Array.init trials (fun _ -> Combinat.sample_up_to rng usize k) in
     let nunits, span = span_units trials in
     let mk_processor () =
-      let solve = domain_solver ?budget ?solve model in
+      let solve = solver ?budget ?solve model in
       let mask = Bitset.create usize in
       fun ?witness ~record ~cutoff u ->
         let lo, hi = span u in

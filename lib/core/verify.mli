@@ -186,9 +186,9 @@ val exhaustive_model :
     universe is derived via {!Fault_model.induced_symmetry}, so
     orbit-reduced enumeration works for links, colour classes and
     neighborhoods exactly as for nodes.  [solve] overrides the per-set
-    solver (the kernel crosschecks pass the reference backtracker);
-    witnesses are revalidated against the degraded instance regardless,
-    so a dishonest override cannot make verification pass. *)
+    solver (the tests pass an engine's cached solve); witnesses are
+    revalidated against the degraded instance regardless, so a dishonest
+    override cannot make verification pass. *)
 
 val sampled_model :
   rng:Random.State.t ->

@@ -1,5 +1,4 @@
 module Bitset = Gdpn_graph.Bitset
-module Hamilton = Gdpn_graph.Hamilton
 module Auto = Gdpn_graph.Auto
 module Metrics = Gdpn_obs.Metrics
 module Span = Gdpn_obs.Span
@@ -82,7 +81,6 @@ type t = {
   inst : Instance.t;
   node : Fault_model.t;  (** built once, shared with every reader *)
   budget : int;
-  ctx : Hamilton.ctx;
   shared : shared;
   cache_limit : int;
   stats : stats;
@@ -99,7 +97,6 @@ let create ?(budget = default_budget) ?(cache_limit = default_cache_limit)
     inst;
     node = Fault_model.node inst;
     budget;
-    ctx = Reconfig.make_ctx inst;
     shared =
       {
         s_cache = Shard_cache.create ~capacity:cache_limit ();
@@ -113,16 +110,10 @@ let create ?(budget = default_budget) ?(cache_limit = default_cache_limit)
   }
 
 (* A domain-private handle on the same instance and the same shared plan
-   caches: fresh solver ctx, scratch and stats (those are the parts an
-   Engine.t cannot share across domains).  The daemon gives each worker
-   domain one reader per fleet engine. *)
-let reader t =
-  {
-    t with
-    ctx = Reconfig.make_ctx t.inst;
-    stats = fresh_stats ();
-    scratch = Hashtbl.create 4;
-  }
+   caches: fresh scratch and stats (the parts an Engine.t cannot share
+   across domains).  The daemon gives each worker domain one reader per
+   fleet engine. *)
+let reader t = { t with stats = fresh_stats (); scratch = Hashtbl.create 4 }
 
 let instance t = t.inst
 let budget t = t.budget
@@ -310,7 +301,7 @@ let scratch t model =
 let full_solve t model ~faults =
   t.stats.full_solves <- t.stats.full_solves + 1;
   Metrics.incr m_full_solves;
-  Fault_model.solve ~budget:t.budget ~ctx:t.ctx model ~faults
+  Fault_model.solve ~budget:t.budget model ~faults
 
 (* Cheap local repair first, global re-solve second (the paper's §4
    reconfiguration discussion): look for a cached plan of some predecessor
@@ -416,7 +407,7 @@ module Parallel = struct
      keeps them blocked on a condition variable between calls, and joins
      them at process exit.  Workers run arbitrary queued thunks, so one
      pool serves every parallel verification in the process; per-domain
-     solver state lives in domain-local storage ({!Reconfig.cached_ctx})
+     solver state lives in domain-local storage (Reconfig's scratch cache)
      and is amortised across calls for free. *)
   module Pool = struct
     type job = unit -> unit

@@ -10,8 +10,9 @@
     scratch each time, allocating fresh search state per call and using one
     core.  The engine fixes all three axes:
 
-    - {b ctx reuse} — one {!Gdpn_core.Reconfig.make_ctx} per engine; the
-      backtracker's bitsets and degree scratch are allocated once;
+    - {b scratch reuse} — the backtracker's bitsets and degree scratch
+      come from {!Gdpn_core.Reconfig}'s per-domain cache, allocated once
+      per domain and graph order;
     - {b fault-plan cache} — solved outcomes are cached in a hashtable
       keyed on the fault masks themselves ({!Gdpn_graph.Bitset.hash} /
       [equal]), so hits allocate nothing.  On a miss the engine first
@@ -27,9 +28,9 @@
     slices with a lock-free read path and per-shard writer locks, bounded
     at [cache_limit] entries with oldest-first eviction.  The cache is
     therefore safe to share between domains — but an [Engine.t] {e as a
-    whole} still is not (its solver ctx and scratch masks are
-    single-domain).  {!reader} derives a domain-private handle over the
-    same shared cache; {!Parallel} builds per-domain state internally.
+    whole} still is not (its scratch masks and stats are single-domain).
+    {!reader} derives a domain-private handle over the same shared cache;
+    {!Parallel} builds per-domain state internally.
 
     Every job has one body, written over a {!Gdpn_core.Fault_model.t}:
     {!solve_model}, {!Parallel.run_task} and {!compile_plans}.  The node
@@ -56,7 +57,7 @@ val create : ?budget:int -> ?cache_limit:int -> Gdpn_core.Instance.t -> t
 
 val reader : t -> t
 (** A domain-private handle on the same instance and the {e same shared
-    plan caches}: fresh solver ctx, scratch masks and {!stats}; cache
+    plan caches}: fresh scratch masks and {!stats}; cache
     hits, splices and inserts flow through the shared sharded tables.
     [K] readers on [K] domains may solve concurrently — this is how the
     [gdpd] daemon's worker domains serve one warm cache in parallel.
@@ -73,16 +74,15 @@ val solve_model :
   faults:Gdpn_graph.Bitset.t ->
   Gdpn_core.Reconfig.outcome
 (** Like {!Gdpn_core.Fault_model.solve} but through the engine: plan
-    cache, plan store, splice-before-solve, ctx reuse.  The model must be
-    built over this engine's instance ([Invalid_argument] otherwise);
-    [faults] is a mask over its universe.  Plans are cached per model —
-    the effective key is [(Fault_model.id, mask)] — and the splice probe
-    repairs a cached one-element-smaller predecessor through the model's
-    local rule ({!Gdpn_core.Fault_model.splice}, revalidated — a
-    [Pipeline] outcome is always genuine).  [~cache:false] bypasses
-    lookup, store, splice and insertion (still reuses the ctx) —
-    verification uses this so its verdicts are exactly the plain
-    solver's. *)
+    cache, plan store, splice-before-solve.  The model must be built over
+    this engine's instance ([Invalid_argument] otherwise); [faults] is a
+    mask over its universe.  Plans are cached per model — the effective
+    key is [(Fault_model.id, mask)] — and the splice probe repairs a
+    cached one-element-smaller predecessor through the model's local rule
+    ({!Gdpn_core.Fault_model.splice}, revalidated — a [Pipeline] outcome
+    is always genuine).  [~cache:false] bypasses lookup, store, splice and
+    insertion — verification uses this so its verdicts are exactly the
+    plain solver's. *)
 
 val solve :
   ?cache:bool -> t -> faults:Gdpn_graph.Bitset.t -> Gdpn_core.Reconfig.outcome

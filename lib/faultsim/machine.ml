@@ -29,7 +29,7 @@ let solver_budget = ref 2_000_000
    from the previous remap, so most single faults are absorbed by a splice
    instead of a search, and revisited masks are answered from the plan
    cache outright.  Without it every call runs the full solver (the
-   E14 ablation baseline) — still on the engine's reusable ctx. *)
+   E14 ablation baseline). *)
 let resolve t =
   let before = (Engine.stats t.engine).Engine.full_solves in
   let outcome =

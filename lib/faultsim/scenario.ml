@@ -214,16 +214,13 @@ let check_coverage m =
              "%d healthy processors but only %d on the pipeline" healthy used)
       else Ok ())
 
-let check_coherence ?ctx m =
+let check_coherence m =
   let fm = Machine.model m in
   let mask = fault_mask_of m fm in
   let budget = Engine.budget (Machine.engine m) in
-  let ctx =
-    match ctx with Some c -> c | None -> Reconfig.make_ctx (Machine.instance m)
-  in
   (* Same budget as the machine's engine, but no plan cache and no
      splice: solvability must agree with the cached path exactly. *)
-  let scratch = Fault_model.solve ~budget ~ctx fm ~faults:mask in
+  let scratch = Fault_model.solve ~budget fm ~faults:mask in
   match (Machine.pipeline m, scratch) with
   | Some _, Reconfig.Pipeline _ | None, Reconfig.No_pipeline -> Ok ()
   | _, Reconfig.Gave_up -> Ok () (* inconclusive: cannot contradict *)
@@ -406,7 +403,6 @@ let run ?(config = default_config) ?perturb ~profile ~seed inst =
   let model = Fault_model.mixed inst in
   let engine = Engine.create inst in
   let machine = ref (Machine.create ~engine ~model inst) in
-  let scratch_ctx = Reconfig.make_ctx inst in
   let order = Instance.order inst in
   let usize = Fault_model.size model in
   let n_links = usize - order in
@@ -490,7 +486,7 @@ let run ?(config = default_config) ?perturb ~profile ~seed inst =
     (match check_coverage m with
     | Ok () -> ()
     | Error d -> fail op "coverage" d);
-    match check_coherence ~ctx:scratch_ctx m with
+    match check_coherence m with
     | Ok () -> ()
     | Error d -> fail op "coherence" d
   in

@@ -197,8 +197,7 @@ val check_coverage : Machine.t -> (unit, string) result
 (** If a pipeline is embedded: it validates against the degraded
     instance and uses every healthy processor. *)
 
-val check_coherence :
-  ?ctx:Gdpn_graph.Hamilton.ctx -> Machine.t -> (unit, string) result
+val check_coherence : Machine.t -> (unit, string) result
 (** The machine's live/lost verdict agrees with a scratch solve of its
     fault mask (same budget, no plan cache).  A budget-exhausted scratch
     solve is inconclusive and passes. *)

@@ -14,13 +14,6 @@ let m_expansions = Metrics.counter "hamilton.expansions"
 let m_backtracks = Metrics.counter "hamilton.backtracks"
 let h_search = Metrics.histogram "hamilton.search_ns"
 
-(* The reference (pre-bitset-row) implementation keeps its own cells so a
-   crosscheck run can account kernel and reference work separately. *)
-let m_ref_searches = Metrics.counter "hamilton.ref_searches"
-let m_ref_expansions = Metrics.counter "hamilton.ref_expansions"
-let m_ref_backtracks = Metrics.counter "hamilton.ref_backtracks"
-let h_ref_search = Metrics.histogram "hamilton.ref_search_ns"
-
 (* The DFS works on mutable state:
    - [remaining]: alive nodes not yet on the path (excludes the head);
    - [trail]: the path so far, head first (reversed at the end);
@@ -29,8 +22,7 @@ let h_ref_search = Metrics.histogram "hamilton.ref_search_ns"
 
    All of that state lives in a [ctx] so repeated solves over the same
    graph order reuse the bitsets and arrays instead of reallocating them
-   (the engine layer keeps one ctx per instance, and one per domain when
-   verifying in parallel). *)
+   (Reconfig keeps one ctx per graph order on each domain). *)
 
 type ctx = {
   cap : int;  (** graph order the scratch is sized for *)
@@ -40,11 +32,11 @@ type ctx = {
   next : Bitset.t;  (** connectivity-prune scratch: next BFS wave *)
   pool : Bitset.t;  (** start/end candidate scratch *)
   deg1 : Bitset.t;
-      (** kernel only: remaining nodes with exactly one remaining
+      (** remaining nodes with exactly one remaining
           neighbour, maintained incrementally by [occupy]/[release] so the
           forced-endpoint prune is a word-parallel mask op instead of a
           scan over [remaining] *)
-  forced : Bitset.t;  (** kernel scratch: [deg1 \ row head] *)
+  forced : Bitset.t;  (** forced-endpoint prune scratch: [deg1 \ row head] *)
   rem_deg : int array;
   mutable cand : int array;
       (** candidate stack shared by all DFS levels: each [extend] frame
@@ -79,8 +71,6 @@ let push_cand ctx u =
   ctx.cand.(ctx.cand_sp) <- u;
   ctx.cand_sp <- ctx.cand_sp + 1
 
-let ctx_capacity ctx = ctx.cap
-
 (* ------------------------------------------------------------------ *)
 (* Word-parallel kernel                                                *)
 (* ------------------------------------------------------------------ *)
@@ -105,8 +95,9 @@ let ctx_capacity ctx = ctx.cap
        into the shared scratch stack.
 
    Visit order (candidate sort included) is byte-identical to the
-   reference implementation below — the oracle tests assert equal results
-   and equal expansion counts. *)
+   neighbour-array backtracker this kernel replaced, which test_kernel
+   keeps as its oracle and holds to equal results and equal expansion
+   counts. *)
 
 let search ctx ~budget ~expansions:expansions_out g ~alive ~starts ~ends =
   let n = Graph.order g in
@@ -199,7 +190,7 @@ let search ctx ~budget ~expansions:expansions_out g ~alive ~starts ~ends =
     in
 
     (* Soundness prunes; [head] is the current path head.  Equivalent to
-       the reference's scan over [remaining] (the scan's early-exit only
+       the oracle's scan over [remaining] (the scan's early-exit only
        short-circuits failure, so the boolean is order-independent):
        - a zero-degree node is legal only as the unique remaining node
          entered directly from the head;
@@ -379,189 +370,3 @@ let is_spanning_path g ~alive ~starts ~ends path =
     && consecutive_ok path
     && Bitset.mem starts first
     && Bitset.mem ends (last path)
-
-(* ------------------------------------------------------------------ *)
-(* Reference implementation (pre-bitset-row kernel)                    *)
-(* ------------------------------------------------------------------ *)
-
-(* The neighbour-array backtracker the kernel above replaced, retained
-   verbatim as the equivalence oracle: same prunes, same visit order, same
-   tick placement, so for any input it must return the identical [result]
-   and perform the identical number of expansions.  The oracle tests and
-   [gdp verify --crosscheck] diff the two paths; perf is irrelevant here
-   (it even keeps the old full [alive_degree] recompute in [release]). *)
-module Reference = struct
-  let search ctx ~budget ~expansions:expansions_out g ~alive ~starts ~ends =
-    let n = Graph.order g in
-    if ctx.cap <> n then
-      invalid_arg "Hamilton.Reference.search: ctx capacity mismatch";
-    ctx.cand_sp <- 0;
-    let total = Bitset.cardinal alive in
-    if total = 0 then No_path
-    else begin
-      let search_start = Mclock.now_ns () in
-      let expansions = ref 0 in
-      let backtracks = ref 0 in
-      let tick () =
-        incr expansions;
-        Option.iter (fun r -> incr r) expansions_out;
-        match budget with
-        | Some b when !expansions > b -> raise Out_of_budget
-        | _ -> ()
-      in
-      let remaining = ctx.remaining in
-      let rem_deg = ctx.rem_deg in
-      let ends_remaining = ref 0 in
-
-      let init_from start =
-        Bitset.blit ~src:alive ~dst:remaining;
-        Bitset.remove remaining start;
-        ends_remaining := 0;
-        Bitset.iter
-          (fun v ->
-            rem_deg.(v) <- Graph.alive_degree g remaining v;
-            if Bitset.mem ends v then incr ends_remaining)
-          remaining
-      in
-
-      let occupy v =
-        Bitset.remove remaining v;
-        if Bitset.mem ends v then decr ends_remaining;
-        Graph.iter_neighbours g v (fun u ->
-            if Bitset.mem remaining u then rem_deg.(u) <- rem_deg.(u) - 1)
-      in
-      let release v =
-        Graph.iter_neighbours g v (fun u ->
-            if Bitset.mem remaining u then rem_deg.(u) <- rem_deg.(u) + 1);
-        Bitset.add remaining v;
-        if Bitset.mem ends v then incr ends_remaining;
-        rem_deg.(v) <- Graph.alive_degree g remaining v
-      in
-
-      let feasible head =
-        let rem_count = Bitset.cardinal remaining in
-        if rem_count = 0 then true
-        else if !ends_remaining = 0 then false
-        else begin
-          let ok = ref true in
-          let forced = ref 0 in
-          Bitset.iter
-            (fun v ->
-              if !ok then
-                if rem_deg.(v) = 0 then begin
-                  if rem_count > 1 || not (Graph.adjacent g head v) then
-                    ok := false
-                end
-                else if rem_deg.(v) = 1 && not (Graph.adjacent g head v)
-                then begin
-                  incr forced;
-                  if (not (Bitset.mem ends v)) || !forced > 1 then ok := false
-                end)
-            remaining;
-          if not !ok then false
-          else begin
-            let seen = ctx.seen in
-            Bitset.clear seen;
-            let stack = ref [] in
-            Graph.iter_neighbours g head (fun u ->
-                if Bitset.mem remaining u && not (Bitset.mem seen u) then begin
-                  Bitset.add seen u;
-                  stack := u :: !stack
-                end);
-            let count = ref (Bitset.cardinal seen) in
-            while !stack <> [] do
-              match !stack with
-              | [] -> ()
-              | v :: rest ->
-                stack := rest;
-                Graph.iter_neighbours g v (fun u ->
-                    if Bitset.mem remaining u && not (Bitset.mem seen u)
-                    then begin
-                      Bitset.add seen u;
-                      incr count;
-                      stack := u :: !stack
-                    end)
-            done;
-            !count = rem_count
-          end
-        end
-      in
-
-      let exception Found of int list in
-      let rec extend head trail =
-        tick ();
-        if Bitset.is_empty remaining then begin
-          if Bitset.mem ends head then raise (Found trail)
-        end
-        else if feasible head then begin
-          let base = ctx.cand_sp in
-          Graph.iter_neighbours g head (fun u ->
-              if Bitset.mem remaining u then push_cand ctx u);
-          let sp = ctx.cand_sp in
-          for i = base + 1 to sp - 1 do
-            let x = ctx.cand.(i) in
-            let dx = rem_deg.(x) in
-            let j = ref i in
-            while
-              !j > base
-              && (let p = ctx.cand.(!j - 1) in
-                  rem_deg.(p) > dx || (rem_deg.(p) = dx && p < x))
-            do
-              ctx.cand.(!j) <- ctx.cand.(!j - 1);
-              decr j
-            done;
-            ctx.cand.(!j) <- x
-          done;
-          for i = base to sp - 1 do
-            let u = ctx.cand.(i) in
-            occupy u;
-            extend u (u :: trail);
-            release u;
-            incr backtracks
-          done;
-          ctx.cand_sp <- base
-        end
-      in
-
-      let start_candidates =
-        Bitset.blit ~src:starts ~dst:ctx.pool;
-        Bitset.inter_into ctx.pool alive;
-        Bitset.elements ctx.pool
-      in
-      let result =
-        try
-          List.iter
-            (fun start ->
-              init_from start;
-              extend start [ start ])
-            start_candidates;
-          No_path
-        with
-        | Found trail -> Path (List.rev trail)
-        | Out_of_budget -> Budget_exceeded
-      in
-      Metrics.incr m_ref_searches;
-      Metrics.add m_ref_expansions !expansions;
-      Metrics.add m_ref_backtracks !backtracks;
-      Metrics.observe h_ref_search (Mclock.now_ns () - search_start);
-      result
-    end
-
-  let solve_into ?budget ?expansions ctx g ~alive ~starts ~ends =
-    let count set = Bitset.count_common set alive in
-    if count ends < count starts then
-      match
-        search ctx ~budget ~expansions g ~alive ~starts:ends ~ends:starts
-      with
-      | Path p -> Path (List.rev p)
-      | (No_path | Budget_exceeded) as r -> r
-    else search ctx ~budget ~expansions g ~alive ~starts ~ends
-
-  let spanning_path ?budget ?expansions ?ctx g ~alive ~starts ~ends =
-    let ctx =
-      match ctx with
-      | Some c when ctx_capacity c = Graph.order g -> c
-      | Some _ | None -> make_ctx (Graph.order g)
-    in
-    solve_into ?budget ?expansions ctx g ~alive ~starts ~ends
-end

@@ -32,9 +32,6 @@ type ctx
 val make_ctx : int -> ctx
 (** [make_ctx order] preallocates scratch for graphs of the given order. *)
 
-val ctx_capacity : ctx -> int
-(** The graph order the ctx was sized for. *)
-
 val solve_into :
   ?budget:int ->
   ?expansions:int ref ->
@@ -68,24 +65,3 @@ val is_spanning_path :
   Graph.t -> alive:Bitset.t -> starts:Bitset.t -> ends:Bitset.t -> int list -> bool
 (** Independent validity check of a candidate witness (used by the test
     suite to validate solver output without trusting the solver). *)
-
-(** The neighbour-array backtracker that predates the word-parallel
-    bitset-row kernel, retained verbatim as an equivalence oracle: for any
-    input it returns the identical {!result} and performs the identical
-    number of expansions (same prunes, same Warnsdorff order, same budget
-    semantics).  The oracle tests and [gdp verify --crosscheck] diff the
-    two paths; do not use it for performance work. *)
-module Reference : sig
-  val spanning_path :
-    ?budget:int ->
-    ?expansions:int ref ->
-    ?ctx:ctx ->
-    Graph.t ->
-    alive:Bitset.t ->
-    starts:Bitset.t ->
-    ends:Bitset.t ->
-    result
-  (** Mirrors {!spanning_path} (including the smaller-endpoint-pool swap);
-      [ctx] is reused when its capacity matches the graph order, exactly
-      like the kernel path. *)
-end

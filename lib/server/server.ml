@@ -13,7 +13,7 @@
      — backpressure degrades to the listen backlog and then to client
      connect timeouts instead of unbounded daemon memory;
    - each worker domain owns [Engine.reader]-derived handles (private
-     ctx/scratch, shared caches) and serves one connection at a time to
+     scratch, shared caches) and serves one connection at a time to
      completion, processing its frames strictly in order — responses for
      one connection are therefore deterministic, which is what the
      serve-smoke crosscheck pins against direct Engine.solve;

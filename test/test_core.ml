@@ -468,7 +468,9 @@ let verify_tests =
     tc "breaking_fault_set finds the k+1 boundary" (fun () ->
         (* Node-optimal graphs cannot tolerate k+1 faults: killing all k+1
            input terminals disconnects the input side.  The smallest
-           breaking set must therefore have size exactly k+1. *)
+           breaking set must therefore have size exactly k+1, and the
+           witness returned must itself be a set the graph does not
+           tolerate. *)
         List.iter
           (fun inst ->
             match Verify.breaking_fault_set inst with
@@ -476,7 +478,11 @@ let verify_tests =
               check Alcotest.int
                 (inst.Instance.name ^ ": witness size")
                 (inst.Instance.k + 1)
-                (List.length witness)
+                (List.length witness);
+              check Alcotest.bool
+                (inst.Instance.name ^ ": witness breaks")
+                true
+                (Result.is_error (Verify.check_fault_set inst witness))
             | None -> Alcotest.fail "node-optimal graphs break at k+1")
           [ Small_n.g1 ~k:1; Small_n.g1 ~k:2; Small_n.g2 ~k:2; Small_n.g3 ~k:2 ]);
     tc "tolerance is exactly k" (fun () ->
@@ -489,7 +495,7 @@ let verify_tests =
               (Option.map List.length (Verify.breaking_fault_set inst)))
           [
             Small_n.g1 ~k:1; Small_n.g2 ~k:1; Small_n.g1 ~k:2;
-            Small_n.g3 ~k:2; Special.g62 ();
+            Small_n.g2 ~k:2; Small_n.g3 ~k:2; Special.g62 ();
           ]);
     tc "tolerance of a weakened graph drops below k" (fun () ->
         (* G(1,2) minus a clique edge: some 2-fault sets already break it,

@@ -210,15 +210,17 @@ let link_tests =
   [
     tc "degrade removes exactly the given edges" (fun () ->
         let inst = Small_n.g1 ~k:2 in
-        let weak = Link_faults.degrade inst ~links:[ (0, 1) ] in
+        let weak = Fault_model.degrade_links inst ~links:[ (0, 1) ] in
         check Alcotest.bool "edge gone" false
           (Graph.adjacent weak.Instance.graph 0 1);
         check Alcotest.int "one edge fewer"
           (Graph.size inst.Instance.graph - 1)
           (Graph.size weak.Instance.graph);
         Alcotest.check_raises "unknown edge"
-          (Invalid_argument "Link_faults.degrade: not an edge of the instance")
-          (fun () -> ignore (Link_faults.degrade inst ~links:[ (0, 8) ])));
+          (Invalid_argument
+             "Fault_model.degrade_links: not an edge of the instance")
+          (fun () ->
+            ignore (Fault_model.degrade_links inst ~links:[ (0, 8) ])));
     tc "no faults: graceful" (fun () ->
         match Link_faults.solve (Small_n.g1 ~k:2) ~faults:[] with
         | Link_faults.Graceful _ -> ()

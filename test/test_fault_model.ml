@@ -469,10 +469,9 @@ let link_wrapper_tests =
               | Link_faults.Gave_up), _ -> ()
           done
         done);
-    tc "ctx and shared model do not change wrapper verdicts" (fun () ->
+    tc "a shared model does not change wrapper verdicts" (fun () ->
         let inst = Small_n.g3 ~k:2 in
         let model = Fault_model.mixed inst in
-        let ctx = Reconfig.make_ctx inst in
         let classify = function
           | Link_faults.Graceful _ -> `G
           | Link_faults.Degraded _ -> `D
@@ -488,7 +487,7 @@ let link_wrapper_tests =
           (fun faults ->
             check Alcotest.bool "same class" true
               (classify (Link_faults.solve inst ~faults)
-              = classify (Link_faults.solve ~ctx ~model inst ~faults)))
+              = classify (Link_faults.solve ~model inst ~faults)))
           [
             [];
             [ Link_faults.Node 0 ];

@@ -160,9 +160,10 @@ let crosscheck_tests =
     tc "link-fault degrade composes" (fun () ->
         let inst = Small_n.g1 ~k:3 in
         let e1 = (0, 1) and e2 = (2, 3) in
-        let once = Link_faults.degrade inst ~links:[ e1; e2 ] in
+        let once = Fault_model.degrade_links inst ~links:[ e1; e2 ] in
         let twice =
-          Link_faults.degrade (Link_faults.degrade inst ~links:[ e1 ])
+          Fault_model.degrade_links
+            (Fault_model.degrade_links inst ~links:[ e1 ])
             ~links:[ e2 ]
         in
         check Alcotest.bool "same graph" true
