@@ -298,8 +298,7 @@ let e14 () =
       (List.filter
          (fun v ->
            let faults = Gdpn_graph.Bitset.of_list order [ v ] in
-           Repair.is_local
-             (Repair.repair inst ~current:pipeline ~faults ~failed:v))
+           Repair.patch inst ~current:pipeline ~faults ~failed:v <> None)
          singles)
   in
   let rate = float_of_int local /. float_of_int (List.length singles) in

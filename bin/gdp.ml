@@ -1104,10 +1104,7 @@ let stats_cmd =
       match Engine.attach_store engine ~path with
       | Ok () -> ()
       | Error e -> pf "warning: plan store not attached: %s@." e));
-    let report =
-      Engine.Parallel.verify_exhaustive ~budget:(Engine.budget engine)
-        ~domains:1 inst
-    in
+    let report = Engine.Parallel.verify_exhaustive ~domains:1 inst in
     let machine = Faultsim.Machine.create ~engine inst in
     let rng = Faultsim.Stream.Prng.create seed in
     let schedule =
@@ -1166,8 +1163,7 @@ let stats_cmd =
    flight. *)
 let compile_plans_cmd =
   let module Plan_store = Gdpn_engine.Plan_store in
-  let run n k model_name out max_size flat domains budget ckpt_path
-      resume_path =
+  let run n k model_name out max_size domains ckpt_path resume_path =
     let inst = build_instance n k false in
     match model_of_name inst model_name with
     | Error e ->
@@ -1177,8 +1173,8 @@ let compile_plans_cmd =
       pf "%a@." Instance.pp inst;
       if not (Fault_model.is_node model) then print_model model;
       match
-        Engine.compile_plans ~budget ~domains ~flat ?max_size
-          ?checkpoint:ckpt_path ?resume:resume_path model ~path:out
+        Engine.compile_plans ~domains ?max_size ?checkpoint:ckpt_path
+          ?resume:resume_path model ~path:out
       with
       | Error e ->
         pf "error: cannot resume: %s@." e;
@@ -1226,22 +1222,10 @@ let compile_plans_cmd =
              ~doc:"Largest fault-set size to precompile (default: the \
                    model's fault tolerance).")
   in
-  let flat_arg =
-    Arg.(value & flag
-         & info [ "flat" ]
-             ~doc:"Disable orbit compression: one record per fault set \
-                   even when the instance has symmetry.")
-  in
   let domains_arg =
     Arg.(value & opt int 1
          & info [ "domains" ] ~docv:"D"
              ~doc:"Solve representatives over $(docv) OCaml domains.")
-  in
-  let budget_arg =
-    Arg.(value & opt int 2_000_000
-         & info [ "budget" ] ~docv:"B"
-             ~doc:"Solver expansion budget per fault set (the engine's \
-                   default).")
   in
   let ckpt_arg =
     Arg.(value & opt (some string) None
@@ -1261,7 +1245,7 @@ let compile_plans_cmd =
        ~doc:"Precompile the fault universe into an mmap-ready plan store \
              for instant cold-start serving.")
     Term.(const run $ n_arg $ k_arg $ model_arg $ out_arg $ max_size_arg
-          $ flat_arg $ domains_arg $ budget_arg $ ckpt_arg $ resume_arg)
+          $ domains_arg $ ckpt_arg $ resume_arg)
 
 (* -------------------- serve / bench-client -------------------- *)
 

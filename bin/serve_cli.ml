@@ -57,8 +57,8 @@ let pp_listen = function
 
 (* -------------------- serve -------------------- *)
 
-let serve_run fleet socket port workers queue warm budget cache_limit
-    no_shutdown store =
+let serve_run fleet socket port workers queue warm cache_limit no_shutdown
+    store =
   match (parse_fleet fleet, listen_of socket port) with
   | Error (`Msg e), _ | _, Error e ->
     epf "gdpd: %s@." e;
@@ -71,7 +71,6 @@ let serve_run fleet socket port workers queue warm budget cache_limit
         workers;
         max_queue = queue;
         warm;
-        budget;
         cache_limit;
         allow_shutdown = not no_shutdown;
         store;
@@ -109,10 +108,6 @@ let serve_term =
              ~doc:"Pre-solve every fault set of size up to $(docv) per \
                    instance before serving.")
   in
-  let budget_arg =
-    Arg.(value & opt (some int) None
-         & info [ "budget" ] ~docv:"B" ~doc:"Solver expansion budget per solve.")
-  in
   let cache_limit_arg =
     Arg.(value & opt (some int) None
          & info [ "cache-limit" ] ~docv:"N"
@@ -133,8 +128,7 @@ let serve_term =
                    its first lap at store speed instead of re-solving.")
   in
   Term.(const serve_run $ fleet_arg $ socket_arg $ port_arg $ workers_arg
-        $ queue_arg $ warm_arg $ budget_arg $ cache_limit_arg $ no_shutdown_arg
-        $ store_arg)
+        $ queue_arg $ warm_arg $ cache_limit_arg $ no_shutdown_arg $ store_arg)
 
 let serve_doc = "Serve reconfiguration plans over the gdpd binary protocol."
 

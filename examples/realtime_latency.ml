@@ -52,7 +52,7 @@ let () =
     List.find
       (fun v ->
         let faults = Gdpn_graph.Bitset.of_list order [ v ] in
-        Repair.is_local (Repair.repair inst ~current:pipeline ~faults ~failed:v))
+        Repair.patch inst ~current:pipeline ~faults ~failed:v <> None)
       (Instance.processors inst)
   in
   let fault_time = 60 * config.Des.arrival_period / 10 in

@@ -27,10 +27,10 @@ let put_string oc s =
    calling domain: the witness sink streams each record as the task
    checks its set, so memory is the task and its chain, never the
    records. *)
-let write ?solve ?symmetry model oc =
+let write ?symmetry model oc =
   let inst = Fault_model.instance model in
   let gens = match symmetry with None -> [] | Some g -> Auto.generators g in
-  let task = Verify.Task.exhaustive_model ?solve ?symmetry model in
+  let task = Verify.Task.exhaustive_model ?symmetry model in
   output_string oc magic;
   put_string oc (digest inst);
   put_string oc (Fault_model.name model);

@@ -57,11 +57,7 @@
     the task checks its set, the checker reads each in turn. *)
 
 val write :
-  ?solve:(faults:Gdpn_graph.Bitset.t -> Reconfig.outcome) ->
-  ?symmetry:Gdpn_graph.Auto.group ->
-  Fault_model.t ->
-  out_channel ->
-  unit
+  ?symmetry:Gdpn_graph.Auto.group -> Fault_model.t -> out_channel -> unit
 (** [write model oc] drains {!Verify.Task.exhaustive_model} of the model
     under [symmetry], splicing, on the calling domain, and writes the
     certificate to [oc] as its witness sink receives each checked set,
@@ -70,8 +66,7 @@ val write :
     solvability-preserving node permutations (typically
     [Instance.symmetry]); its generators go in the header and its action
     on the model's universe picks the representatives.  Without it the
-    certificate is flat.  [solve] overrides the full solver over universe
-    masks (witnesses are revalidated either way).  Each record bumps
+    certificate is flat.  Each record bumps
     [certify.records_streamed].  Raises [Failure] if a set has no
     pipeline (the instance does not tolerate the model, so no
     certificate exists), after writing the records before it; raises

@@ -192,11 +192,11 @@ let effective t mask =
     (degraded_instance t links, nodes)
   end
 
-let solve ?budget t ~faults =
-  if t.kind = Knode then Reconfig.solve ?budget t.inst ~faults
+let solve t ~faults =
+  if t.kind = Knode then Reconfig.solve t.inst ~faults
   else begin
     let inst, nodes = effective t faults in
-    Reconfig.solve ?budget inst ~faults:nodes
+    Reconfig.solve inst ~faults:nodes
   end
 
 let validate t ~faults nodes =

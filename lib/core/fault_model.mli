@@ -113,9 +113,10 @@ val effective : t -> Gdpn_graph.Bitset.t -> Instance.t * Gdpn_graph.Bitset.t
     runs against.  For the node model this is [(instance t, mask)] with
     the caller's mask returned physically — no allocation. *)
 
-val solve : ?budget:int -> t -> faults:Gdpn_graph.Bitset.t -> Reconfig.outcome
-(** Solve the fault set through {!effective}.  For the node model this is
-    exactly {!Reconfig.solve}. *)
+val solve : t -> faults:Gdpn_graph.Bitset.t -> Reconfig.outcome
+(** Solve the fault set through {!effective}, under {!Reconfig}'s one
+    budget: the solve every verification runs.  For the node model this
+    is exactly {!Reconfig.solve}. *)
 
 val validate :
   t -> faults:Gdpn_graph.Bitset.t -> int list -> (Pipeline.t, string) result
@@ -141,7 +142,8 @@ val splice :
 val probe :
   budget:int -> t -> Gdpn_graph.Bitset.t -> int * [ `Found | `None | `Gave_up ]
 (** Generic-solver expansions for the fault set (the deterministic cost
-    measure {!Attack} maximises), measured on the degraded instance. *)
+    measure {!Attack} maximises), measured on the degraded instance under
+    the caller's [budget]. *)
 
 val induced_symmetry : t -> Gdpn_graph.Auto.group -> Gdpn_graph.Auto.group
 (** The action of the instance's node symmetry group on the universe

@@ -37,8 +37,8 @@ let to_mask model faults =
    the Hayes reduction: kill one endpoint per faulty link, over all
    choices — the space is tiny (2^L).  A returned pipeline avoids the
    killed processors, so it also avoids every faulty link. *)
-let solve_mask ?budget model mask =
-  match Fault_model.solve ?budget model ~faults:mask with
+let solve_mask model mask =
+  match Fault_model.solve model ~faults:mask with
   | Reconfig.Pipeline p -> Graceful p
   | Reconfig.Gave_up -> Gave_up
   | Reconfig.No_pipeline -> (
@@ -58,7 +58,7 @@ let solve_mask ?budget model mask =
         List.filter_map
           (fun killed ->
             match
-              Reconfig.solve ?budget weakened
+              Reconfig.solve weakened
                 ~faults:(Bitset.of_list order (nodes @ killed))
             with
             | Reconfig.Pipeline p -> Some p
@@ -80,7 +80,7 @@ let solve_mask ?budget model mask =
         Degraded best
     end)
 
-let solve ?budget ?model inst ~faults =
+let solve ?model inst ~faults =
   let model =
     match model with
     | Some m ->
@@ -89,7 +89,7 @@ let solve ?budget ?model inst ~faults =
       m
     | None -> Fault_model.mixed inst
   in
-  solve_mask ?budget model (to_mask model faults)
+  solve_mask model (to_mask model faults)
 
 type survey = {
   fault_sets : int;
@@ -104,10 +104,10 @@ type survey = {
    [0..k] once.  A pipeline the task found (solved or spliced, and
    revalidated either way) is graceful; any other set goes through the
    Hayes fallback. *)
-let survey_exhaustive ?budget inst =
+let survey_exhaustive inst =
   let model = Fault_model.mixed inst in
   let usize = Fault_model.size model in
-  let task = Verify.Task.exhaustive_model ?budget model in
+  let task = Verify.Task.exhaustive_model model in
   let total = ref 0 in
   let graceful = ref 0 in
   let degraded = ref 0 in
@@ -119,8 +119,7 @@ let survey_exhaustive ?budget inst =
       match w_outcome with
       | Reconfig.Pipeline p -> Graceful p
       | Reconfig.No_pipeline | Reconfig.Gave_up ->
-        solve_mask ?budget model
-          (Bitset.of_list usize (Array.to_list w_set))
+        solve_mask model (Bitset.of_list usize (Array.to_list w_set))
     in
     match outcome with
     | Graceful p ->

@@ -39,12 +39,7 @@ type outcome =
   | No_pipeline
   | Gave_up
 
-val solve :
-  ?budget:int ->
-  ?model:Fault_model.t ->
-  Instance.t ->
-  faults:fault list ->
-  outcome
+val solve : ?model:Fault_model.t -> Instance.t -> faults:fault list -> outcome
 (** Try graceful first ({!Fault_model.solve} on the mixed model); fall
     back to the Hayes reduction over all endpoint-killing choices (at most
     [2^L] graceful solves for [L] link faults).  [model] shares a prebuilt
@@ -59,7 +54,7 @@ type survey = {
   min_processors : int;  (** smallest pipeline seen across the survey *)
 }
 
-val survey_exhaustive : ?budget:int -> Instance.t -> survey
+val survey_exhaustive : Instance.t -> survey
 (** Classify every mixed fault set of size [0..k] (nodes and edges both
     count as single faults). *)
 

@@ -57,8 +57,7 @@ let guarantee_only_bound ~n ~k ~node_failure_prob =
   done;
   Float.min 1.0 !acc
 
-let recommend_k ~rng ?(trials = 400) ?(max_k = 8) ~n ~node_failure_prob
-    ~target () =
+let recommend_k ~rng ?(trials = 400) ~n ~node_failure_prob ~target () =
   let best_possible = wilson_lower_bound ~successes:trials ~trials in
   if target > best_possible then
     invalid_arg
@@ -67,7 +66,7 @@ let recommend_k ~rng ?(trials = 400) ?(max_k = 8) ~n ~node_failure_prob
           trials or lower the target"
          trials best_possible);
   let rec search k =
-    if k > max_k then None
+    if k > 8 then None
     else
       match Family.build ~n ~k with
       | exception Family.Unsupported _ -> search (k + 1)

@@ -35,15 +35,14 @@ val guarantee_only_bound : n:int -> k:int -> node_failure_prob:float -> float
 val recommend_k :
   rng:Random.State.t ->
   ?trials:int ->
-  ?max_k:int ->
   n:int ->
   node_failure_prob:float ->
   target:float ->
   unit ->
   (int * estimate) option
-(** Smallest supported [k <= max_k] (default 8) whose Wilson lower bound
-    meets [target], with its estimate.  [None] when even [max_k] falls
-    short or no construction exists.  Raises [Invalid_argument] when
+(** Smallest supported [k <= 8] whose Wilson lower bound meets
+    [target], with its estimate.  [None] when even [k = 8] falls short or
+    no construction exists.  Raises [Invalid_argument] when
     [trials] is too small to certify [target] at all (the Wilson bound of
     a perfect run caps below the target). *)
 

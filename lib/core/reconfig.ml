@@ -4,7 +4,11 @@ module Hamilton = Gdpn_graph.Hamilton
 
 type outcome = Pipeline of Pipeline.t | No_pipeline | Gave_up
 
-let default_budget = 2_000_000
+(* The one solve budget, in node expansions: a generic search that runs
+   out of it makes the solve report [Gave_up].  Only [solve_generic]'s
+   callers (the adversary's scoring cap) and the ring search below set
+   another. *)
+let budget = 2_000_000
 
 (* Healthy terminal of the given kind adjacent to processor [p], if any. *)
 let healthy_terminal inst ~alive kind p =
@@ -46,7 +50,7 @@ let ham_search ?budget ?expansions g ~alive ~starts ~ends =
   Hamilton.solve_into ?budget ?expansions (domain_ctx (Graph.order g)) g ~alive
     ~starts ~ends
 
-let generic ?(budget = default_budget) ?expansions inst ~faults =
+let generic ?(budget = budget) ?expansions inst ~faults =
   let order = Instance.order inst in
   let graph = inst.Instance.graph in
   let alive = Bitset.full order in
@@ -163,7 +167,7 @@ let clique_scan inst ~faults =
    (an input terminal of the inner instance, now a processor).  The inner
    pipeline's input endpoint is one of those relabelled nodes. *)
 
-let rec extension ?budget inst inner ~faults =
+let rec extension inst inner ~faults =
   let graph = inst.Instance.graph in
   let inner_order = Instance.order inner in
   let fresh_terminals = Instance.inputs inst in
@@ -181,7 +185,7 @@ let rec extension ?budget inst inner ~faults =
     List.filter (fun t -> Bitset.mem faults t) fresh_terminals
   in
   let solve_inner inner_faults =
-    match solve ?budget inner ~faults:inner_faults with
+    match solve inner ~faults:inner_faults with
     | Pipeline p -> Some (Pipeline.normalise inner p)
     | No_pipeline | Gave_up -> None
   in
@@ -194,10 +198,10 @@ let rec extension ?budget inst inner ~faults =
   | [] -> (
     (* Case 1: no fresh terminal is faulty. *)
     match solve_inner (restrict_faults ()) with
-    | None -> generic ?budget inst ~faults
+    | None -> generic inst ~faults
     | Some inner_pipe -> (
       match inner_pipe.Pipeline.nodes with
-      | [] -> generic ?budget inst ~faults
+      | [] -> generic inst ~faults
       | i1 :: _ ->
         let u =
           List.filter
@@ -219,17 +223,17 @@ let rec extension ?budget inst inner ~faults =
         fresh_terminals
     in
     match i4_candidate with
-    | None -> generic ?budget inst ~faults
+    | None -> generic inst ~faults
     | Some j4 -> (
       let i4 = mate j4 in
       let inner_faults = restrict_faults () in
       Bitset.add inner_faults i4;
       ignore j3;
       match solve_inner inner_faults with
-      | None -> generic ?budget inst ~faults
+      | None -> generic inst ~faults
       | Some inner_pipe -> (
         match inner_pipe.Pipeline.nodes with
-        | [] -> generic ?budget inst ~faults
+        | [] -> generic inst ~faults
         | i1 :: _ ->
           let u =
             List.filter
@@ -238,7 +242,7 @@ let rec extension ?budget inst inner ~faults =
           in
           finish ((j4 :: i4 :: u) @ inner_pipe.Pipeline.nodes))))
 
-and circulant ?budget inst ~m ~faults =
+and circulant inst ~m ~faults =
   (* Region decomposition for the §3.4 family (the shape the Theorem 3.17
      embedding takes): one clique run through the healthy I nodes, a
      spanning sweep of the healthy ring nodes between two S bridges, one
@@ -322,30 +326,30 @@ and circulant ?budget inst ~m ~faults =
   match found with
   | Some nodes when Pipeline.is_valid inst ~faults nodes ->
     Pipeline { Pipeline.nodes }
-  | Some _ | None -> generic ?budget inst ~faults
+  | Some _ | None -> generic inst ~faults
 
-and dispatch ?budget inst ~faults =
+and dispatch inst ~faults =
   match inst.Instance.strategy with
-  | Instance.Generic -> generic ?budget inst ~faults
+  | Instance.Generic -> generic inst ~faults
   | Instance.Processor_clique -> clique_scan inst ~faults
-  | Instance.Extension inner -> extension ?budget inst inner ~faults
-  | Instance.Circulant_layout { m } -> circulant ?budget inst ~m ~faults
+  | Instance.Extension inner -> extension inst inner ~faults
+  | Instance.Circulant_layout { m } -> circulant inst ~m ~faults
 
 (* [ctx] is accepted and unused: every search runs on the per-domain
    cache above, and no result ever depended on where the scratch lived. *)
-and solve ?budget ?ctx:_ inst ~faults =
-  match dispatch ?budget inst ~faults with
+and solve ?ctx:_ inst ~faults =
+  match dispatch inst ~faults with
   | Pipeline p when Pipeline.is_valid inst ~faults p.Pipeline.nodes ->
     Pipeline p
   | Pipeline _ ->
     (* A constructive solver produced a bogus witness: fall back to the
        generic solver rather than returning it.  (This indicates a bug; the
        test suite asserts it never happens for in-spec fault sets.) *)
-    generic ?budget inst ~faults
+    generic inst ~faults
   | (No_pipeline | Gave_up) as r -> r
 
-let solve_list ?budget inst ~faults =
-  solve ?budget inst
+let solve_list inst ~faults =
+  solve inst
     ~faults:(Bitset.of_list (Instance.order inst) faults)
 
 let solve_generic ?budget ?expansions inst ~faults =

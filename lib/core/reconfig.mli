@@ -22,7 +22,16 @@
 
     Every solver's output is revalidated against the paper's pipeline
     definition before being returned, so a [Pipeline p] outcome is always a
-    genuine witness. *)
+    genuine witness.
+
+    {b One budget.}  The generic search gives up after 2,000,000 node
+    expansions, and the solve then reports [Gave_up].  That bound is a
+    constant of this module: every verdict the repository reports
+    (verification, certificates, plan stores, the engine, the daemon)
+    comes from {!solve} under it.  The §3.4 ring searches cap themselves
+    at 100,000 and fall back to the generic search, so they decide no
+    verdict; only {!solve_generic} takes another bound, for the
+    adversary's scoring cap. *)
 
 type outcome =
   | Pipeline of Pipeline.t
@@ -30,23 +39,22 @@ type outcome =
   | Gave_up  (** search budget exhausted before a conclusion *)
 
 val solve :
-  ?budget:int ->
   ?ctx:Gdpn_graph.Hamilton.ctx ->
   Instance.t ->
   faults:Gdpn_graph.Bitset.t ->
   outcome
-(** Strategy-dispatching solver.  [budget] bounds backtracking expansions
-    in the generic solver (default 2_000_000).  Every spanning-path search
-    runs on a per-domain scratch cache keyed on graph order (domain-local
-    storage), so repeated solves on one domain reuse the backtracker's
-    scratch instead of reallocating it.  [ctx] is accepted and unused: it
-    predates the cache, and results never depended on it. *)
+(** Strategy-dispatching solver, under the one budget.  Every
+    spanning-path search runs on a per-domain scratch cache keyed on graph
+    order (domain-local storage), so repeated solves on one domain reuse
+    the backtracker's scratch instead of reallocating it.  [ctx] is
+    accepted and unused: it predates the cache, and results never
+    depended on it. *)
 
 val make_ctx : Instance.t -> Gdpn_graph.Hamilton.ctx
 (** A search context sized for this instance, the [ctx] {!solve}
     accepts. *)
 
-val solve_list : ?budget:int -> Instance.t -> faults:int list -> outcome
+val solve_list : Instance.t -> faults:int list -> outcome
 (** Convenience wrapper taking the fault set as a list of node ids. *)
 
 val solve_generic :
@@ -56,6 +64,7 @@ val solve_generic :
   faults:Gdpn_graph.Bitset.t ->
   outcome
 (** The generic solver regardless of strategy (the baseline that
-    EXPERIMENTS.md E16 holds the constructive solvers against).
-    [expansions] accumulates the backtracker's node-expansion count — the
-    deterministic work measure {!Attack} maximises. *)
+    EXPERIMENTS.md E16 holds the constructive solvers against).  [budget]
+    (default: the one budget) caps its search; [expansions] accumulates
+    the backtracker's node-expansion count — the deterministic work
+    measure {!Attack} maximises. *)

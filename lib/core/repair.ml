@@ -1,16 +1,6 @@
 module Graph = Gdpn_graph.Graph
 module Bitset = Gdpn_graph.Bitset
 
-type result =
-  | Unchanged of Pipeline.t
-  | Spliced of Pipeline.t
-  | Resolved of Pipeline.t
-  | Lost
-
-let is_local = function
-  | Unchanged _ | Spliced _ -> true
-  | Resolved _ | Lost -> false
-
 (* A healthy terminal of the given kind attached to processor [p]. *)
 let fresh_terminal inst ~faults kind p =
   Graph.fold_neighbours inst.Instance.graph p
@@ -111,10 +101,10 @@ let try_splice inst ~faults ~failed nodes =
     end)
   | _ -> None
 
-(* The local-only part of [repair]: [Some] on the no-search outcomes
-   (fault off the pipeline, or a successful splice), [None] when a full
-   reconfiguration would be needed.  The engine's plan cache uses this to
-   derive a plan from a cached one-fault-smaller predecessor without
+(* [Some] on the no-search outcomes (fault off the pipeline, or a
+   successful splice), [None] when a full reconfiguration would be
+   needed.  The engine's plan cache and splice-first verification use
+   this to derive a plan from a one-fault-smaller predecessor without
    running the solver. *)
 let patch inst ~current ~faults ~failed =
   let current = Pipeline.normalise inst current in
@@ -130,14 +120,3 @@ let patch inst ~current ~faults ~failed =
     | Some patched when Pipeline.is_valid inst ~faults patched ->
       Some (`Spliced { Pipeline.nodes = patched })
     | Some _ | None -> None
-
-let repair ?budget inst ~current ~faults ~failed =
-  let full () =
-    match Reconfig.solve ?budget inst ~faults with
-    | Reconfig.Pipeline p -> Resolved p
-    | Reconfig.No_pipeline | Reconfig.Gave_up -> Lost
-  in
-  match patch inst ~current ~faults ~failed with
-  | Some (`Unchanged p) -> Unchanged p
-  | Some (`Spliced p) -> Spliced p
-  | None -> full ()

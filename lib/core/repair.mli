@@ -14,32 +14,10 @@
 
     Each splice preserves the pipeline invariant (the failed processor was
     the only node removed from the healthy set, and it was removed from the
-    path).  When no local rule applies, [repair] falls back to the full
-    strategy solver.  The splice rules fire on the large majority of
-    single faults in the paper's constructions (see the repair tests and
-    EXPERIMENTS.md E14). *)
-
-type result =
-  | Unchanged of Pipeline.t
-      (** fault did not touch the pipeline; embedding kept *)
-  | Spliced of Pipeline.t  (** local patch, no search *)
-  | Resolved of Pipeline.t  (** full reconfiguration was needed *)
-  | Lost  (** no pipeline exists (only possible beyond spec) *)
-
-val repair :
-  ?budget:int ->
-  Instance.t ->
-  current:Pipeline.t ->
-  faults:Gdpn_graph.Bitset.t ->
-  failed:int ->
-  result
-(** [repair inst ~current ~faults ~failed] patches [current] after node
-    [failed] dies.  [faults] must already include [failed] and every
-    earlier fault; [current] must be a valid pipeline for
-    [faults - {failed}].  The returned pipeline is always revalidated. *)
-
-val is_local : result -> bool
-(** True for [Unchanged] and [Spliced] — the no-search outcomes. *)
+    path).  When no local rule applies, only a full reconfiguration
+    ({!Reconfig.solve}) can answer.  The splice rules fire on the large
+    majority of single faults in the paper's constructions (see the
+    repair tests and EXPERIMENTS.md E14). *)
 
 val patch :
   Instance.t ->
@@ -47,7 +25,12 @@ val patch :
   faults:Gdpn_graph.Bitset.t ->
   failed:int ->
   [ `Unchanged of Pipeline.t | `Spliced of Pipeline.t ] option
-(** The local-only part of {!repair}: [Some] for the no-search outcomes,
-    [None] when only a full reconfiguration can answer.  Never runs the
-    solver; the returned pipeline is always revalidated.  The engine layer
-    uses this to derive plans from cached predecessors. *)
+(** [patch inst ~current ~faults ~failed] patches [current] after node
+    [failed] dies.  [faults] must already include [failed] and every
+    earlier fault; [current] must be a valid pipeline for
+    [faults - {failed}].  [`Unchanged] means the fault missed the
+    pipeline and the embedding is kept; [`Spliced] is a local patch.
+    [None] means no local rule applies and only a full reconfiguration
+    can answer.  Never runs the solver; the returned pipeline is always
+    revalidated.  The engine's plan cache and splice-first verification
+    use this to derive plans from predecessors. *)

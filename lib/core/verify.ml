@@ -126,16 +126,11 @@ let merge_tagged ~max_failures ~counts per_source =
    reconstruct [solver_calls] during the merge (pruned subtrees are
    counted without being visited), so the counter is settled by the
    caller. *)
-let solve_checked_model ?budget ?solve model mask =
-  let outcome =
-    match solve with
-    | Some f -> f ~faults:mask
-    | None -> Fault_model.solve ?budget model ~faults:mask
-  in
-  match outcome with
+let solve_checked_model model mask =
+  match Fault_model.solve model ~faults:mask with
   | Reconfig.Pipeline p -> (
     (* The solver already validates, but re-check here so the verifier
-       does not trust it (nor any [solve] override). *)
+       does not trust it. *)
     match Fault_model.validate model ~faults:mask p.Pipeline.nodes with
     | Ok _ -> Ok p
     | Error e -> Error ("invalid witness: " ^ e))
@@ -155,7 +150,7 @@ let outcome_of = function
    splice failure.  Negatives always come from a full solve, so failure
    reasons are exactly {!solve_checked_model}'s.  [reported:false] marks
    scaffold pushes (prefix rebuilding whose set is reported elsewhere). *)
-let splice_checked_model ~solve ~reported model ~parent ~mask ~failed =
+let splice_checked_model ~reported model ~parent ~mask ~failed =
   match parent with
   | Ok current -> (
     match Fault_model.splice model ~current ~faults:mask ~failed with
@@ -165,14 +160,14 @@ let splice_checked_model ~solve ~reported model ~parent ~mask ~failed =
     | None ->
       if reported then Metrics.incr m_splice_failures
       else Metrics.incr m_scaffold_solves;
-      solve_checked_model ~solve model mask)
+      solve_checked_model model mask)
   | Error _ ->
     (* The parent has no pipeline; tolerance is not monotone, so the
        child must still be solved from scratch. *)
     if not reported then Metrics.incr m_scaffold_solves;
-    solve_checked_model ~solve model mask
+    solve_checked_model model mask
 
-let check_model_set ?budget model indices =
+let check_model_set model indices =
   let usize = Fault_model.size model in
   List.iter
     (fun i ->
@@ -180,10 +175,10 @@ let check_model_set ?budget model indices =
         invalid_arg "Verify.check_model_set: universe index out of range")
     indices;
   Metrics.incr m_solver_calls;
-  solve_checked_model ?budget model (Bitset.of_list usize indices)
+  solve_checked_model model (Bitset.of_list usize indices)
 
-let check_fault_set ?budget inst faults =
-  Result.map ignore (check_model_set ?budget (Fault_model.node inst) faults)
+let check_fault_set inst faults =
+  Result.map ignore (check_model_set (Fault_model.node inst) faults)
 
 (* ------------------------------------------------------------------ *)
 (* Work units                                                          *)
@@ -210,7 +205,6 @@ module Task = struct
      pushes cost nothing. *)
   type chain = {
     c_model : Fault_model.t;
-    c_solve : faults:Bitset.t -> Reconfig.outcome;
     c_splice : bool;
     c_mask : Bitset.t;
     c_elts : int array;
@@ -218,16 +212,9 @@ module Task = struct
     mutable c_len : int;
   }
 
-  (* The per-set solver: the caller's override, or the model's. *)
-  let solver ?budget ?solve model =
-    match solve with
-    | Some f -> f
-    | None -> fun ~faults -> Fault_model.solve ?budget model ~faults
-
-  let chain_make ?budget ?solve ~splice ~depth model =
+  let chain_make ~splice ~depth model =
     {
       c_model = model;
-      c_solve = solver ?budget ?solve model;
       c_splice = splice;
       c_mask = Bitset.create (Fault_model.size model);
       c_elts = Array.make (Stdlib.max 1 depth) (-1);
@@ -235,8 +222,7 @@ module Task = struct
       c_len = -1;
     }
 
-  let chain_solve ch =
-    solve_checked_model ~solve:ch.c_solve ch.c_model ch.c_mask
+  let chain_solve ch = solve_checked_model ch.c_model ch.c_mask
 
   (* Ensure the empty set has a plan (scaffold — the empty set is reported
      by whichever unit covers rank 0). *)
@@ -260,7 +246,7 @@ module Task = struct
     Bitset.add ch.c_mask e;
     let r =
       if ch.c_splice then
-        splice_checked_model ~solve:ch.c_solve ~reported ch.c_model
+        splice_checked_model ~reported ch.c_model
           ~parent:ch.c_res.(ch.c_len) ~mask:ch.c_mask ~failed:e
       else if reported then chain_solve ch
       else Error "unsolved"
@@ -325,7 +311,7 @@ module Task = struct
      ranks and failures name the elements.  A later unit rooted at an
      element starts its chain from the outcome unit 0 reported for it,
      instead of splicing (and maybe solving) that singleton again. *)
-  let plain_task ?budget ?solve ~spec ~elts model =
+  let plain_task ~spec ~elts model =
     let u = Array.length elts in
     let k = Stdlib.min spec.s_max_size u in
     let total = Combinat.count_up_to u k in
@@ -339,9 +325,7 @@ module Task = struct
     in
     let rank buf len = Combinat.rank_of_subset u buf len in
     let mk_processor () =
-      let ch =
-        chain_make ?budget ?solve ~splice:spec.s_splice ~depth:k model
-      in
+      let ch = chain_make ~splice:spec.s_splice ~depth:k model in
       let singles = Array.make u None in
       fun ?witness ~record ~cutoff unit_id ->
         let report buf len r =
@@ -455,7 +439,7 @@ module Task = struct
      nearest solved ancestor on the chain.  Ranks stay the {e original}
      size-major indices, so the prefix-sum counts and the merged report
      are untouched by the re-ordering. *)
-  let orbit_task ?budget ?solve ~spec model reps =
+  let orbit_task ~spec model reps =
     let nreps = Array.length reps in
     let prefix = Array.make (nreps + 1) 0 in
     for i = 0 to nreps - 1 do
@@ -465,10 +449,7 @@ module Task = struct
     Array.sort (fun i j -> preorder reps.(i).Auto.set reps.(j).Auto.set) dfs;
     let nunits, span = span_units nreps in
     let mk_processor () =
-      let ch =
-        chain_make ?budget ?solve ~splice:spec.s_splice ~depth:spec.s_max_size
-          model
-      in
+      let ch = chain_make ~splice:spec.s_splice ~depth:spec.s_max_size model in
       fun ?witness ~record ~cutoff u ->
         let lo, hi = span u in
         for pos = lo to hi - 1 do
@@ -534,13 +515,12 @@ module Task = struct
      prefix structure: each trial is checked from scratch, and its rank is
      its trial index.  Without a spec: a checkpoint header cannot pin an
      RNG state. *)
-  let sampled_model ~rng ~trials ?budget ?solve model =
+  let sampled_model ~rng ~trials model =
     let usize = Fault_model.size model in
     let k = Fault_model.max_faults model in
     let sets = Array.init trials (fun _ -> Combinat.sample_up_to rng usize k) in
     let nunits, span = span_units trials in
     let mk_processor () =
-      let solve = solver ?budget ?solve model in
       let mask = Bitset.create usize in
       fun ?witness ~record ~cutoff u ->
         let lo, hi = span u in
@@ -550,7 +530,7 @@ module Task = struct
             Bitset.clear mask;
             Array.iter (Bitset.add mask) buf;
             Metrics.incr m_solver_calls;
-            let r = solve_checked_model ~solve model mask in
+            let r = solve_checked_model model mask in
             (match witness with
             | None -> ()
             | Some sink ->
@@ -571,8 +551,7 @@ module Task = struct
       t_settle = ignore;
     }
 
-  let exhaustive_model ?budget ?solve ?universe ?symmetry ?(splice = true)
-      ?max_size model =
+  let exhaustive_model ?universe ?symmetry ?(splice = true) ?max_size model =
     (match symmetry with
     | Some group
       when Auto.degree group <> Instance.order (Fault_model.instance model) ->
@@ -596,7 +575,7 @@ module Task = struct
        model's universe is what the orbit machinery needs. *)
     match Option.map (Fault_model.induced_symmetry model) symmetry with
     | Some group when not (Auto.is_trivial group) ->
-      orbit_task ?budget ?solve ~spec:(spec true) model
+      orbit_task ~spec:(spec true) model
         (Auto.fault_orbits ?universe:elts group ~max_size)
     | Some _ | None ->
       let elts =
@@ -604,10 +583,10 @@ module Task = struct
         | Some e -> e
         | None -> Array.init (Fault_model.size model) Fun.id
       in
-      plain_task ?budget ?solve ~spec:(spec false) ~elts model
+      plain_task ~spec:(spec false) ~elts model
 
-  let exhaustive ?budget ?solve ?universe ?symmetry ?splice ?max_size inst =
-    exhaustive_model ?budget ?solve ?universe ?symmetry ?splice ?max_size
+  let exhaustive ?universe ?symmetry ?splice ?max_size inst =
+    exhaustive_model ?universe ?symmetry ?splice ?max_size
       (Fault_model.node inst)
 
   let nunits t = Array.length t.t_min_rank
@@ -662,13 +641,12 @@ module Task = struct
     merge t ~max_failures [ kept ]
 end
 
-let exhaustive_model ?budget ?solve ?(max_failures = 5) ?universe ?symmetry
-    ?splice model =
+let exhaustive_model ?(max_failures = 5) ?universe ?symmetry ?splice model =
   Task.run ~max_failures
-    (Task.exhaustive_model ?budget ?solve ?universe ?symmetry ?splice model)
+    (Task.exhaustive_model ?universe ?symmetry ?splice model)
 
-let exhaustive ?budget ?solve ?max_failures ?universe ?symmetry ?splice inst =
-  exhaustive_model ?budget ?solve ?max_failures ?universe ?symmetry ?splice
+let exhaustive ?max_failures ?universe ?symmetry ?splice inst =
+  exhaustive_model ?max_failures ?universe ?symmetry ?splice
     (Fault_model.node inst)
 
 let expanded_failure_sets ~symmetry r =
@@ -679,21 +657,20 @@ let expanded_failure_sets ~symmetry r =
            (Auto.orbit_of_set symmetry (Array.of_list faults)))
        r.failures)
 
-let sampled_model ~rng ~trials ?budget ?solve ?(max_failures = 5) model =
-  Task.run ~max_failures (Task.sampled_model ~rng ~trials ?budget ?solve model)
+let sampled_model ~rng ~trials ?(max_failures = 5) model =
+  Task.run ~max_failures (Task.sampled_model ~rng ~trials model)
 
-let sampled ~rng ~trials ?budget ?solve ?max_failures inst =
-  sampled_model ~rng ~trials ?budget ?solve ?max_failures
-    (Fault_model.node inst)
+let sampled ~rng ~trials ?max_failures inst =
+  sampled_model ~rng ~trials ?max_failures (Fault_model.node inst)
 
 let is_k_gd r = r.failures = [] && r.gave_up = 0
 
 (* The plain task's first failure is the lowest-ranked one: the smallest
    breaking size, lexicographically first within it. *)
-let breaking_fault_set ?budget ?max_size inst =
-  let max_size = Option.value max_size ~default:(inst.Instance.k + 1) in
+let breaking_fault_set inst =
   match
-    (Task.run ~max_failures:1 (Task.exhaustive ?budget ~max_size inst))
+    (Task.run ~max_failures:1
+       (Task.exhaustive ~max_size:(inst.Instance.k + 1) inst))
       .failures
   with
   | f :: _ -> Some f.faults

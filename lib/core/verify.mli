@@ -52,8 +52,6 @@ type witness = {
 (** One checked item, as a {!Task} witness sink receives it. *)
 
 val exhaustive :
-  ?budget:int ->
-  ?solve:(faults:Gdpn_graph.Bitset.t -> Reconfig.outcome) ->
   ?max_failures:int ->
   ?universe:int list ->
   ?symmetry:Gdpn_graph.Auto.group ->
@@ -82,12 +80,12 @@ val exhaustive :
     revalidates — a positive verdict is always genuine) and only solved
     from scratch when the splice fails.  Negatives always come from a
     full solve, so the report is identical to [~splice:false] field for
-    field (the one theoretical exception: with a finite [budget], a
-    splice can succeed where the budgeted solver would have given up —
-    the default budget is unbounded, and [gdp verify --crosscheck]
-    guards budgeted runs).  In orbit-reduced mode the representatives,
-    taken in DFS preorder, share prefixes on the chain, and each is
-    patched from its nearest solved ancestor. *)
+    field.  (The one theoretical exception: every solve stops at
+    {!Reconfig}'s budget of 2,000,000 expansions, so a splice can
+    succeed where that search would have given up; [gdp verify
+    --crosscheck] compares the two.)  In orbit-reduced mode the
+    representatives, taken in DFS preorder, share prefixes on the chain,
+    and each is patched from its nearest solved ancestor. *)
 
 val expanded_failure_sets :
   symmetry:Gdpn_graph.Auto.group -> report -> int list list
@@ -99,8 +97,6 @@ val expanded_failure_sets :
 val sampled :
   rng:Random.State.t ->
   trials:int ->
-  ?budget:int ->
-  ?solve:(faults:Gdpn_graph.Bitset.t -> Reconfig.outcome) ->
   ?max_failures:int ->
   Instance.t ->
   report
@@ -114,18 +110,16 @@ val is_k_gd : report -> bool
 (** True when no failures occurred and the solver never gave up, i.e. the
     checked fault space is fully tolerated. *)
 
-val breaking_fault_set :
-  ?budget:int -> ?max_size:int -> Instance.t -> int list option
+val breaking_fault_set : Instance.t -> int list option
 (** The lexicographically-first smallest fault set that defeats the
-    instance, searching sizes [0..max_size] (default [k + 1]): the first
-    failure of the plain {!Task} over those sizes, drained with a cap of
-    one.  Its size minus one is the exact structural fault tolerance
-    (the search is exponential in it).  For a node-optimal k-GD graph the
-    answer always has size exactly [k+1] (e.g. all [k+1] input
-    terminals): the tolerance is [k], and the tests assert both
-    directions. *)
+    instance, searching sizes [0..k + 1]: the first failure of the plain
+    {!Task} over those sizes, drained with a cap of one.  Its size minus
+    one is the exact structural fault tolerance (the search is
+    exponential in it).  For a node-optimal k-GD graph the answer always
+    has size exactly [k+1] (e.g. all [k+1] input terminals): the
+    tolerance is [k], and the tests assert both directions. *)
 
-val check_fault_set : ?budget:int -> Instance.t -> int list -> (unit, string) result
+val check_fault_set : Instance.t -> int list -> (unit, string) result
 (** Check one node fault set: solve and revalidate the witness
     ({!check_model_set} over [Fault_model.node inst]). *)
 
@@ -171,8 +165,6 @@ val pp_report_model : Fault_model.t -> Format.formatter -> report -> unit
     repair rule. *)
 
 val exhaustive_model :
-  ?budget:int ->
-  ?solve:(faults:Gdpn_graph.Bitset.t -> Reconfig.outcome) ->
   ?max_failures:int ->
   ?universe:int list ->
   ?symmetry:Gdpn_graph.Auto.group ->
@@ -185,24 +177,20 @@ val exhaustive_model :
     [Instance.symmetry (Fault_model.instance m)]); its action on the
     universe is derived via {!Fault_model.induced_symmetry}, so
     orbit-reduced enumeration works for links, colour classes and
-    neighborhoods exactly as for nodes.  [solve] overrides the per-set
-    solver (the tests pass an engine's cached solve); witnesses are
-    revalidated against the degraded instance regardless, so a dishonest
-    override cannot make verification pass. *)
+    neighborhoods exactly as for nodes.  Each set is solved by
+    {!Fault_model.solve} and its witness revalidated against the
+    degraded instance. *)
 
 val sampled_model :
   rng:Random.State.t ->
   trials:int ->
-  ?budget:int ->
-  ?solve:(faults:Gdpn_graph.Bitset.t -> Reconfig.outcome) ->
   ?max_failures:int ->
   Fault_model.t ->
   report
 (** {!sampled}'s body, over the model's universe.  The whole trial
     sequence is drawn from [rng] before any set is checked. *)
 
-val check_model_set :
-  ?budget:int -> Fault_model.t -> int list -> (Pipeline.t, string) result
+val check_model_set : Fault_model.t -> int list -> (Pipeline.t, string) result
 (** Check one explicit fault set given as universe indices, keeping the
     witness pipeline (the CLI's [--faults] debugging aid).  Raises
     [Invalid_argument] on an out-of-range index. *)
@@ -243,8 +231,6 @@ module Task : sig
       must pin besides the unit count. *)
 
   val exhaustive_model :
-    ?budget:int ->
-    ?solve:(faults:Gdpn_graph.Bitset.t -> Reconfig.outcome) ->
     ?universe:int list ->
     ?symmetry:Gdpn_graph.Auto.group ->
     ?splice:bool ->
@@ -256,8 +242,6 @@ module Task : sig
       {!Fault_model.max_faults}; it may exceed it). *)
 
   val exhaustive :
-    ?budget:int ->
-    ?solve:(faults:Gdpn_graph.Bitset.t -> Reconfig.outcome) ->
     ?universe:int list ->
     ?symmetry:Gdpn_graph.Auto.group ->
     ?splice:bool ->
@@ -266,13 +250,7 @@ module Task : sig
     t
   (** {!exhaustive_model} over [Fault_model.node inst]. *)
 
-  val sampled_model :
-    rng:Random.State.t ->
-    trials:int ->
-    ?budget:int ->
-    ?solve:(faults:Gdpn_graph.Bitset.t -> Reconfig.outcome) ->
-    Fault_model.t ->
-    t
+  val sampled_model : rng:Random.State.t -> trials:int -> Fault_model.t -> t
   (** The units behind {!sampled_model}; the trials are drawn here. *)
 
   val nunits : t -> int

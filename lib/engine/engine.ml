@@ -80,7 +80,6 @@ type shared = {
 type t = {
   inst : Instance.t;
   node : Fault_model.t;  (** built once, shared with every reader *)
-  budget : int;
   shared : shared;
   cache_limit : int;
   stats : stats;
@@ -88,15 +87,12 @@ type t = {
       (** per-handle, per-model predecessor scratch for the splice probe *)
 }
 
-let default_budget = 2_000_000
 let default_cache_limit = 1 lsl 16
 
-let create ?(budget = default_budget) ?(cache_limit = default_cache_limit)
-    inst =
+let create ?(cache_limit = default_cache_limit) inst =
   {
     inst;
     node = Fault_model.node inst;
-    budget;
     shared =
       {
         s_cache = Shard_cache.create ~capacity:cache_limit ();
@@ -116,7 +112,6 @@ let create ?(budget = default_budget) ?(cache_limit = default_cache_limit)
 let reader t = { t with stats = fresh_stats (); scratch = Hashtbl.create 4 }
 
 let instance t = t.inst
-let budget t = t.budget
 let stats t = t.stats
 let cache_size t = Shard_cache.length t.shared.s_cache
 let cache_capacity t = Shard_cache.capacity t.shared.s_cache
@@ -301,7 +296,7 @@ let scratch t model =
 let full_solve t model ~faults =
   t.stats.full_solves <- t.stats.full_solves + 1;
   Metrics.incr m_full_solves;
-  Fault_model.solve ~budget:t.budget model ~faults
+  Fault_model.solve model ~faults
 
 (* Cheap local repair first, global re-solve second (the paper's §4
    reconfiguration discussion): look for a cached plan of some predecessor
@@ -677,15 +672,15 @@ module Parallel = struct
     let per_domain = List.map (fun (kept, _, _, _) -> kept) timed in
     Task.merge task ~max_failures:cap (per_domain @ resumed_sources)
 
-  let verify_exhaustive ?budget ?max_failures ?domains ?min_items_per_domain
-      ?symmetry ?splice inst =
+  let verify_exhaustive ?max_failures ?domains ?min_items_per_domain ?symmetry
+      ?splice inst =
     run_task ?max_failures ?domains ?min_items_per_domain
-      (Task.exhaustive ?budget ?symmetry ?splice inst)
+      (Task.exhaustive ?symmetry ?splice inst)
 
-  let verify_sampled ~seed ~trials ?budget ?max_failures ?domains
-      ?min_items_per_domain inst =
+  let verify_sampled ~seed ~trials ?max_failures ?domains ?min_items_per_domain
+      inst =
     run_task ?max_failures ?domains ?min_items_per_domain
-      (Task.sampled_model ~rng:(Random.State.make [| seed |]) ~trials ?budget
+      (Task.sampled_model ~rng:(Random.State.make [| seed |]) ~trials
          (Fault_model.node inst))
 end
 
@@ -698,8 +693,7 @@ type compiled = { c_resumed : Checkpoint.loaded option; c_gave_up : int }
 (* Splicing off, every representative is solved from scratch by the
    plain solver, so no outcome depends on the schedule; the sink files
    outcomes by rank, and the writer takes them in rank order. *)
-let compile_plans ?(budget = default_budget) ?domains ?(flat = false)
-    ?max_size ?checkpoint ?resume model ~path =
+let compile_plans ?domains ?max_size ?checkpoint ?resume model ~path =
   let inst = Fault_model.instance model in
   let usize = Fault_model.size model in
   let max_size =
@@ -709,12 +703,10 @@ let compile_plans ?(budget = default_budget) ?domains ?(flat = false)
   (* Transporting a plan needs a node permutation, which the group's
      action on a generalized universe has forgotten. *)
   let symmetry =
-    if Fault_model.is_node model && not flat then Some (Instance.symmetry inst)
-    else None
+    if Fault_model.is_node model then Some (Instance.symmetry inst) else None
   in
   let task =
-    Parallel.Task.exhaustive_model ~budget ?symmetry ~splice:false ~max_size
-      model
+    Parallel.Task.exhaustive_model ?symmetry ~splice:false ~max_size model
   in
   let header = lazy (Parallel.Task.header ~witnesses:true task ~max_failures:5) in
   Result.map

@@ -47,9 +47,8 @@ type stats = {
   mutable full_solves : int;  (** full strategy-solver runs *)
 }
 
-val create : ?budget:int -> ?cache_limit:int -> Gdpn_core.Instance.t -> t
-(** [budget] bounds solver expansions per solve (default 2_000_000);
-    [cache_limit] bounds retained plans per fault model (default 65536 —
+val create : ?cache_limit:int -> Gdpn_core.Instance.t -> t
+(** [cache_limit] bounds retained plans per fault model (default 65536 —
     at the bound the cache evicts its oldest resident to admit the new
     plan, counted in [engine.cache_evictions]).  The engine builds its
     node fault model ({!Gdpn_core.Fault_model.node}) here, once, and
@@ -65,7 +64,6 @@ val reader : t -> t
     once {e individually}; sharing is only through the caches. *)
 
 val instance : t -> Gdpn_core.Instance.t
-val budget : t -> int
 
 val solve_model :
   ?cache:bool ->
@@ -81,8 +79,9 @@ val solve_model :
     cached one-element-smaller predecessor through the model's local rule
     ({!Gdpn_core.Fault_model.splice}, revalidated — a [Pipeline] outcome
     is always genuine).  [~cache:false] bypasses lookup, store, splice and
-    insertion — verification uses this so its verdicts are exactly the
-    plain solver's. *)
+    insertion, so the outcome is exactly
+    {!Gdpn_core.Fault_model.solve}'s: the machine's full-remap ablation
+    runs this way.  Verification never goes through the engine. *)
 
 val solve :
   ?cache:bool -> t -> faults:Gdpn_graph.Bitset.t -> Gdpn_core.Reconfig.outcome
@@ -166,7 +165,6 @@ module Parallel : sig
       [Domain.recommended_domain_count () - 1], at least 1. *)
 
   val verify_exhaustive :
-    ?budget:int ->
     ?max_failures:int ->
     ?domains:int ->
     ?min_items_per_domain:int ->
@@ -174,13 +172,12 @@ module Parallel : sig
     ?splice:bool ->
     Gdpn_core.Instance.t ->
     Gdpn_core.Verify.report
-  (** {!run_task} over [Task.exhaustive ?budget ?symmetry ?splice inst]:
+  (** {!run_task} over [Task.exhaustive ?symmetry ?splice inst]:
       {!Gdpn_core.Verify.exhaustive}'s report, drained over [domains]. *)
 
   val verify_sampled :
     seed:int ->
     trials:int ->
-    ?budget:int ->
     ?max_failures:int ->
     ?domains:int ->
     ?min_items_per_domain:int ->
@@ -246,13 +243,11 @@ end
 
 type compiled = {
   c_resumed : Checkpoint.loaded option;  (** what a resumed file held *)
-  c_gave_up : int;  (** sets left out: the solver hit its budget *)
+  c_gave_up : int;  (** sets left out: their solve gave up *)
 }
 
 val compile_plans :
-  ?budget:int ->
   ?domains:int ->
-  ?flat:bool ->
   ?max_size:int ->
   ?checkpoint:string ->
   ?resume:string ->
@@ -263,8 +258,9 @@ val compile_plans :
     [0..max_size] (default {!Gdpn_core.Fault_model.max_faults}) in a
     {!Plan_store} at [path].  The node model's orbit task is drained
     with splicing off over [domains] ({!Parallel.run_task}), each
-    representative solved from scratch in [budget] expansions (default
-    2,000,000); [flat], a trivial group or another model drain the
-    plain task.  The bytes depend on neither the domain count nor a
-    kill and resume: [checkpoint] starts a {!Checkpoint}, [resume]
-    continues one, and [Error] is a refused resume. *)
+    representative solved from scratch by
+    {!Gdpn_core.Fault_model.solve}; a trivial group or another model
+    drains the plain task, one record per fault set.  The bytes depend
+    on neither the domain count nor a kill and resume: [checkpoint]
+    starts a {!Checkpoint}, [resume] continues one, and [Error] is a
+    refused resume. *)

@@ -22,8 +22,6 @@ type t = {
 
 type inject_result = Remapped of Pipeline.t | Unchanged | Lost
 
-let solver_budget = ref 2_000_000
-
 (* Solve the current mask through the engine.  With [local_repair] the
    cached path applies: a plan for the predecessor mask is in the cache
    from the previous remap, so most single faults are absorbed by a splice
@@ -52,7 +50,7 @@ let create ?engine ?(local_repair = true) ?model inst =
       if Engine.instance e != inst then
         invalid_arg "Machine.create: engine built for a different instance";
       e
-    | None -> Engine.create ~budget:!solver_budget inst
+    | None -> Engine.create inst
   in
   let model =
     match model with

@@ -91,6 +91,3 @@ val plan_cache_hits : t -> int
 (** Fault masks answered from the engine's plan cache (counts across every
     machine sharing this engine). *)
 
-val solver_budget : int ref
-(** Expansion budget handed to the reconfiguration solver (exposed so
-    benchmarks can tighten it). *)

@@ -217,10 +217,9 @@ let check_coverage m =
 let check_coherence m =
   let fm = Machine.model m in
   let mask = fault_mask_of m fm in
-  let budget = Engine.budget (Machine.engine m) in
-  (* Same budget as the machine's engine, but no plan cache and no
-     splice: solvability must agree with the cached path exactly. *)
-  let scratch = Fault_model.solve ~budget fm ~faults:mask in
+  (* No plan cache and no splice: solvability must agree with the cached
+     path exactly. *)
+  let scratch = Fault_model.solve fm ~faults:mask in
   match (Machine.pipeline m, scratch) with
   | Some _, Reconfig.Pipeline _ | None, Reconfig.No_pipeline -> Ok ()
   | _, Reconfig.Gave_up -> Ok () (* inconclusive: cannot contradict *)
@@ -593,9 +592,9 @@ let run ?(config = default_config) ?perturb ~profile ~seed inst =
   in
   (* L2 plan-store churn (PR 10): the serving tier may gain, lose or
      mmap a silently corrupted precompiled store at any moment.  The
-     store is compiled lazily — flat, over the machine's mixed model,
-     with the engine's own budget, so stored plans are byte-identical
-     to scratch solves — and the coherence/coverage checks after this
+     store is compiled lazily over the machine's mixed model, one
+     record per set, each a scratch solve — and the coherence/coverage
+     checks after this
      and every later event prove corruption fails closed into the solve
      path rather than surfacing a wrong plan. *)
   let store_files = ref [] in
@@ -612,9 +611,8 @@ let run ?(config = default_config) ?perturb ~profile ~seed inst =
     | None ->
       let p = temp_store_file ".store" in
       ignore
-        (Engine.compile_plans ~budget:(Engine.budget engine) ~domains:1
-           ~flat:true ~max_size:(min 2 (Fault_model.max_faults model)) model
-           ~path:p);
+        (Engine.compile_plans ~domains:1
+           ~max_size:(min 2 (Fault_model.max_faults model)) model ~path:p);
       pristine_store := Some p;
       p
   in

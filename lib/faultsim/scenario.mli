@@ -198,9 +198,9 @@ val check_coverage : Machine.t -> (unit, string) result
     instance and uses every healthy processor. *)
 
 val check_coherence : Machine.t -> (unit, string) result
-(** The machine's live/lost verdict agrees with a scratch solve of its
-    fault mask (same budget, no plan cache).  A budget-exhausted scratch
-    solve is inconclusive and passes. *)
+(** The machine's live/lost verdict agrees with a scratch
+    {!Fault_model.solve} of its fault mask (no plan cache, no splice).
+    A scratch solve that gives up is inconclusive and passes. *)
 
 val check_stream : stages:int -> tokens:int -> Des.outcome -> (unit, string) result
 (** Token conservation and ordering for one {!Des} segment: every

@@ -72,7 +72,6 @@ let adjacent g u v =
 let iter_neighbours g v f = Array.iter f g.nbr.(v)
 let fold_neighbours g v f init = Array.fold_left f init g.nbr.(v)
 let neighbours_mask g v = g.rows.(v)
-let alive_degree g alive v = Bitset.count_common g.rows.(v) alive
 
 let edges g =
   let acc = ref [] in

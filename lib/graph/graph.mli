@@ -47,16 +47,13 @@ val neighbours_mask : t -> int -> Bitset.t
 (** The neighbour set of [v] as a bitset over the node universe, built at
     {!freeze} time.  Physically shared with the graph: callers must not
     mutate it.  This is the solver kernel's adjacency representation —
-    [Bitset.count_common (neighbours_mask g v) alive] is [alive_degree],
-    and row ∩ remaining intersections drive candidate generation and the
-    connectivity prune word-parallel. *)
+    [Bitset.count_common (neighbours_mask g v) alive] is [v]'s degree in
+    [alive], and row ∩ remaining intersections drive candidate generation
+    and the connectivity prune word-parallel. *)
 
 val iter_neighbours : t -> int -> (int -> unit) -> unit
 
 val fold_neighbours : t -> int -> ('a -> int -> 'a) -> 'a -> 'a
-
-val alive_degree : t -> Bitset.t -> int -> int
-(** [alive_degree g alive v] counts neighbours of [v] present in [alive]. *)
 
 val edges : t -> (int * int) list
 (** All edges as pairs [(u, v)] with [u < v], lexicographically sorted. *)

@@ -337,36 +337,3 @@ let solve_into ?budget ?expansions ctx g ~alive ~starts ~ends =
     | Path p -> Path (List.rev p)
     | (No_path | Budget_exceeded) as r -> r
   else search ctx ~budget ~expansions g ~alive ~starts ~ends
-
-let spanning_path ?budget ?expansions g ~alive ~starts ~ends =
-  solve_into ?budget ?expansions (make_ctx (Graph.order g)) g ~alive ~starts
-    ~ends
-
-let is_spanning_path g ~alive ~starts ~ends path =
-  match path with
-  | [] -> false
-  | first :: _ ->
-    let rec last = function
-      | [ x ] -> x
-      | _ :: rest -> last rest
-      | [] -> assert false
-    in
-    let n = Graph.order g in
-    let seen = Bitset.create n in
-    let rec consecutive_ok = function
-      | a :: (b :: _ as rest) -> Graph.adjacent g a b && consecutive_ok rest
-      | [ _ ] | [] -> true
-    in
-    let all_alive_distinct =
-      List.for_all
-        (fun v ->
-          let fresh = (not (Bitset.mem seen v)) && Bitset.mem alive v in
-          Bitset.add seen v;
-          fresh)
-        path
-    in
-    all_alive_distinct
-    && Bitset.cardinal seen = Bitset.cardinal alive
-    && consecutive_ok path
-    && Bitset.mem starts first
-    && Bitset.mem ends (last path)

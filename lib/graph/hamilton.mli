@@ -41,27 +41,12 @@ val solve_into :
   starts:Bitset.t ->
   ends:Bitset.t ->
   result
-(** {!spanning_path} through a caller-owned ctx: identical results, no
-    scratch allocation.  Raises [Invalid_argument] when the ctx capacity
-    differs from the graph order. *)
-
-val spanning_path :
-  ?budget:int ->
-  ?expansions:int ref ->
-  Graph.t ->
-  alive:Bitset.t ->
-  starts:Bitset.t ->
-  ends:Bitset.t ->
-  result
-(** [spanning_path g ~alive ~starts ~ends] searches for a spanning path of
-    the subgraph induced by [alive] whose first node is in [starts] and last
-    node is in [ends] (both intersected with [alive]; a single-node path
-    needs its node in both).  [budget] bounds the number of node expansions
-    (default: unlimited).  When [expansions] is given, the number of node
-    expansions performed is added to it — the deterministic work measure
-    used by the adversarial fault-set search. *)
-
-val is_spanning_path :
-  Graph.t -> alive:Bitset.t -> starts:Bitset.t -> ends:Bitset.t -> int list -> bool
-(** Independent validity check of a candidate witness (used by the test
-    suite to validate solver output without trusting the solver). *)
+(** [solve_into ctx g ~alive ~starts ~ends] searches for a spanning path
+    of the subgraph induced by [alive] whose first node is in [starts] and
+    last node is in [ends] (both intersected with [alive]; a single-node
+    path needs its node in both), on the caller-owned [ctx]'s scratch.
+    [budget] bounds the number of node expansions (default: unlimited).
+    When [expansions] is given, the number of node expansions performed
+    is added to it — the deterministic work measure used by the
+    adversarial fault-set search.  Raises [Invalid_argument] when the ctx
+    capacity differs from the graph order. *)

@@ -49,7 +49,6 @@ type config = {
   workers : int;
   max_queue : int;
   warm : int;  (** pre-solve every fault set of size <= this *)
-  budget : int option;
   cache_limit : int option;
   allow_shutdown : bool;
   store : string list;
@@ -65,7 +64,6 @@ let default_config =
     workers = 2;
     max_queue = 64;
     warm = 0;
-    budget = None;
     cache_limit = None;
     allow_shutdown = true;
     store = [];
@@ -76,8 +74,7 @@ let build_fleet cfg =
   let engines =
     cfg.instances
     |> List.map (fun (n, k) ->
-           Engine.create ?budget:cfg.budget ?cache_limit:cfg.cache_limit
-             (Family.build ~n ~k))
+           Engine.create ?cache_limit:cfg.cache_limit (Family.build ~n ~k))
     |> Array.of_list
   in
   (* Cold-start tier: each store binds to the engine it was compiled

@@ -23,7 +23,6 @@ type config = {
   workers : int;  (** worker domains (default 2) *)
   max_queue : int;  (** accepted-connection queue bound (default 64) *)
   warm : int;  (** pre-solve every fault set of size <= this (default 0) *)
-  budget : int option;  (** per-engine solver budget override *)
   cache_limit : int option;  (** per-engine plan-cache bound override *)
   allow_shutdown : bool;  (** honour the protocol's [Shutdown] request *)
   store : string list;

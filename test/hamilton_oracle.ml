@@ -70,7 +70,7 @@ let search ctx ~budget ~expansions:expansions_out g ~alive ~starts ~ends =
       ends_remaining := 0;
       Bitset.iter
         (fun v ->
-          rem_deg.(v) <- Graph.alive_degree g remaining v;
+          rem_deg.(v) <- Kernel.alive_degree g remaining v;
           if Bitset.mem ends v then incr ends_remaining)
         remaining
     in
@@ -86,7 +86,7 @@ let search ctx ~budget ~expansions:expansions_out g ~alive ~starts ~ends =
           if Bitset.mem remaining u then rem_deg.(u) <- rem_deg.(u) + 1);
       Bitset.add remaining v;
       if Bitset.mem ends v then incr ends_remaining;
-      rem_deg.(v) <- Graph.alive_degree g remaining v
+      rem_deg.(v) <- Kernel.alive_degree g remaining v
     in
 
     let feasible head =
@@ -190,7 +190,7 @@ let search ctx ~budget ~expansions:expansions_out g ~alive ~starts ~ends =
     | Out_of_budget -> Hamilton.Budget_exceeded
   end
 
-(* Mirrors [Hamilton.spanning_path], including the smaller-endpoint-pool
+(* Mirrors [Hamilton.solve_into], including the smaller-endpoint-pool
    swap. *)
 let spanning_path ?budget ?expansions g ~alive ~starts ~ends =
   let ctx = make_scratch (Graph.order g) in

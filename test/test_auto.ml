@@ -551,12 +551,9 @@ let parallel_tests =
 (* Orbit-compressed certificates                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* A certificate through the engine's cached solver, with the
-   instance's own group or none. *)
+(* A node-model certificate under the instance's own group, or flat. *)
 let certificate ?(symmetry = true) inst =
-  let engine = Engine.create inst in
   Testutil.certificate
-    ~solve:(fun ~faults -> Engine.solve engine ~faults)
     ?symmetry:(if symmetry then Some (Instance.symmetry inst) else None)
     (Fault_model.node inst)
 

@@ -262,13 +262,33 @@ let parallel_tests =
         in
         check_report "pooled sampled" expected actual);
     tc "certificates generated through the engine stay valid" (fun () ->
+        (* Every witness of the certificate replaced by the engine's
+           cached plan for its set: the checker must still accept it.
+           With every singleton cached first, the engine splices some
+           pairs from another predecessor than the writer's chain. *)
         let inst = Small_n.g3 ~k:2 in
+        let order = Instance.order inst in
         let engine = Engine.create inst in
-        let cert =
-          Testutil.certificate
-            ~solve:(fun ~faults -> Engine.solve engine ~faults)
-            ~symmetry:(Instance.symmetry inst) (Fault_model.node inst)
+        for v = 0 to order - 1 do
+          ignore (Engine.solve engine ~faults:(Bitset.of_list order [ v ]))
+        done;
+        let written =
+          Testutil.certificate ~symmetry:(Instance.symmetry inst)
+            (Fault_model.node inst)
         in
+        let cert =
+          Testutil.rewitness ~order written
+            (fun set ->
+              match
+                Engine.solve engine
+                  ~faults:(Bitset.of_list order (Array.to_list set))
+              with
+              | Reconfig.Pipeline p -> p.Pipeline.nodes
+              | Reconfig.No_pipeline | Reconfig.Gave_up ->
+                Alcotest.fail "the engine found no plan for a certified set")
+        in
+        check Alcotest.bool "some witness is the engine's own" true
+          (cert <> written);
         match Testutil.check_certificate inst cert with
         | Ok count ->
           check Alcotest.int "covers the fault space"

@@ -286,8 +286,8 @@ let repair_tests =
             (Instance.inputs inst)
         in
         Bitset.add faults unused;
-        match Repair.repair inst ~current:p ~faults ~failed:unused with
-        | Repair.Unchanged _ -> ()
+        match Repair.patch inst ~current:p ~faults ~failed:unused with
+        | Some (`Unchanged _) -> ()
         | _ -> Alcotest.fail "expected Unchanged");
     tc "internal processor is spliced out" (fun () ->
         let inst = Small_n.g1 ~k:3 in
@@ -301,8 +301,8 @@ let repair_tests =
         (* Second processor on the path (internal; clique neighbours). *)
         let internal = List.nth p.Pipeline.nodes 2 in
         Bitset.add faults internal;
-        match Repair.repair inst ~current:p ~faults ~failed:internal with
-        | Repair.Spliced q ->
+        match Repair.patch inst ~current:p ~faults ~failed:internal with
+        | Some (`Spliced q) ->
           check Alcotest.bool "valid" true
             (Pipeline.is_valid inst ~faults q.Pipeline.nodes);
           check Alcotest.int "one fewer" 3 (Pipeline.processor_count q)
@@ -318,12 +318,18 @@ let repair_tests =
         in
         let t_in = List.hd p.Pipeline.nodes in
         Bitset.add faults t_in;
-        match Repair.repair inst ~current:p ~faults ~failed:t_in with
-        | Repair.Lost -> Alcotest.fail "in-spec fault cannot lose the pipeline"
-        | Repair.Unchanged _ -> Alcotest.fail "terminal was on the pipeline"
-        | Repair.Spliced q | Repair.Resolved q ->
+        let valid q =
           check Alcotest.bool "valid" true
-            (Pipeline.is_valid inst ~faults q.Pipeline.nodes));
+            (Pipeline.is_valid inst ~faults q.Pipeline.nodes)
+        in
+        match Repair.patch inst ~current:p ~faults ~failed:t_in with
+        | Some (`Unchanged _) -> Alcotest.fail "terminal was on the pipeline"
+        | Some (`Spliced q) -> valid q
+        | None -> (
+          match Reconfig.solve inst ~faults with
+          | Reconfig.Pipeline q -> valid q
+          | Reconfig.No_pipeline | Reconfig.Gave_up ->
+            Alcotest.fail "in-spec fault cannot lose the pipeline"));
     tc "repair output always validates across a fault storm" (fun () ->
         let inst = Family.build ~n:12 ~k:2 in
         let order = Instance.order inst in
@@ -345,16 +351,46 @@ let repair_tests =
             in
             let v = fresh () in
             Bitset.add faults v;
-            match Repair.repair inst ~current:!current ~faults ~failed:v with
-            | Repair.Unchanged p | Repair.Spliced p | Repair.Resolved p ->
+            let repaired =
+              match Repair.patch inst ~current:!current ~faults ~failed:v with
+              | Some (`Unchanged p | `Spliced p) -> Reconfig.Pipeline p
+              | None -> Reconfig.solve inst ~faults
+            in
+            match repaired with
+            | Reconfig.Pipeline p ->
               check Alcotest.bool "valid after repair" true
                 (Pipeline.is_valid inst ~faults p.Pipeline.nodes);
               current := p
-            | Repair.Lost -> Alcotest.fail "in-spec faults cannot lose"
+            | Reconfig.No_pipeline | Reconfig.Gave_up ->
+              Alcotest.fail "in-spec faults cannot lose"
           in
           inject_one ();
           inject_one ()
         done);
+    tc "patch absorbs 17 of G(13,3)'s 24 single faults" (fun () ->
+        (* E14's count: a single fault on the fault-free pipeline is a
+           local repair exactly when a patch answers it, no search. *)
+        let inst = Family.build ~n:13 ~k:3 in
+        let order = Instance.order inst in
+        let pipeline =
+          match Reconfig.solve_list inst ~faults:[] with
+          | Reconfig.Pipeline p -> Pipeline.normalise inst p
+          | _ -> Alcotest.fail "setup"
+        in
+        let singles =
+          Instance.processors inst @ Instance.inputs inst
+          @ Instance.outputs inst
+        in
+        let absorbed =
+          List.filter
+            (fun v ->
+              Repair.patch inst ~current:pipeline
+                ~faults:(Bitset.of_list order [ v ]) ~failed:v
+              <> None)
+            singles
+        in
+        check Alcotest.int "single faults" 24 (List.length singles);
+        check Alcotest.int "absorbed by a patch" 17 (List.length absorbed));
     tc "machine counts local repairs" (fun () ->
         let inst = Family.build ~n:9 ~k:2 in
         let m = Machine.create inst in

@@ -369,14 +369,38 @@ let certificate_tests =
             | Error e -> Alcotest.fail e)
           [ Small_n.g1 ~k:2; Small_n.g3 ~k:2 ]);
     tc "certificate through the engine's cached model solver" (fun () ->
+        (* The writer's witnesses swapped for the engine's cached plans:
+           the checker must accept them on every orbit member.  The
+           engine holds every singleton's plan first, so it splices a
+           pair {a, b} from {b}'s plan, where the writer's chain splices
+           from {a}'s, and some witnesses change. *)
         let inst = Small_n.g1 ~k:2 in
         let engine = Engine.create inst in
         let model = Fault_model.node inst in
-        let cert =
-          Testutil.certificate
-            ~solve:(fun ~faults -> Engine.solve_model engine model ~faults)
-            ~symmetry:(Instance.symmetry inst) model
+        let usize = Fault_model.size model in
+        for v = 0 to usize - 1 do
+          ignore
+            (Engine.solve_model engine model
+               ~faults:(Bitset.of_list usize [ v ]))
+        done;
+        let written =
+          Testutil.certificate ~symmetry:(Instance.symmetry inst) model
         in
+        let cert =
+          Testutil.rewitness ~order:(Instance.order inst) written
+            (fun set ->
+              match
+                Engine.solve_model engine model
+                  ~faults:(Bitset.of_list usize (Array.to_list set))
+              with
+              | Reconfig.Pipeline p -> p.Pipeline.nodes
+              | Reconfig.No_pipeline | Reconfig.Gave_up ->
+                Alcotest.fail "the engine found no plan for a certified set")
+        in
+        check Alcotest.bool "the engine spliced" true
+          ((Engine.stats engine).Engine.splices > 0);
+        check Alcotest.bool "some witness is the engine's own" true
+          (cert <> written);
         match Testutil.check_certificate inst cert with
         | Ok _ -> ()
         | Error e -> Alcotest.fail e);

@@ -304,7 +304,7 @@ let graph_props =
               (fun acc u -> if Bitset.mem alive u then acc + 1 else acc)
               0 (Graph.neighbours g v)
           in
-          if brute <> Graph.alive_degree g alive v then ok := false
+          if brute <> Kernel.alive_degree g alive v then ok := false
         done;
         !ok);
   ]
@@ -410,7 +410,7 @@ let hamilton_tests =
         let g = Builder.path 6 in
         let all = Bitset.full 6 in
         match
-          Hamilton.spanning_path g ~alive:all ~starts:(Bitset.of_list 6 [ 0 ])
+          Kernel.spanning_path g ~alive:all ~starts:(Bitset.of_list 6 [ 0 ])
             ~ends:(Bitset.of_list 6 [ 5 ])
         with
         | Hamilton.Path p ->
@@ -420,7 +420,7 @@ let hamilton_tests =
         let g = Builder.path 6 in
         let all = Bitset.full 6 in
         check path_result "no path from middle" Hamilton.No_path
-          (Hamilton.spanning_path g ~alive:all
+          (Kernel.spanning_path g ~alive:all
              ~starts:(Bitset.of_list 6 [ 2 ])
              ~ends:(Bitset.of_list 6 [ 5 ])));
     tc "clique: any distinct endpoints work" (fun () ->
@@ -430,13 +430,13 @@ let hamilton_tests =
           for e = 0 to 6 do
             if s <> e then
               match
-                Hamilton.spanning_path g ~alive:all
+                Kernel.spanning_path g ~alive:all
                   ~starts:(Bitset.of_list 7 [ s ])
                   ~ends:(Bitset.of_list 7 [ e ])
               with
               | Hamilton.Path p ->
                 check Alcotest.bool "valid" true
-                  (Hamilton.is_spanning_path g ~alive:all
+                  (Kernel.is_spanning_path g ~alive:all
                      ~starts:(Bitset.of_list 7 [ s ])
                      ~ends:(Bitset.of_list 7 [ e ])
                      p)
@@ -445,27 +445,27 @@ let hamilton_tests =
         done;
         (* start = end is impossible once more than one node is alive. *)
         check path_result "same endpoints impossible" Hamilton.No_path
-          (Hamilton.spanning_path g ~alive:all
+          (Kernel.spanning_path g ~alive:all
              ~starts:(Bitset.of_list 7 [ 3 ])
              ~ends:(Bitset.of_list 7 [ 3 ])));
     tc "single node path needs start = end" (fun () ->
         let g = Builder.clique 3 in
         let alive = Bitset.of_list 3 [ 1 ] in
         (match
-           Hamilton.spanning_path g ~alive ~starts:(Bitset.of_list 3 [ 1 ])
+           Kernel.spanning_path g ~alive ~starts:(Bitset.of_list 3 [ 1 ])
              ~ends:(Bitset.of_list 3 [ 1 ])
          with
         | Hamilton.Path [ 1 ] -> ()
         | _ -> Alcotest.fail "expected [1]");
         check path_result "distinct sets" Hamilton.No_path
-          (Hamilton.spanning_path g ~alive
+          (Kernel.spanning_path g ~alive
              ~starts:(Bitset.of_list 3 [ 1 ])
              ~ends:(Bitset.of_list 3 [ 2 ])));
     tc "disconnected alive set has no spanning path" (fun () ->
         let g = Builder.path 6 in
         let alive = Bitset.of_list 6 [ 0; 1; 4; 5 ] in
         check path_result "no" Hamilton.No_path
-          (Hamilton.spanning_path g ~alive ~starts:(Bitset.full 6)
+          (Kernel.spanning_path g ~alive ~starts:(Bitset.full 6)
              ~ends:(Bitset.full 6)));
     tc "petersen graph is hypohamiltonian (no ham cycle, has ham path)" (fun () ->
         (* Petersen: outer C5, inner pentagram, spokes. *)
@@ -478,7 +478,7 @@ let hamilton_tests =
         let all = Bitset.full 10 in
         (* A Hamiltonian path exists from any vertex. *)
         (match
-           Hamilton.spanning_path g ~alive:all ~starts:(Bitset.full 10)
+           Kernel.spanning_path g ~alive:all ~starts:(Bitset.full 10)
              ~ends:(Bitset.full 10)
          with
         | Hamilton.Path p -> check Alcotest.int "length" 10 (List.length p)
@@ -489,7 +489,7 @@ let hamilton_tests =
            ending in a neighbour of 0 exists would imply no cycle through 0;
            verify none of the 0-neighbours terminate one. *)
         let from0 ends_v =
-          Hamilton.spanning_path g ~alive:all
+          Kernel.spanning_path g ~alive:all
             ~starts:(Bitset.of_list 10 [ 0 ])
             ~ends:(Bitset.of_list 10 [ ends_v ])
         in
@@ -506,7 +506,7 @@ let hamilton_tests =
         let g = Builder.cycle 50 in
         let all = Bitset.full 50 in
         check path_result "budget" Hamilton.Budget_exceeded
-          (Hamilton.spanning_path ~budget:1 g ~alive:all
+          (Kernel.spanning_path ~budget:1 g ~alive:all
              ~starts:(Bitset.of_list 50 [ 0 ])
              ~ends:(Bitset.of_list 50 [ 25 ])));
     tc "petersen has no hamiltonian cycle (the classic)" (fun () ->
@@ -519,7 +519,7 @@ let hamilton_tests =
         (* A Hamiltonian cycle would pass through node 0, so cutting it at
            0 leaves a spanning path from 0 to one of 0's neighbours. *)
         check path_result "hypohamiltonian" Hamilton.No_path
-          (Hamilton.spanning_path g ~alive:(Bitset.full 10)
+          (Kernel.spanning_path g ~alive:(Bitset.full 10)
              ~starts:(Bitset.of_list 10 [ 0 ])
              ~ends:(Bitset.of_list 10 [ 1; 4; 5 ])));
     tc "is_spanning_path validator" (fun () ->
@@ -527,15 +527,15 @@ let hamilton_tests =
         let all = Bitset.full 4 in
         let starts = Bitset.of_list 4 [ 0 ] and ends = Bitset.of_list 4 [ 3 ] in
         check Alcotest.bool "valid" true
-          (Hamilton.is_spanning_path g ~alive:all ~starts ~ends [ 0; 1; 2; 3 ]);
+          (Kernel.is_spanning_path g ~alive:all ~starts ~ends [ 0; 1; 2; 3 ]);
         check Alcotest.bool "wrong endpoint" false
-          (Hamilton.is_spanning_path g ~alive:all ~starts ~ends [ 3; 2; 1; 0 ]);
+          (Kernel.is_spanning_path g ~alive:all ~starts ~ends [ 3; 2; 1; 0 ]);
         check Alcotest.bool "missing node" false
-          (Hamilton.is_spanning_path g ~alive:all ~starts ~ends [ 0; 1; 2 ]);
+          (Kernel.is_spanning_path g ~alive:all ~starts ~ends [ 0; 1; 2 ]);
         check Alcotest.bool "revisit" false
-          (Hamilton.is_spanning_path g ~alive:all ~starts ~ends [ 0; 1; 0; 1 ]);
+          (Kernel.is_spanning_path g ~alive:all ~starts ~ends [ 0; 1; 0; 1 ]);
         check Alcotest.bool "empty" false
-          (Hamilton.is_spanning_path g ~alive:all ~starts ~ends []));
+          (Kernel.is_spanning_path g ~alive:all ~starts ~ends []));
   ]
 
 let hamilton_props =
@@ -558,10 +558,10 @@ let hamilton_props =
         let n = Graph.order g in
         let all = Bitset.full n in
         match
-          Hamilton.spanning_path g ~alive:all ~starts:all ~ends:all
+          Kernel.spanning_path g ~alive:all ~starts:all ~ends:all
         with
         | Hamilton.Path p ->
-          Hamilton.is_spanning_path g ~alive:all ~starts:all ~ends:all p
+          Kernel.is_spanning_path g ~alive:all ~starts:all ~ends:all p
         | Hamilton.No_path -> true
         | Hamilton.Budget_exceeded -> false);
     Test.make ~name:"solver agrees with brute-force permutation check (n<=7)"
@@ -583,7 +583,7 @@ let hamilton_props =
         let starts = Bitset.of_list n [ 0 ] in
         let ends = Bitset.full n in
         let solver_says =
-          match Hamilton.spanning_path g ~alive:all ~starts ~ends with
+          match Kernel.spanning_path g ~alive:all ~starts ~ends with
           | Hamilton.Path _ -> true
           | _ -> false
         in

@@ -27,7 +27,7 @@ let pp_result = function
 (* Kernel and oracle agree on result and expansion count. *)
 let equivalent ?budget g ~alive ~starts ~ends =
   let ek = ref 0 and er = ref 0 in
-  let rk = Hamilton.spanning_path ?budget ~expansions:ek g ~alive ~starts ~ends in
+  let rk = Kernel.spanning_path ?budget ~expansions:ek g ~alive ~starts ~ends in
   let rr =
     Hamilton_oracle.spanning_path ?budget ~expansions:er g ~alive ~starts ~ends
   in

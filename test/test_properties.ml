@@ -295,13 +295,16 @@ let solver_props =
         | Reconfig.Pipeline current ->
           let failed = Random.State.int rng order in
           let faults = Bitset.of_list order [ failed ] in
-          (match Repair.repair inst ~current ~faults ~failed with
-          | Repair.Unchanged p | Repair.Spliced p | Repair.Resolved p -> (
-            match Reconfig.solve inst ~faults with
-            | Reconfig.Pipeline q ->
-              Pipeline.processor_count p = Pipeline.processor_count q
-            | _ -> false)
-          | Repair.Lost -> false)
+          (* A patch when one applies, a full solve otherwise. *)
+          let repaired =
+            match Repair.patch inst ~current ~faults ~failed with
+            | Some (`Unchanged p | `Spliced p) -> Reconfig.Pipeline p
+            | None -> Reconfig.solve inst ~faults
+          in
+          (match (repaired, Reconfig.solve inst ~faults) with
+          | Reconfig.Pipeline p, Reconfig.Pipeline q ->
+            Pipeline.processor_count p = Pipeline.processor_count q
+          | _ -> false)
         | _ -> false);
   ]
 

@@ -25,19 +25,22 @@ let tc name f = Alcotest.test_case name `Quick f
 let temp_store () = Filename.temp_file "gdpn-store" ".store"
 
 (* The production compiler, in process: what `gdp compile-plans` runs,
-   one representative per orbit (or per set when [flat]), each solved
-   from scratch. *)
-let compile ?flat ?max_size ?domains ?(model = Fault_model.node) inst path =
-  match Engine.compile_plans ?flat ?max_size ?domains (model inst) ~path with
+   one representative per orbit (one per set under a trivial group),
+   each solved from scratch. *)
+let compile ?max_size ?domains ?(model = Fault_model.node) inst path =
+  match Engine.compile_plans ?max_size ?domains (model inst) ~path with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "compile: %s" e
 
+(* G(3,2)'s symmetry group is trivial, so its node-model store is flat:
+   one record per fault set. *)
+let inst3 = Family.build ~n:3 ~k:2
 let inst6 = Family.build ~n:6 ~k:2
 let inst9 = Family.build ~n:9 ~k:2
 
-let with_store ?flat ?max_size inst f =
+let with_store ?max_size inst f =
   let path = temp_store () in
-  compile ?flat ?max_size inst path;
+  compile ?max_size inst path;
   Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
 
 let random_faults rng inst =
@@ -55,8 +58,8 @@ let random_faults rng inst =
 (* ------------------------------------------------------------------ *)
 
 let test_roundtrip () =
-  with_store ~flat:true inst6 @@ fun path ->
-  let nitems = Combinat.count_up_to (Instance.order inst6) inst6.Instance.k in
+  with_store inst3 @@ fun path ->
+  let nitems = Combinat.count_up_to (Instance.order inst3) inst3.Instance.k in
   match Plan_store.open_path ~path with
   | Error e -> Alcotest.failf "open: %s" e
   | Ok s ->
@@ -79,24 +82,22 @@ let test_roundtrip () =
 
 let test_orbit_compresses () =
   (* G(1,4) has a large symmetry group: the orbit store must hold at
-     least 10x fewer records than one-plan-per-fault-set (the PR's
-     compression acceptance bar, checked at unit scale). *)
+     least 10x fewer records than one-plan-per-fault-set, the record
+     count of a flat store (the compression acceptance bar, checked at
+     unit scale). *)
   let inst = Family.build ~n:1 ~k:4 in
-  with_store ~max_size:3 inst @@ fun opath ->
-  with_store ~flat:true ~max_size:3 inst @@ fun fpath ->
-  match (Plan_store.open_path ~path:opath, Plan_store.open_path ~path:fpath)
-  with
-  | Ok orbit, Ok flat ->
-    check Alcotest.int "same coverage" (Plan_store.total_sets flat)
-      (Plan_store.total_sets orbit);
+  let flat = Combinat.count_up_to (Instance.order inst) 3 in
+  with_store ~max_size:3 inst @@ fun path ->
+  match Plan_store.open_path ~path with
+  | Ok orbit ->
+    check Alcotest.int "same coverage" flat (Plan_store.total_sets orbit);
     check Alcotest.bool
       (Printf.sprintf "10x fewer records (%d orbit vs %d flat)"
-         (Plan_store.records orbit) (Plan_store.records flat))
+         (Plan_store.records orbit) flat)
       true
-      (Plan_store.records flat >= 10 * Plan_store.records orbit);
-    Plan_store.close orbit;
-    Plan_store.close flat
-  | Error e, _ | _, Error e -> Alcotest.failf "open: %s" e
+      (flat >= 10 * Plan_store.records orbit);
+    Plan_store.close orbit
+  | Error e -> Alcotest.failf "open: %s" e
 
 let test_gave_up_not_stored () =
   let w =
@@ -152,22 +153,22 @@ let test_flat_oracle =
   QCheck.Test.make ~count:30 ~name:"flat store lookup == fresh Engine.solve"
     QCheck.(int_bound 1_000_000)
     (fun seed ->
-      with_store ~flat:true inst6 @@ fun path ->
-      let store_engine = Engine.create inst6 in
+      with_store inst3 @@ fun path ->
+      let store_engine = Engine.create inst3 in
       (match Engine.attach_store store_engine ~path with
       | Ok () -> ()
       | Error e -> Alcotest.failf "attach: %s" e);
-      let fresh = Engine.create inst6 in
+      let fresh = Engine.create inst3 in
       let rng = Prng.create seed in
       let ok = ref true in
       for _ = 1 to 100 do
-        let faults = random_faults rng inst6 in
+        let faults = random_faults rng inst3 in
         let got = Engine.solve store_engine ~faults in
         let want = Engine.solve ~cache:false fresh ~faults in
-        if Bitset.cardinal faults <= inst6.Instance.k then begin
+        if Bitset.cardinal faults <= inst3.Instance.k then begin
           if got <> want then ok := false
         end
-        else if not (same_verdict inst6 ~faults got want) then ok := false
+        else if not (same_verdict inst3 ~faults got want) then ok := false
       done;
       !ok)
 
@@ -260,10 +261,10 @@ let lookups_agree reference mutant sets =
     sets
 
 let test_truncation_fails_closed () =
-  with_store ~flat:true inst6 @@ fun path ->
+  with_store inst3 @@ fun path ->
   let bytes = read_file path in
   let len = String.length bytes in
-  let sets = all_sets inst6 inst6.Instance.k in
+  let sets = all_sets inst3 inst3.Instance.k in
   let reference =
     match Plan_store.open_path ~path with
     | Ok s -> s
@@ -290,10 +291,10 @@ let test_truncation_fails_closed () =
   Plan_store.close reference
 
 let test_byte_flips_fail_closed () =
-  with_store ~flat:true inst6 @@ fun path ->
+  with_store inst3 @@ fun path ->
   let bytes = Bytes.of_string (read_file path) in
   let len = Bytes.length bytes in
-  let sets = all_sets inst6 inst6.Instance.k in
+  let sets = all_sets inst3 inst3.Instance.k in
   let reference =
     match Plan_store.open_path ~path with
     | Ok s -> s
@@ -325,7 +326,7 @@ let test_byte_flips_fail_closed () =
 (* A tampered store attached to an engine must still never surface a
    wrong plan: the engine revalidates and falls back to solving. *)
 let test_tampered_store_engine_fallback () =
-  with_store ~flat:true inst6 @@ fun path ->
+  with_store inst3 @@ fun path ->
   let bytes = Bytes.of_string (read_file path) in
   (* smash the record region wholesale, leaving magic + header alone *)
   let start = String.length "gdpn-plan 1\n" + 64 in
@@ -339,17 +340,17 @@ let test_tampered_store_engine_fallback () =
   | Error _ -> () (* fine: refused outright *)
   | Ok s ->
     Plan_store.close s;
-    let engine = Engine.create inst6 in
+    let engine = Engine.create inst3 in
     (match Engine.attach_store engine ~path:mutant_path with
     | Error _ -> ()
     | Ok () ->
-      let fresh = Engine.create inst6 in
+      let fresh = Engine.create inst3 in
       let rng = Prng.create 7 in
       for _ = 1 to 200 do
-        let faults = random_faults rng inst6 in
+        let faults = random_faults rng inst3 in
         let got = Engine.solve engine ~faults in
         let want = Engine.solve ~cache:false fresh ~faults in
-        if not (same_verdict inst6 ~faults got want) then
+        if not (same_verdict inst3 ~faults got want) then
           Alcotest.fail "tampered store changed a served verdict"
       done)
 
@@ -360,29 +361,29 @@ let test_tampered_store_engine_fallback () =
 (* A store's bytes are a function of the instance, model, mode and size
    bound alone — never of the domain count or the drain's order.  These
    digests were taken from the compiler that solved its own list of
-   representatives, before compiles became task drains. *)
+   representatives, before compiles became task drains; G(3,2)'s flat
+   store was pinned when compiles still took a flag forcing flat
+   enumeration, and its trivial group compiled the same bytes without
+   it. *)
 let test_frozen_digests () =
   let mixed inst = Option.get (Fault_model.of_name inst "mixed") in
   List.iter
-    (fun (label, (n, k), model, flat, max_size, domains, md5) ->
+    (fun (label, (n, k), model, max_size, domains, md5) ->
       let path = temp_store () in
       Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
-      compile ?model ~flat ?max_size ?domains (Family.build ~n ~k) path;
+      compile ?model ?max_size ?domains (Family.build ~n ~k) path;
       check Alcotest.string label md5 (Digest.to_hex (Digest.file path)))
     [
-      ("G(3,5)", (3, 5), None, false, None, None,
-       "7ad1e5685fc818560c13d704f6bc7880");
-      ("G(1,5)", (1, 5), None, false, None, None,
-       "71c05356b12f22185875199f5ad75cf5");
-      ("G(9,2)", (9, 2), None, false, None, None,
-       "e26eae69e39da862621089394ac2ce63");
-      ("G(6,2) flat", (6, 2), None, true, None, None,
-       "c11eae8494f1413bc87b1d79b77800d9");
-      ("mixed G(3,2)", (3, 2), Some mixed, false, None, None,
+      ("G(3,5)", (3, 5), None, None, None, "7ad1e5685fc818560c13d704f6bc7880");
+      ("G(1,5)", (1, 5), None, None, None, "71c05356b12f22185875199f5ad75cf5");
+      ("G(9,2)", (9, 2), None, None, None, "e26eae69e39da862621089394ac2ce63");
+      ("G(3,2) flat", (3, 2), None, None, None,
+       "99f648aff3698a099923dd90a54ac477");
+      ("mixed G(3,2)", (3, 2), Some mixed, None, None,
        "ffb9528eb550ecc24f0eda6f939c3469");
-      ("G(30,4) up to 3", (30, 4), None, false, Some 3, None,
+      ("G(30,4) up to 3", (30, 4), None, Some 3, None,
        "8d48e8c37eea68b06eb9bbc3479599f4");
-      ("G(30,4) up to 3 on 2 domains", (30, 4), None, false, Some 3, Some 2,
+      ("G(30,4) up to 3 on 2 domains", (30, 4), None, Some 3, Some 2,
        "8d48e8c37eea68b06eb9bbc3479599f4");
     ]
 
@@ -417,8 +418,6 @@ let test_journal_header_mismatch () =
           Engine.compile_plans ~resume:journal
             (Option.get (Fault_model.of_name inst6 "mixed"))
             ~path );
-      ( "flat enumeration",
-        fun () -> Engine.compile_plans ~flat:true ~resume:journal node ~path );
       ( "another max size",
         fun () -> Engine.compile_plans ~max_size:1 ~resume:journal node ~path );
     ];

@@ -76,10 +76,10 @@ let with_temp_file f =
   let path = Filename.temp_file "gdpn_cert" ".bin" in
   Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
 
-let certificate ?solve ?symmetry model =
+let certificate ?symmetry model =
   with_temp_file (fun path ->
       Out_channel.with_open_bin path
-        (Gdpn_core.Certify.write ?solve ?symmetry model);
+        (Gdpn_core.Certify.write ?symmetry model);
       In_channel.with_open_bin path In_channel.input_all)
 
 let check_certificate inst bytes =
@@ -87,20 +87,33 @@ let check_certificate inst bytes =
       Out_channel.with_open_bin path (fun oc -> output_string oc bytes);
       In_channel.with_open_bin path (Gdpn_core.Certify.check inst))
 
+(* The certificate's unsigned LEB128 integer at [!pos], advancing
+   [pos] past it. *)
+let read_uint s pos =
+  let rec go acc shift =
+    let b = Char.code s.[!pos] in
+    incr pos;
+    let acc = acc lor ((b land 0x7f) lsl shift) in
+    if b land 0x80 = 0 then acc else go acc (shift + 7)
+  in
+  go 0 0
+
+let add_uint buf n =
+  let rec go n =
+    if n < 0x80 then Buffer.add_char buf (Char.chr n)
+    else begin
+      Buffer.add_char buf (Char.chr (n land 0x7f lor 0x80));
+      go (n lsr 7)
+    end
+  in
+  go n
+
 (* A certificate cut into its header and its records, read by the
    layout certify.mli documents, so tests can drop, repeat and reorder
    whole records. *)
 let certificate_records ~order cert =
   let pos = ref (String.index cert '\n' + 1) in
-  let uint () =
-    let rec go acc shift =
-      let b = Char.code cert.[!pos] in
-      incr pos;
-      let acc = acc lor ((b land 0x7f) lsl shift) in
-      if b land 0x80 = 0 then acc else go acc (shift + 7)
-    in
-    go 0 0
-  in
+  let uint () = read_uint cert pos in
   let skip n =
     for _ = 1 to n do
       ignore (uint ())
@@ -121,3 +134,26 @@ let certificate_records ~order cert =
     records := String.sub cert start (!pos - start) :: !records
   done;
   (header, List.rev !records)
+
+(* [cert] with each record's witness replaced by [witness set]: the
+   pipeline another solver gives for the record's fault set (its sorted
+   universe indices), so that the checker judges that solver's plans. *)
+let rewitness ~order cert witness =
+  let header, records = certificate_records ~order cert in
+  let buf = Buffer.create (String.length cert) in
+  Buffer.add_string buf header;
+  List.iter
+    (fun r ->
+      let pos = ref 0 in
+      let len = read_uint r pos in
+      let set = Array.make len 0 in
+      for i = 0 to len - 1 do
+        let d = read_uint r pos in
+        set.(i) <- (if i = 0 then d else set.(i - 1) + d + 1)
+      done;
+      Buffer.add_string buf (String.sub r 0 !pos);
+      let nodes = witness set in
+      add_uint buf (List.length nodes);
+      List.iter (add_uint buf) nodes)
+    records;
+  Buffer.contents buf
